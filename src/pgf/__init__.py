@@ -28,11 +28,9 @@ _EXPORTS = {
     "normal_closure": ".ops",
     "commutator_subgroup": ".ops",
     "frattini_subgroup": ".ops",
-    "center": ".ops",
     "derived_series": ".ops",
     "derived_length": ".ops",
     "lower_central_series": ".ops",
-    "lower_exp_p_series": ".ops",
     "factor_ranks": ".ops",
     "quotient_group": ".ops",
     "rank": ".ops",
@@ -47,8 +45,6 @@ _EXPORTS = {
     "is_semiabelian": ".family",
     "semiabelian_table": ".family",
     "validate_witness": ".family",
-    "in_family_g": ".family",
-    "dl_rank_screen": ".family",
     # power-commutator presentations and datasets
     "PcPresentation": ".pc",
     "parse_pc_text": ".pc",
@@ -57,12 +53,10 @@ _EXPORTS = {
     "fixture_names": ".datasets",
     "load_fixture": ".datasets",
     "load_all_fixtures": ".datasets",
-    "groups_of_order": ".datasets",
     # ramification bounds
     "RamReport": ".ramification",
     "min_ramified_primes": ".ramification",
     "plans_bound": ".ramification",
-    "group_bounds_report": ".ramification",
     "compare_bounds": ".ramification",
     # census pipeline
     "CensusRecord": ".census",
@@ -70,13 +64,9 @@ _EXPORTS = {
     "classify_presentation": ".census",
     "run_census": ".census",
     "emit_report": ".census",
-    # claims gate and kernel selection
+    # claims gate
     "run_claims": ".verify",
     "format_claims": ".verify",
-    "available": ".kernels",
-    "get_kernels": ".kernels",
-    "active_kernels": ".kernels",
-    "set_active_kernels": ".kernels",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

@@ -3,11 +3,11 @@
 `run_census` ingests one pc file (all groups of a single order and prime),
 classifies every group (rank, derived length, semiabelian flag plus the
 derived-length screen) and returns summary counts next to the records.
-Records append to a JSON-lines cache file keyed by group id, so an
-interrupted long run resumes by skipping finished groups. Groups classify
-independently, so a worker pool can spread the load; results are keyed and
-sorted by group id before reporting, which keeps the output independent of
-scheduling.
+Each record is appended to a JSON-lines cache file keyed by group id as
+soon as its group is classified, so an interrupted long run resumes by
+skipping finished groups. Groups classify independently, so a worker pool
+can spread the load; results are keyed and sorted by group id before
+reporting, which keeps the output independent of scheduling.
 
 Per-group failures (typically cap violations) never vanish: they are
 collected in the summary, excluded from the cache so a later run retries
@@ -20,19 +20,19 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from io import StringIO
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import PcFileError, PgfError
+from .errors import CapExceeded, PcFileError, PgfError
 from .family import (
     SCREEN_INCONCLUSIVE,
     SCREEN_NOT_MEMBER,
     semiabelian_table,
     validate_witness,
 )
-from .pc import PcPresentation, parse_pc_file, pc_to_perm
+from .pc import PcPresentation, parse_pc_file
 from .table import DEFAULT_TABLE_CAP, CayleyTable
 
 CACHE_ENV = "PGF_CACHE"
@@ -125,16 +125,13 @@ class CensusSummary:
 def classify_presentation(
     pres: PcPresentation, table_cap: int = DEFAULT_TABLE_CAP
 ) -> CensusRecord:
-    """Classify one group, cross-checking the two order computations and
-    independently validating any semiabelian witness before trusting it."""
+    """Classify one group from its multiplication table, which tabulation
+    proves to be a group, and independently validate any semiabelian
+    witness before trusting it."""
     t0 = time.perf_counter()
-    g = pc_to_perm(pres)
-    if pres.prime**pres.ngens != pres.order or g.order != pres.order:
-        raise PgfError(
-            f"group {pres.group_id}: declared order {pres.order} disagrees "
-            f"with {pres.prime}^{pres.ngens} or chain order {g.order}"
-        )
-    ct = CayleyTable.from_perm_group(g, cap=table_cap)
+    if pres.order > table_cap:
+        raise CapExceeded(f"order {pres.order} exceeds table cap {table_cap}")
+    ct = CayleyTable.from_pc(pres)
     rk = ct.rank()
     dl = ct.derived_length()
     verdict = semiabelian_table(ct)
@@ -162,25 +159,43 @@ def cache_file_path(cache_dir: str, prime: int, order: int) -> str:
 
 def _load_cache(path: str, valid_ids: set) -> dict:
     """Read completed records; first occurrence of an id wins. Ids outside
-    the dataset are skipped (the file is append-only and may be shared)."""
+    the dataset are skipped (the file is append-only and may be shared).
+
+    A final line without a newline is an append cut short by an interrupt.
+    It is kept and terminated when it parses, and cut off otherwise, so the
+    next append starts on a fresh line. Any other unreadable line raises.
+    """
     out: dict = {}
     if not os.path.exists(path):
         return out
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = CensusRecord.from_json_dict(json.loads(line))
-            except PgfError:
-                raise
-            except Exception as exc:
-                raise PgfError(
-                    f"unreadable cache line {lineno} in {path}: {exc}"
-                ) from exc
-            if rec.group_id in valid_ids:
-                out.setdefault(rec.group_id, rec)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        try:
+            json.loads(data[end:])
+        except ValueError:
+            with open(path, "r+b") as fh:
+                fh.truncate(end)
+        else:
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
+            end = len(data)
+    lines = data[:end].decode("utf-8", errors="replace").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = CensusRecord.from_json_dict(json.loads(line))
+        except PgfError:
+            raise
+        except Exception as exc:
+            raise PgfError(
+                f"unreadable cache line {lineno} in {path}: {exc}"
+            ) from exc
+        if rec.group_id in valid_ids:
+            out.setdefault(rec.group_id, rec)
     return out
 
 
@@ -198,12 +213,21 @@ def _classify_task(args) -> tuple:
         return ("fail", pres.group_id, str(exc))
 
 
-def _map_tasks(todo: Sequence, table_cap: int, jobs: int) -> list:
+def _map_tasks(todo: Sequence, table_cap: int, jobs: int) -> Iterator[tuple]:
+    """Yield each outcome as soon as it is ready, so callers can cache it
+    before the next group finishes."""
     tasks = [(p, table_cap) for p in todo]
     if jobs <= 1 or len(tasks) <= 1:
-        return [_classify_task(t) for t in tasks]
+        yield from map(_classify_task, tasks)
+        return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_classify_task, tasks))
+        futures = [pool.submit(_classify_task, t) for t in tasks]
+        try:
+            for fut in as_completed(futures):
+                yield fut.result()
+        finally:
+            # an interrupted run must not wait for the groups still queued
+            pool.shutdown(cancel_futures=True)
 
 
 def run_census(

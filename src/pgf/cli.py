@@ -156,13 +156,15 @@ def _load_target(target: str):
 
 
 def _cmd_semiabelian(args) -> int:
-    from .family import is_semiabelian, validate_witness
+    from .family import semiabelian_table, validate_witness
     from .table import CayleyTable
 
     g, label = _load_target(args.target)
-    verdict = is_semiabelian(g)
+    # the printed steps depend on element ids, so keep the permutation
+    # group's numbering rather than tabulating the presentation directly
+    ct = CayleyTable.from_perm_group(g)
+    verdict = semiabelian_table(ct)
     if verdict.flag:
-        ct = CayleyTable.from_perm_group(g)
         if not validate_witness(ct, verdict.witness):
             raise PgfError(f"witness for {label} failed the independent recheck")
         print(f"{label}: semiabelian=true")
@@ -251,3 +253,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -15,7 +15,7 @@ import os
 from importlib import resources
 from typing import Optional
 
-from .pc import PcPresentation, parse_pc_file
+from .pc import parse_pc_file
 
 DATA_ENV = "PGF_DATA"
 
@@ -68,17 +68,3 @@ def scan_data_dir(data_dir: Optional[str]) -> dict:
         for pres in parse_pc_file(os.path.join(data_dir, fname)):
             buckets.setdefault((pres.prime, pres.order), []).append(pres)
     return buckets
-
-
-def groups_of_order(
-    prime: int, order: int, data_dir: Optional[str] = None
-) -> list:
-    """Bundled fixtures first, then the data directory."""
-    out = [
-        p
-        for p in load_all_fixtures()
-        if p.prime == prime and p.order == order
-    ]
-    if out:
-        return out
-    return scan_data_dir(data_dir or default_data_dir()).get((prime, order), [])

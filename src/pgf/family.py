@@ -20,7 +20,7 @@ verifies that equality and fails loudly if the engine ever breaks it.
 A group is semiabelian when it is trivial, abelian, or splits as G = A * H
 with A a normal abelian subgroup, H a proper subgroup that is itself
 semiabelian. The constructible family above coincides with the semiabelian
-groups at each prime, so `in_family_g` is decided by the decomposition
+groups at each prime, so membership is decided by the decomposition
 search in `is_semiabelian`.
 """
 
@@ -37,7 +37,6 @@ from .group import DEFAULT_ENUM_CAP, PermGroup
 from .ops import (
     DEFAULT_DEGREE_CAP,
     cyclic_group,
-    derived_length,
     direct_product,
     frattini_subgroup,
     normal_closure,
@@ -484,8 +483,9 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
 
     Candidate pairs run over normal abelian subgroups A of the current
     group S (largest first) and conjugacy class representatives H of
-    proper subgroups of S (smallest first); A * H = S is tested both by
-    generated closure and by the order identity |A||H| = |S||A inter H|.
+    proper subgroups of S (smallest first). Since A is normal in S, A * H
+    is a subgroup, so the order identity |A||H| = |S||A inter H| alone
+    proves A * H = S.
     Results are memoized per conjugacy class of the ambient group, with
     witnesses translated back through the recorded conjugator, since
     conjugate subgroups decompose compatibly.
@@ -570,10 +570,6 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
                 if oa * subs[h].order != s.order * (pa & packed[h]).bit_count():
                     continue
                 stats["pairs_tested"] += 1
-                closure = ct.closure_mask(subs[a].ids + subs[h].ids)
-                got = int.from_bytes(np.packbits(closure).tobytes(), "big")
-                if got != s_int:
-                    continue
                 ok, sub_chain = decide(h)
                 if ok:
                     return True, ((subs[a].ids, subs[h].ids),) + sub_chain
@@ -633,23 +629,3 @@ def validate_witness(ct: CayleyTable, chain) -> bool:
             return False
         current = h
     return len(current) == 1
-
-
-# ----- membership ---------------------------------------------------------------
-
-
-def in_family_g(g: PermGroup, cap: int = DEFAULT_TABLE_CAP) -> bool:
-    """Membership in the constructible family, decided via the semiabelian
-    test; the two classes coincide at every prime."""
-    return is_semiabelian(g, cap=cap).flag
-
-
-def dl_rank_screen(g: PermGroup, l: Optional[int] = None) -> str:
-    """Cheap membership pre-filter.
-
-    Semiabelian groups satisfy derived length <= rank, so a violation rules
-    membership out; nothing else is concluded.
-    """
-    if derived_length(g) > rank(g, l):
-        return SCREEN_NOT_MEMBER
-    return SCREEN_INCONCLUSIVE

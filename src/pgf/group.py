@@ -10,7 +10,7 @@ between threads.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import CapExceeded
 from .perm import Perm
@@ -222,20 +222,8 @@ class PermGroup:
             self._index = {p: i for i, p in enumerate(self.elements(cap))}
         return self._index
 
-    def random_element(self, rng) -> Perm:
-        p = self.identity
-        for lvl in self._chain.levels:
-            reps = sorted(lvl.transversal)
-            p = p * lvl.transversal[reps[rng.randrange(len(reps))]][0]
-        return p
-
     def __repr__(self) -> str:
         return (
             f"PermGroup(degree={self.degree}, order={self._order}, "
             f"ngens={len(self.generators)})"
         )
-
-
-def build_chain(gens: Sequence[Perm], degree: Optional[int] = None) -> PermGroup:
-    """Deterministic stabilizer chain for the group generated by `gens`."""
-    return PermGroup(gens, degree=degree)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .arith import exact_log, is_prime, prime_power_root
 from .errors import CapExceeded, NotNormal, PgfError
-from .group import DEFAULT_ENUM_CAP, PermGroup, StabilizerChain, build_chain
+from .group import PermGroup, StabilizerChain
 from .perm import Perm, commutator
 
 DEFAULT_DEGREE_CAP = 4096
@@ -141,16 +141,6 @@ def frattini_subgroup(g: PermGroup, l: Optional[int] = None) -> PermGroup:
     return normal_closure(g, seeds)
 
 
-def center(g: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
-    """Elements commuting with every generator (enumerates the group)."""
-    zs = [
-        x
-        for x in g.elements(cap)
-        if all(x * t == t * x for t in g.generators)
-    ]
-    return PermGroup(zs, degree=g.degree, order_hint=len(zs))
-
-
 # ----- series ----------------------------------------------------------------
 
 
@@ -201,26 +191,6 @@ def lower_central_series(g: PermGroup) -> SeriesResult:
             break
     return SeriesResult(
         "lower_central", tuple(h.order for h in groups), tuple(groups)
-    )
-
-
-def lower_exp_p_series(g: PermGroup, l: Optional[int] = None) -> SeriesResult:
-    """g = F1 >= F2 >= ... with F_{t+1} = <f**l, [x, f] : f in F_t, x in G>."""
-    if l is None:
-        l = group_prime(g)
-    groups = [g]
-    while groups[-1].order > 1:
-        cur = groups[-1]
-        seeds = [y**l for y in cur.generators]
-        seeds += [
-            commutator(t, y) for t in g.generators for y in cur.generators
-        ]
-        nxt = normal_closure(g, seeds)
-        groups.append(nxt)
-        if nxt.order == groups[-2].order:
-            break
-    return SeriesResult(
-        "lower_exp_p", tuple(h.order for h in groups), tuple(groups)
     )
 
 

@@ -212,6 +212,10 @@ class PcPresentation:
         out.reverse()
         return tuple(out)
 
+    def gen_ids(self) -> tuple:
+        """Indices of the generators g1..gn, as in `idx`."""
+        return tuple(self.prime ** (self.ngens - 1 - i) for i in range(self.ngens))
+
     def gen_columns(self) -> np.ndarray:
         """Right-multiplication maps: cols[j][x] = idx(element(x) * g_j)."""
         N = self.order
@@ -251,55 +255,55 @@ def multiplication_table(pres: PcPresentation) -> np.ndarray:
     return table
 
 
+def _table_defect(table: np.ndarray, gen_ids: Sequence[int]) -> Optional[str]:
+    """Why a collection table is not a group, or None when it is one.
+
+    Checks the identity row and column, that every row and every column is
+    a permutation, and Light's associativity test over the generators:
+    (x*g)*y == x*(g*y) for every generator g and all x, y (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1961). The elements
+    satisfying that identity are closed under products, and
+    `multiplication_table` builds every element as a left-normed product of
+    generators, so passing for the generators proves full associativity.
+    """
+    n = table.shape[0]
+    ar = np.arange(n, dtype=table.dtype)
+    if not (table[0] == ar).all() or not (table[:, 0] == ar).all():
+        return "identity misbehaves"
+    if not (np.sort(table, axis=1) == ar).all():
+        return "some row is not a permutation"
+    if not (np.sort(table, axis=0) == ar[:, None]).all():
+        return "some column is not a permutation"
+    for g in gen_ids:
+        bad = table[table[:, g], :] != table[:, table[g, :]]
+        if bad.any():
+            a, c = np.argwhere(bad)[0]
+            return f"associativity fails at ({int(a)}, {g}, {int(c)})"
+    return None
+
+
 @dataclass(frozen=True)
 class ConsistencyResult:
     ok: bool
     reason: Optional[str] = None
 
 
-def check_consistency(
-    pres: PcPresentation, exhaustive_cap: int = 1024, samples: int = 2000
-) -> ConsistencyResult:
+def check_consistency(pres: PcPresentation) -> ConsistencyResult:
     """Decide whether collection defines a group of order prime**ngens.
 
-    Builds the collection table and checks that it is a cancellative
-    associative operation with the identity in place; failure of any of
-    these is exactly inconsistency of the presentation. Associativity is
-    exhaustive up to `exhaustive_cap` elements and sampled above it.
+    Failure of the table checks in `_table_defect` is exactly
+    inconsistency of the presentation.
     """
-    N = pres.order
-    table = multiplication_table(pres)
-    ar = np.arange(N, dtype=np.int32)
-    if not (table[0] == ar).all() or not (table[:, 0] == ar).all():
-        return ConsistencyResult(False, "identity misbehaves")
-    if not (np.sort(table, axis=1) == ar).all():
-        return ConsistencyResult(False, "some row is not a permutation")
-    if not (np.sort(table, axis=0) == ar[:, None]).all():
-        return ConsistencyResult(False, "some column is not a permutation")
-    if N <= exhaustive_cap:
-        for a in range(N):
-            lhs = table[table[a]]  # (a*b)*c for all b, c
-            rhs = table[a][table]  # a*(b*c)
-            if not (lhs == rhs).all():
-                b, c = np.argwhere(lhs != rhs)[0]
-                return ConsistencyResult(
-                    False, f"associativity fails at ({a}, {int(b)}, {int(c)})"
-                )
-    else:
-        rng = np.random.default_rng(0)
-        for a, b, c in rng.integers(0, N, size=(samples, 3)):
-            if table[table[a, b], c] != table[a, table[b, c]]:
-                return ConsistencyResult(
-                    False, f"associativity fails at ({int(a)}, {int(b)}, {int(c)})"
-                )
-    return ConsistencyResult(True)
+    reason = _table_defect(multiplication_table(pres), pres.gen_ids())
+    return ConsistencyResult(reason is None, reason)
 
 
 def pc_to_perm(pres: PcPresentation) -> PermGroup:
     """Faithful right-regular permutation image on prime**ngens points.
 
     The chain is built without an order hint on purpose: its order being
-    prime**ngens is one of the cross-checks between the two backends.
+    prime**ngens is an independent check on the presentation, kept for
+    `pgf verify` (criterion 7).
     """
     cols = pres.gen_columns()
     gens = [Perm._from0(cols[j].copy()) for j in range(pres.ngens)]

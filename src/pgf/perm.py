@@ -6,7 +6,7 @@ Two conventions hold everywhere in this package:
 * composition applies the LEFT factor first: ``(a * b)(x) == b(a(x))``.
 
 Internally images are kept 0-based in a read-only numpy array so that the
-table and kernel layers can index with them directly.
+table layer can index with them directly.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class Perm:
 
     @property
     def img0(self) -> np.ndarray:
-        """Read-only 0-based image array (for the table/kernel layer)."""
+        """Read-only 0-based image array (for the table layer)."""
         return self._img
 
     def __call__(self, point: int) -> int:
@@ -167,28 +167,6 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({self.cycle_string()}, degree={self.degree})"
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Left-to-right composition: compose(a, b)(x) == b(a(x))."""
-    return a * b
-
-
-def identity(degree: int) -> Perm:
-    return Perm.identity(degree)
-
-
-def inverse(p: Perm) -> Perm:
-    return p.inverse()
-
-
-def conjugate(a: Perm, g: Perm) -> Perm:
-    """g^-1 * a * g (left-to-right convention)."""
-    if a._img.size != g._img.size:
-        raise ValueError("degree mismatch in conjugation")
-    out = np.empty_like(a._img)
-    out[g._img] = g._img[a._img]
-    return Perm._from0(out)
 
 
 def commutator(a: Perm, b: Perm) -> Perm:

@@ -41,16 +41,12 @@ RANK_LOWER_BOUND_NOTE = (
     "least r ramified primes"
 )
 
-UNCERTIFIED_CLAIM = "unknown (not certified by a construction certificate)"
-
-
 @dataclass(frozen=True)
 class RamReport:
-    """Minimal-ramification numbers for one group.
+    """Minimal-ramification numbers for one certificate-built group.
 
-    `minimal_count_claim` is an exact integer only when a construction
-    certificate witnesses that rank(G) primes suffice; otherwise it is the
-    `UNCERTIFIED_CLAIM` string and only the bounds are meaningful.
+    `minimal_count_claim` is exact because the construction certificate
+    witnesses that rank(G) primes suffice; it must equal the rank.
     """
 
     descriptor: str
@@ -58,15 +54,14 @@ class RamReport:
     rank_lower_bound_note: str
     plans_bound_excluding_first: int
     plans_bound_excluding_last: int
-    minimal_count_claim: Union[int, str]
+    minimal_count_claim: int
 
     def __post_init__(self):
-        if isinstance(self.minimal_count_claim, int):
-            if self.minimal_count_claim != self.rank:
-                raise PgfError(
-                    f"claimed minimal count {self.minimal_count_claim} "
-                    f"disagrees with rank {self.rank} for {self.descriptor}"
-                )
+        if self.minimal_count_claim != self.rank:
+            raise PgfError(
+                f"claimed minimal count {self.minimal_count_claim} "
+                f"disagrees with rank {self.rank} for {self.descriptor}"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,25 +136,6 @@ def min_ramified_primes(c: Union[Cert, str]) -> RamReport:
         plans_bound_excluding_first=ex_first,
         plans_bound_excluding_last=ex_last,
         minimal_count_claim=structural,
-    )
-
-
-def group_bounds_report(
-    g: PermGroup, descriptor: Optional[str] = None, l: Optional[int] = None
-) -> RamReport:
-    """Report for a bare group: bounds only, minimal count left unknown."""
-    if l is None:
-        l = group_prime(g)
-    if descriptor is None:
-        descriptor = f"group of order {g.order}"
-    ex_first, ex_last = plans_bound(g, l)
-    return RamReport(
-        descriptor=descriptor,
-        rank=rank(g, l),
-        rank_lower_bound_note=RANK_LOWER_BOUND_NOTE,
-        plans_bound_excluding_first=ex_first,
-        plans_bound_excluding_last=ex_last,
-        minimal_count_claim=UNCERTIFIED_CLAIM,
     )
 
 

@@ -21,10 +21,29 @@ import numpy as np
 from .arith import exact_log, prime_power_root
 from .errors import CapExceeded, PgfError
 from .group import PermGroup
-from .kernels import active_kernels
-from .pc import PcPresentation, multiplication_table
+from .pc import PcPresentation, _table_defect, multiplication_table
 
 DEFAULT_TABLE_CAP = 1024
+
+
+def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Membership mask of the subgroup generated by the seed element ids.
+
+    Breadth-first closure under right multiplication by the seeds. Row 0 of
+    the table must be the identity, which every subgroup contains.
+    """
+    member = np.zeros(table.shape[0], dtype=bool)
+    member[0] = True
+    if seed.size == 0:
+        return member
+    member[seed] = True
+    frontier = seed[seed != 0]
+    while frontier.size:
+        prods = np.unique(table[np.ix_(frontier, seed)])
+        fresh = prods[~member[prods]]
+        member[fresh] = True
+        frontier = fresh
+    return member
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,16 +158,19 @@ class CayleyTable:
 
     @classmethod
     def from_pc(cls, pres: PcPresentation):
-        """Tabulate a collected presentation via its collection table."""
+        """Tabulate a collected presentation via its collection table.
+
+        Raises PgfError, naming the group and the defect, when collection
+        does not define a group (an inconsistent presentation).
+        """
         table = multiplication_table(pres)
-        elems = tuple(pres.elements())
-        gen_ids = []
-        for i in range(pres.ngens):
-            v = [0] * pres.ngens
-            v[i] = 1
-            gen_ids.append(pres.idx(v))
-        ct = cls(table, elems, tuple(gen_ids))
-        return ct
+        gen_ids = pres.gen_ids()
+        defect = _table_defect(table, gen_ids)
+        if defect is not None:
+            raise PgfError(
+                f"group {pres.group_id}: inconsistent presentation: {defect}"
+            )
+        return cls(table, tuple(pres.elements()), gen_ids)
 
     # ----- elementary maps --------------------------------------------------
 
@@ -210,7 +232,7 @@ class CayleyTable:
 
     def closure_mask(self, seed_ids: Sequence[int]) -> np.ndarray:
         seed = np.asarray(sorted(set(seed_ids)), dtype=np.int32)
-        return active_kernels().closure(self.table, seed)
+        return _closure(self.table, seed)
 
     def closure_ids(self, seed_ids: Sequence[int]) -> tuple:
         return tuple(int(v) for v in np.nonzero(self.closure_mask(seed_ids))[0])
@@ -334,7 +356,6 @@ class CayleyTable:
         if self._lattice is not None:
             return self._lattice
         l = self._require_prime()
-        kern = active_kernels()
         triv = np.zeros(self.n, dtype=bool)
         triv[0] = True
         by_key = {triv.tobytes(): triv}
@@ -345,8 +366,10 @@ class CayleyTable:
             while layer:
                 nxt = {}
                 for mask in layer:
-                    cand = kern.extension_candidates(self.table, conj, powl, mask)
+                    # g outside H with g**l in H normalizing H: adjoining g
+                    # gives an index-l overgroup, and every one arises so
                     h_ids = np.nonzero(mask)[0]
+                    cand = mask[powl] & ~mask & mask[conj[:, h_ids]].all(axis=1)
                     for g in np.nonzero(cand)[0]:
                         cols = []
                         gp = int(g)

@@ -1,13 +1,17 @@
 """Brute-force reference computations for small groups.
 
 Everything here works on explicit element sets obtained by naive closure,
-with no stabilizer chains, no collection and no table kernels, so these
+with no stabilizer chains, no collection and no Cayley tables, so these
 values are independent of every production code path they are compared to.
-Only usable for small orders; that is the point.
+The one exception, the presentation oracle, multiplies with the collector
+one product at a time and checks every triple, bypassing the table builder
+and its consistency check. Only usable for small orders; that is the point.
 """
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 from pgf.perm import Perm, commutator
 from pgf.verify import naive_closure
@@ -144,3 +148,19 @@ def order_histogram(elems):
     for p in elems:
         hist[p.order()] = hist.get(p.order(), 0) + 1
     return tuple(sorted(hist.items()))
+
+
+def brute_pc_is_group(pres):
+    """Whether collection in `pres` defines a group, by checking the group
+    axioms on every product and every triple of elements. Products come
+    from the collector element by element, never from the table builder."""
+    els = list(pres.elements())
+    n = len(els)
+    t = np.array([[pres.idx(pres.multiply(a, b)) for b in els] for a in els])
+    ids = np.arange(n)
+    if (t[0] != ids).any() or (t[:, 0] != ids).any():
+        return False
+    if not (t == 0).any(axis=1).all():
+        return False  # some element has no right inverse
+    # (a*b)*c against a*(b*c) for all n**3 triples at once
+    return bool((t[t] == t[ids[:, None, None], t[None, :, :]]).all())

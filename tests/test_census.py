@@ -12,6 +12,7 @@ import os
 import pytest
 from importlib import resources
 
+from pgf import census
 from pgf.census import (
     CensusRecord,
     CensusSummary,
@@ -25,6 +26,7 @@ from pgf.errors import PcFileError, PgfError
 from pgf.pc import pc_to_perm
 
 from oracles import brute_derived_length, brute_rank
+from test_pc import INCONSISTENT_TEXT
 
 
 def fixture_path(name):
@@ -176,6 +178,88 @@ def test_interrupted_run_resumes_to_identical_report(tmp_path):
     assert emit_report(zeroed(r_resumed), "csv") == emit_report(
         zeroed(r_full), "csv"
     )
+
+
+def test_interrupt_keeps_every_finished_record(tmp_path, monkeypatch):
+    k = 4
+    real = census.classify_presentation
+    calls = []
+
+    def interrupted_at_k(pres, table_cap):
+        calls.append(pres.group_id)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return real(pres, table_cap)
+
+    monkeypatch.setattr(census, "classify_presentation", interrupted_at_k)
+    cache = str(tmp_path / "cache")
+    with pytest.raises(KeyboardInterrupt):
+        run_census(fixture_path("o16.pc"), cache_dir=cache, jobs=1)
+    with open(cache_file_path(cache, 2, 16)) as fh:
+        assert len(fh.read().splitlines()) == k - 1
+    monkeypatch.undo()
+
+    _, resumed = run_census(fixture_path("o16.pc"), cache_dir=cache, jobs=1)
+    _, fresh = run_census(fixture_path("o16.pc"), jobs=1)
+    assert emit_report(zeroed(resumed), "csv") == emit_report(zeroed(fresh), "csv")
+
+
+def _full_cache_lines(cache):
+    run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    with open(cache_file_path(cache, 2, 8)) as fh:
+        return fh.read().splitlines()
+
+
+def test_torn_final_line_is_dropped_and_resume_completes(tmp_path):
+    cache = str(tmp_path / "cache")
+    lines = _full_cache_lines(cache)
+    path = cache_file_path(cache, 2, 8)
+    with open(path, "w") as fh:  # the last append died halfway
+        fh.write("\n".join(lines[:3]) + "\n" + lines[3][:25])
+    _, resumed = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    _, fresh = run_census(fixture_path("o8.pc"), jobs=1)
+    assert zeroed(resumed) == zeroed(fresh)
+    # the next append started on a fresh line, so every line is a record
+    with open(path) as fh:
+        text = fh.read()
+    assert text.endswith("\n")
+    assert len(text.splitlines()) == 5
+    _, again = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    assert again == resumed
+
+
+def test_complete_but_unterminated_final_line_is_kept(tmp_path):
+    cache = str(tmp_path / "cache")
+    lines = _full_cache_lines(cache)
+    path = cache_file_path(cache, 2, 8)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    assert [json.dumps(r.to_json_dict()) for r in records] == lines
+    with open(path) as fh:
+        assert fh.read() == "\n".join(lines) + "\n"
+
+
+def test_torn_line_inside_the_cache_fails_loudly(tmp_path):
+    cache = str(tmp_path / "cache")
+    lines = _full_cache_lines(cache)
+    with open(cache_file_path(cache, 2, 8), "w") as fh:
+        fh.write("\n".join([lines[0], lines[1][:25]] + lines[2:]) + "\n")
+    with pytest.raises(PgfError, match="unreadable cache line 2"):
+        run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+
+
+def test_inconsistent_presentation_is_a_recorded_failure(tmp_path):
+    path = tmp_path / "bad.pc"
+    path.write_text(INCONSISTENT_TEXT)
+    cache = str(tmp_path / "cache")
+    summary, records = run_census(str(path), cache_dir=cache, jobs=1)
+    assert records == []
+    assert len(summary.failures) == 1
+    entry = summary.failures[0]
+    assert (entry["order"], entry["index"]) == (8, 9)
+    assert "(8, 9)" in entry["error"]
+    assert not os.path.exists(cache_file_path(cache, 2, 8))
 
 
 def test_resume_skips_cached_ids(tmp_path):

@@ -1,10 +1,14 @@
 """Command-line surface: outputs, formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from importlib import resources
 
+import pgf
 from pgf.cli import dispatch
 
 
@@ -149,3 +153,20 @@ def test_verify_prints_one_line_per_criterion(capsys):
     assert tags == [f"CRITERION {i}" for i in range(1, 9)]
     for ln in lines:
         assert any(s in ln for s in (": PASS", ": FAIL", ": SKIPPED"))
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(pgf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgf.cli", "build", "C(3,2)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "order=9 rank=1 dl=1\n"

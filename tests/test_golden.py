@@ -1,0 +1,54 @@
+"""Frozen outputs of the user-facing jobs.
+
+The files under tests/golden were captured once from an earlier version of
+the engine and are never regenerated: a refactor that changes a census
+verdict or a printed witness fails here. Census reports are compared with
+`elapsed_ms` zeroed. Semiabelian outputs are stored as the command line
+followed by its stdout, with the bundled data directory stripped from
+dataset targets.
+"""
+
+import dataclasses
+import os
+from importlib import resources
+
+import pytest
+
+from pgf.census import emit_report, run_census
+from pgf.cli import dispatch
+from pgf.datasets import fixture_names
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+DATA = str(resources.files("pgf").joinpath("data"))
+PROMPT = "$ pgf semiabelian "
+
+
+def read_golden(*parts):
+    with open(os.path.join(GOLDEN, *parts), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def semiabelian_cases():
+    """(target, expected stdout) pairs from the frozen transcript."""
+    cases = []
+    for block in read_golden("semiabelian.txt").split(PROMPT)[1:]:
+        target, _, out = block.partition("\n")
+        cases.append((target, out))
+    return cases
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_census_csv_matches_golden(name):
+    summary, records = run_census(os.path.join(DATA, name), jobs=1)
+    assert summary.failures == ()
+    zeroed = [dataclasses.replace(r, elapsed_ms=0) for r in records]
+    assert emit_report(zeroed, "csv") == read_golden(
+        "census", name.replace(".pc", ".csv")
+    )
+
+
+@pytest.mark.parametrize("target,expected", semiabelian_cases())
+def test_semiabelian_stdout_matches_golden(target, expected, capsys):
+    arg = os.path.join(DATA, target) if "#" in target else target
+    assert dispatch(["semiabelian", arg]) == 0
+    assert capsys.readouterr().out.replace(DATA + os.sep, "") == expected

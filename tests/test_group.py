@@ -9,7 +9,7 @@ import random
 import pytest
 
 from pgf.errors import CapExceeded
-from pgf.group import DEFAULT_ENUM_CAP, PermGroup, build_chain
+from pgf.group import DEFAULT_ENUM_CAP, PermGroup
 from pgf.perm import Perm
 from pgf.verify import naive_closure
 
@@ -28,7 +28,7 @@ def test_three_generator_example_order_eight():
         Perm.from_cycles(4, [(1, 3), (2, 4)]),
     ]
     assert len(naive_closure(gens)) == 8
-    g = build_chain(gens)
+    g = PermGroup(gens)
     assert g.order == 8
 
 
@@ -43,19 +43,19 @@ def test_identity_only_generators():
 
 def test_single_sixteen_cycle():
     c = Perm.from_cycles(16, [tuple(range(1, 17))])
-    g = build_chain([c])
+    g = PermGroup([c])
     assert g.order == 16
 
 
 def test_symmetric_group_order():
     gens = [Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(1, 2, 3, 4)])]
-    assert build_chain(gens).order == 24
+    assert PermGroup(gens).order == 24
     assert len(naive_closure(gens)) == 24
 
 
 def test_alternating_membership():
     gens = [Perm.from_cycles(4, [(1, 2, 3)]), Perm.from_cycles(4, [(2, 3, 4)])]
-    g = build_chain(gens)
+    g = PermGroup(gens)
     assert g.order == 12
     assert g.contains(Perm.from_cycles(4, [(1, 2), (3, 4)]))
     assert not g.contains(Perm.from_cycles(4, [(1, 2)]))
@@ -72,7 +72,7 @@ def test_chain_order_matches_naive_closure_on_random_sets():
         ref = naive_closure(gens, cap=4096)
         if ref is None:
             continue
-        g = build_chain(gens)
+        g = PermGroup(gens)
         assert g.order == len(ref)
         # membership must accept exactly the closure
         for p in rng.sample(sorted(ref, key=lambda q: q.images), min(6, len(ref))):
@@ -83,7 +83,7 @@ def test_chain_order_matches_naive_closure_on_random_sets():
 def test_membership_rejects_outside_elements():
     rng = random.Random(99)
     gens = [Perm.from_cycles(6, [(1, 2, 3)]), Perm.from_cycles(6, [(4, 5, 6)])]
-    g = build_chain(gens)
+    g = PermGroup(gens)
     assert g.order == 9
     ref = naive_closure(gens)
     for _ in range(30):
@@ -93,14 +93,14 @@ def test_membership_rejects_outside_elements():
 
 def test_elements_sorted_unique_and_capped():
     gens = [Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(3, 4)])]
-    g = build_chain(gens)
+    g = PermGroup(gens)
     els = g.elements()
     assert len(els) == 4 == g.order
     assert len(set(els)) == 4
     assert [e.images for e in els] == sorted(e.images for e in els)
     assert els[0].is_identity()
     with pytest.raises(CapExceeded):
-        build_chain(
+        PermGroup(
             [Perm.from_cycles(8, [(1, 2)]), Perm.from_cycles(8, [tuple(range(1, 9))])]
         ).elements(cap=100)
 
@@ -110,8 +110,8 @@ def test_rebuild_is_deterministic():
         Perm.from_cycles(6, [(1, 2), (3, 4)]),
         Perm.from_cycles(6, [(1, 3, 5)]),
     ]
-    a = build_chain(gens)
-    b = build_chain(gens)
+    a = PermGroup(gens)
+    b = PermGroup(gens)
     assert a.order == b.order
     assert a.base() == b.base()
     rng = random.Random(3)
@@ -131,10 +131,13 @@ def test_order_hint_early_exit_agrees():
 def test_random_element_lies_in_group():
     rng = random.Random(5)
     gens = [Perm.from_cycles(5, [(1, 2, 3, 4, 5)]), Perm.from_cycles(5, [(2, 3, 5, 4)])]
-    g = build_chain(gens)
+    g = PermGroup(gens)
     assert g.order == 20
     for _ in range(25):
-        assert g.contains(g.random_element(rng))
+        p = Perm.identity(5)
+        for _ in range(rng.randrange(1, 12)):
+            p = p * rng.choice(gens)
+        assert g.contains(p)
 
 
 def test_enum_cap_default_present():

@@ -18,9 +18,8 @@ from oracles import (
     closure_of,
 )
 from pgf.errors import CapExceeded, NotNormal, PgfError
-from pgf.group import build_chain
+from pgf.group import PermGroup
 from pgf.ops import (
-    center,
     commutator_subgroup,
     cyclic_group,
     derived_length,
@@ -29,7 +28,6 @@ from pgf.ops import (
     factor_ranks,
     frattini_subgroup,
     lower_central_series,
-    lower_exp_p_series,
     normal_closure,
     quotient_group,
     rank,
@@ -86,7 +84,7 @@ def test_wreath_c2_c2_is_dihedral():
     assert w.order == 8 and w.degree == 4
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
+    d4 = PermGroup([r, s])
     assert profile(w) == profile(d4)
 
 
@@ -96,7 +94,7 @@ def test_wreath_order_formula_and_unhinted_agreement():
     w = wreath_regular(inner, outer)
     assert w.order == inner.order**outer.order * outer.order == 32
     # rebuild the chain with no order hint: same group
-    rebuilt = build_chain(list(w.generators), degree=w.degree)
+    rebuilt = PermGroup(list(w.generators), degree=w.degree)
     assert rebuilt.order == w.order
     assert all(rebuilt.contains(p) for p in w.generators)
 
@@ -135,7 +133,7 @@ def test_wreath_mixed_primes_allowed_as_perm_group():
 def test_normal_closure_in_dihedral():
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
+    d4 = PermGroup([r, s])
     nc = normal_closure(d4, [s])
     ref = closure_of(
         [(g.inverse() * s) * g for g in d4.elements()], 4
@@ -147,7 +145,7 @@ def test_normal_closure_in_dihedral():
 def test_commutator_subgroup_matches_oracle():
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
+    d4 = PermGroup([r, s])
     der = commutator_subgroup(d4)
     ref = brute_commutator_subgroup(d4.elements(), 4)
     assert set(der.elements()) == ref
@@ -156,12 +154,12 @@ def test_commutator_subgroup_matches_oracle():
 def test_derived_series_and_length():
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
+    d4 = PermGroup([r, s])
     ser = derived_series(d4)
     assert ser.orders == (8, 2, 1)
     assert derived_length(d4) == 2 == brute_derived_length(d4.elements(), 4)
     assert derived_length(cyclic_group(2, 1)) == 1
-    assert derived_length(build_chain([], degree=1)) == 0
+    assert derived_length(PermGroup([], degree=1)) == 0
 
 
 def test_lower_central_series_d4():
@@ -172,14 +170,13 @@ def test_lower_central_series_d4():
 
 
 def test_lower_exp_p_series_c4():
-    ser = lower_exp_p_series(cyclic_group(2, 2), 2)
-    assert ser.orders == (4, 2, 1)
-    assert factor_ranks(ser) == (1, 1)
+    ct = CayleyTable.from_perm_group(cyclic_group(2, 2))
+    assert ct.lower_exp_orders() == (4, 2, 1)
 
 
 def test_frattini_matches_oracle_and_table():
     groups = {
-        "d4": build_chain(
+        "d4": PermGroup(
             [Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(4, [(2, 4)])]
         ),
         "c8": cyclic_group(2, 3),
@@ -203,10 +200,9 @@ def test_frattini_matches_oracle_and_table():
 
 def test_frattini_equals_first_exp_p_term():
     g = wreath_regular(cyclic_group(2, 1), cyclic_group(2, 1))
-    ser = lower_exp_p_series(g, 2)
+    ct = CayleyTable.from_perm_group(g)
     f = frattini_subgroup(g)
-    assert ser.orders[1] == f.order
-    assert all(ser.groups[1].contains(p) for p in f.generators)
+    assert ct.lower_exp_orders()[1] == len(ct.frattini_ids()) == f.order
 
 
 def test_rank_additive_over_direct_products():
@@ -231,8 +227,8 @@ def test_rank_rejects_mixed_order():
 def test_quotient_by_center_of_d4():
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
-    z = build_chain([r * r])
+    d4 = PermGroup([r, s])
+    z = PermGroup([r * r])
     q = quotient_group(d4, z)
     assert q.group.order == 4
     orders = sorted(p.order() for p in q.group.elements())
@@ -251,13 +247,13 @@ def test_quotient_rank_law_over_d4_normals():
     """rank(G/N) == rank(G) exactly when N lies inside the Frattini subgroup."""
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
+    d4 = PermGroup([r, s])
     frat = set(frattini_subgroup(d4).elements())
     ct = CayleyTable.from_perm_group(d4)
     for sub in ct.lattice().subgroups:
         if not sub.normal:
             continue
-        n = build_chain([ct.elems[i] for i in sub.ids], degree=4)
+        n = PermGroup([ct.elems[i] for i in sub.ids], degree=4)
         q = quotient_group(d4, n)
         preserved = rank(q.group) == rank(d4) if q.group.order > 1 else False
         inside = set(n.elements()) <= frat
@@ -269,16 +265,20 @@ def test_quotient_rank_law_over_d4_normals():
 def test_quotient_requires_normal():
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
+    d4 = PermGroup([r, s])
     with pytest.raises(NotNormal):
-        quotient_group(d4, build_chain([s]))
+        quotient_group(d4, PermGroup([s]))
 
 
 def test_center_matches_oracle():
-    r = Perm.from_cycles(4, [(1, 2, 3, 4)])
-    s = Perm.from_cycles(4, [(2, 4)])
-    d4 = build_chain([r, s])
-    assert set(center(d4).elements()) == brute_center(d4.elements())
+    # the table route is the only center computation
+    for g in (
+        wreath_regular(cyclic_group(2, 1), cyclic_group(2, 2)),
+        wreath_regular(cyclic_group(3, 1), cyclic_group(3, 1)),
+    ):
+        ct = CayleyTable.from_perm_group(g)
+        center = {ct.elems[i] for i in ct.center_ids()}
+        assert center == brute_center(g.elements())
 
 
 def test_larger_wreath_frattini_quotient():

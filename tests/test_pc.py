@@ -19,6 +19,8 @@ from pgf.pc import (
 )
 from pgf.verify import naive_closure
 
+from oracles import brute_pc_is_group
+
 C4_TEXT = """
 # cyclic of order 4
 GROUP 4 1
@@ -143,6 +145,40 @@ def test_consistency_rejects_collapsing_presentation():
     res = check_consistency(parse_one(INCONSISTENT_TEXT))
     assert not res.ok
     assert res.reason
+
+
+def random_presentation(rng):
+    """A random presentation of order 8 to 81; many are inconsistent."""
+    # order 81 is rarer: the oracle collects all 6561 products one by one
+    shapes = [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]
+    weights = [0.15, 0.25, 0.2, 0.1, 0.22, 0.08]
+    prime, ngens = shapes[rng.choice(len(shapes), p=weights)]
+
+    def word(above):
+        vec = rng.integers(0, prime, size=ngens)
+        vec[:above] = 0
+        return tuple(int(e) for e in vec) if rng.random() < 0.5 else None
+
+    powers = [word(i) for i in range(1, ngens + 1)]
+    comms = {}
+    for j in range(2, ngens + 1):
+        for i in range(1, j):
+            w = word(j)
+            if w:
+                comms[(j, i)] = w
+    return PcPresentation(prime, ngens, powers, comms)
+
+
+def test_consistency_agrees_with_brute_force_oracle():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(200):
+        pres = random_presentation(rng)
+        ok = check_consistency(pres).ok
+        assert ok == brute_pc_is_group(pres), pres
+        verdicts.append(ok)
+    # the sample exercises both outcomes
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_pc_to_perm_d4():

@@ -2,7 +2,7 @@
 
 The subgroup machinery is compared against the subset-closure oracle, which
 enumerates subgroups by brute force; table invariants are compared against
-element-level brute force. Both oracles bypass tables and kernels entirely.
+element-level brute force. Both oracles bypass tables entirely.
 """
 
 import math
@@ -20,10 +20,9 @@ from oracles import (
     brute_subgroups,
     is_abelian_elems,
 )
-from pgf import kernels
 from pgf.datasets import load_fixture
 from pgf.errors import CapExceeded
-from pgf.group import build_chain
+from pgf.group import PermGroup
 from pgf.pc import pc_to_perm
 from pgf.perm import Perm
 from pgf.table import CayleyTable
@@ -34,7 +33,7 @@ D4 = None  # filled by fixture below
 def d4_group():
     r = Perm.from_cycles(4, [(1, 2, 3, 4)])
     s = Perm.from_cycles(4, [(2, 4)])
-    return build_chain([r, s])
+    return PermGroup([r, s])
 
 
 def fixture_pres(name, index):
@@ -82,7 +81,7 @@ def test_from_pc_agrees_with_collection():
 
 
 def test_cap_enforced():
-    c32 = build_chain([Perm.from_cycles(32, [tuple(range(1, 33))])])
+    c32 = PermGroup([Perm.from_cycles(32, [tuple(range(1, 33))])])
     with pytest.raises(CapExceeded):
         CayleyTable.from_perm_group(c32, cap=16)
 
@@ -183,7 +182,7 @@ def test_q8_normal_abelian_is_five():
 
 
 def test_klein_four_lattice():
-    g = build_chain([Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(3, 4)])])
+    g = PermGroup([Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(3, 4)])])
     ct = CayleyTable.from_perm_group(g)
     lat = ct.lattice()
     assert len(lat.subgroups) == 5
@@ -192,7 +191,7 @@ def test_klein_four_lattice():
 
 
 def test_cyclic_four_classes():
-    g = build_chain([Perm.from_cycles(4, [(1, 2, 3, 4)])])
+    g = PermGroup([Perm.from_cycles(4, [(1, 2, 3, 4)])])
     lat = CayleyTable.from_perm_group(g).lattice()
     assert len(lat.subgroups) == 3
     assert len(lat.class_reps()) == 3
@@ -216,36 +215,3 @@ def test_lcs_orders_d4():
     assert ct.lower_exp_orders() == (8, 2, 1)
     assert ct.rank() == 2
     assert ct.derived_length() == 2
-
-
-def test_kernel_backends_agree():
-    names = kernels.available()
-    tables = []
-    for name, index in [("o16.pc", 6), ("o27.pc", 4)]:
-        ct = CayleyTable.from_pc(fixture_pres(name, index))
-        tables.append(ct)
-    rng = np.random.default_rng(17)
-    for ct in tables:
-        conj = ct.conj()
-        powl = ct.pow_map(ct.prime)
-        for _ in range(20):
-            seed = rng.integers(0, ct.n, size=rng.integers(1, 4))
-            masks = {}
-            cands = {}
-            for name in names:
-                k = kernels.get_kernels(name)
-                member = k.closure(ct.table, seed.astype(np.int32))
-                masks[name] = member
-                cands[name] = k.extension_candidates(ct.table, conj, powl, member)
-            base = masks[names[0]]
-            for name in names[1:]:
-                assert (masks[name] == base).all()
-                assert (cands[name] == cands[names[0]]).all()
-
-
-def test_kernel_env_selection():
-    assert kernels.active_kernels().name in kernels.available()
-    k = kernels.get_kernels("numpy")
-    assert k.name == "numpy"
-    with pytest.raises(ValueError):
-        kernels.get_kernels("nonsense")
