@@ -3,23 +3,28 @@
 `run_census` ingests one pc file (all groups of a single order and prime),
 classifies every group (rank, derived length, semiabelian flag plus the
 derived-length screen) and returns summary counts next to the records.
-Each record is appended to a JSON-lines cache file keyed by group id as
-soon as its group is classified, so an interrupted long run resumes by
-skipping finished groups. Groups classify independently, so a worker pool
-can spread the load; results are keyed and sorted by group id before
-reporting, which keeps the output independent of scheduling.
+Each record is appended to a JSON-lines cache file as soon as its group
+is classified, together with a SHA-256 of the group's presentation, so an
+interrupted long run resumes by skipping finished groups, and a record
+whose presentation has changed since is recomputed rather than served.
+Groups classify independently, so a worker pool can spread the load;
+results are keyed and sorted by group id before reporting, which keeps
+the output independent of scheduling.
 
-Per-group failures (typically cap violations) never vanish: they are
-collected in the summary, excluded from the cache so a later run retries
-them, and the command-line driver turns them into a nonzero exit.
+Per-group failures (typically cap violations, but any exception a group's
+classification raises) never vanish: they are collected in the summary,
+excluded from the cache so a later run retries them, and the command-line
+driver turns them into a nonzero exit.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from io import StringIO
@@ -32,7 +37,7 @@ from .family import (
     semiabelian_table,
     validate_witness,
 )
-from .pc import PcPresentation, parse_pc_file
+from .pc import PcPresentation, parse_pc_file, serialize_pc
 from .table import DEFAULT_TABLE_CAP, CayleyTable
 
 CACHE_ENV = "PGF_CACHE"
@@ -157,9 +162,11 @@ def cache_file_path(cache_dir: str, prime: int, order: int) -> str:
     return os.path.join(cache_dir, f"census-p{prime}-o{order}.jsonl")
 
 
-def _load_cache(path: str, valid_ids: set) -> dict:
-    """Read completed records; first occurrence of an id wins. Ids outside
-    the dataset are skipped (the file is append-only and may be shared).
+def _load_cache(path: str, digests: dict) -> dict:
+    """Read completed records whose `pc_sha256` matches the digest of the
+    current presentation with that id; the first such line wins. Lines for
+    other ids, without a digest or with a different one are skipped, so
+    those groups are recomputed (the file is append-only and may be shared).
 
     A final line without a newline is an append cut short by an interrupt.
     It is kept and terminated when it parses, and cut off otherwise, so the
@@ -187,22 +194,24 @@ def _load_cache(path: str, valid_ids: set) -> dict:
         if not line:
             continue
         try:
-            rec = CensusRecord.from_json_dict(json.loads(line))
+            d = json.loads(line)
+            rec = CensusRecord.from_json_dict(d)
         except PgfError:
             raise
         except Exception as exc:
             raise PgfError(
                 f"unreadable cache line {lineno} in {path}: {exc}"
             ) from exc
-        if rec.group_id in valid_ids:
+        want = digests.get(rec.group_id)
+        if want is not None and d.get("pc_sha256") == want:
             out.setdefault(rec.group_id, rec)
     return out
 
 
-def _append_record(path: str, rec: CensusRecord) -> None:
+def _append_record(path: str, rec: CensusRecord, digest: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec.to_json_dict()) + "\n")
+        fh.write(json.dumps(dict(rec.to_json_dict(), pc_sha256=digest)) + "\n")
 
 
 def _classify_task(args) -> tuple:
@@ -211,6 +220,12 @@ def _classify_task(args) -> tuple:
         return ("ok", classify_presentation(pres, table_cap))
     except PgfError as exc:
         return ("fail", pres.group_id, str(exc))
+    except Exception as exc:
+        # one group's fault must not abort the census; KeyboardInterrupt
+        # is not an Exception and still stops the run
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{at.name} at {os.path.basename(at.filename)}:{at.lineno}"
+        return ("fail", pres.group_id, f"{type(exc).__name__}: {exc} (in {where})")
 
 
 def _map_tasks(todo: Sequence, table_cap: int, jobs: int) -> Iterator[tuple]:
@@ -253,7 +268,11 @@ def run_census(
     if len(primes) > 1:
         raise PcFileError(f"dataset mixes primes {primes}", path=path)
     order, prime = orders[0], primes[0]
-    valid_ids = {p.group_id for p in presentations}
+    # a cached record is served only for the presentation it was made from
+    digests = {
+        p.group_id: hashlib.sha256(serialize_pc(p).encode("utf-8")).hexdigest()
+        for p in presentations
+    }
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV)
@@ -261,7 +280,7 @@ def run_census(
     cached: dict = {}
     if cache_dir:
         cache_path = cache_file_path(cache_dir, prime, order)
-        cached = _load_cache(cache_path, valid_ids)
+        cached = _load_cache(cache_path, digests)
 
     todo = [p for p in presentations if p.group_id not in cached]
     if jobs is None:
@@ -274,7 +293,7 @@ def run_census(
             rec = outcome[1]
             fresh[rec.group_id] = rec
             if cache_path:
-                _append_record(cache_path, rec)
+                _append_record(cache_path, rec, digests[rec.group_id])
         else:
             _, gid, msg = outcome
             failures.append({"order": gid[0], "index": gid[1], "error": msg})

@@ -498,50 +498,11 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
         return SemiabelianVerdict(True, ((all_ids, (0,)),))
     if ct.prime is None:
         raise PgfError(f"order {n} is not a prime power")
-    lat = ct.lattice()
-    subs = lat.subgroups
+    subs = ct.lattice().subgroups
     m = len(subs)
     packed = [int.from_bytes(np.packbits(s.mask).tobytes(), "big") for s in subs]
-    conj = ct.conj()
     stats = {"subgroups": m, "classes_examined": 0, "pairs_tested": 0}
     memo: dict = {}
-    gens_memo: dict = {}
-
-    def sub_gens(i):
-        if i not in gens_memo:
-            got = {0}
-            gens = []
-            for x in subs[i].ids:
-                if x not in got:
-                    gens.append(x)
-                    got = set(ct.closure_ids(gens))
-            gens_memo[i] = tuple(gens)
-        return gens_memo[i]
-
-    def conj_sub(i, g):
-        ids = ct.conjugate_ids(subs[i].ids, g)
-        mask = np.zeros(n, dtype=bool)
-        mask[list(ids)] = True
-        return lat.index_of(mask)
-
-    def class_reps_within(members, sgens, r):
-        seen = set()
-        reps = []
-        for j in sorted(members, key=lambda k: (subs[k].order, subs[k].ids)):
-            if j in seen or j == r:
-                continue
-            orbit = {j}
-            queue = [j]
-            while queue:
-                k = queue.pop()
-                for g in sgens:
-                    k2 = conj_sub(k, g)
-                    if k2 not in orbit:
-                        orbit.add(k2)
-                        queue.append(k2)
-            seen |= orbit
-            reps.append(j)
-        return reps
 
     def solve(r):
         stats["classes_examined"] += 1
@@ -550,19 +511,25 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
             return True, ()
         if s.abelian:
             return True, ((s.ids, (0,)),)
-        sgens = sub_gens(r)
         s_int = packed[r]
         members = [j for j in range(m) if packed[j] & s_int == packed[j]]
-        a_cands = []
-        for j in members:
-            t = subs[j]
-            if not t.abelian or t.order == 1 or t.order == s.order:
-                continue
-            ids_arr = np.asarray(t.ids, dtype=np.int64)
-            if all(t.mask[conj[g, ids_arr]].all() for g in sgens):
-                a_cands.append(j)
+        # A is normal in S when S lies inside A's normaliser
+        a_cands = [
+            j
+            for j in members
+            if subs[j].abelian
+            and 1 < subs[j].order < s.order
+            and subs[j].normalizer[s.mask].all()
+        ]
         a_cands.sort(key=lambda j: (-subs[j].order, subs[j].ids))
-        h_reps = class_reps_within(members, sgens, r)
+        # one representative per S-class of proper subgroups: the first
+        # member of each orbit in (order, ids) order
+        seen: set = set()
+        h_reps = []
+        for j in members[:-1]:
+            if subs[j].mask.tobytes() not in seen:
+                seen.update(ct.orbit(subs[j].mask, s.gens))
+                h_reps.append(j)
         for a in a_cands:
             pa = packed[a]
             oa = subs[a].order
@@ -590,8 +557,7 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
             (ct.conjugate_ids(a, c), ct.conjugate_ids(h, c)) for a, h in chain
         )
 
-    full = np.ones(n, dtype=bool)
-    ok, chain = decide(lat.index_of(full))
+    ok, chain = decide(m - 1)
     if ok:
         return SemiabelianVerdict(True, chain)
     return SemiabelianVerdict(False, None, dict(stats))

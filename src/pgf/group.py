@@ -195,9 +195,6 @@ class PermGroup:
     def base(self) -> tuple:
         return self._chain.base()
 
-    def is_trivial(self) -> bool:
-        return self._order == 1
-
     def elements(self, cap: int = DEFAULT_ENUM_CAP):
         """All elements, sorted by image tuple (identity first), cached.
 

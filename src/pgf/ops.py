@@ -157,16 +157,20 @@ class SeriesResult:
     groups: tuple
 
 
-def derived_series(g: PermGroup) -> SeriesResult:
+def _series(g: PermGroup, kind: str, step) -> SeriesResult:
+    """g = G1 >= G2 >= ... with G_{i+1} = step(G_i), until the trivial group
+    or a repeated order."""
     groups = [g]
     while groups[-1].order > 1:
-        nxt = commutator_subgroup(groups[-1])
+        nxt = step(groups[-1])
         groups.append(nxt)
         if nxt.order == groups[-2].order:
             break
-    return SeriesResult(
-        "derived", tuple(h.order for h in groups), tuple(groups)
-    )
+    return SeriesResult(kind, tuple(h.order for h in groups), tuple(groups))
+
+
+def derived_series(g: PermGroup) -> SeriesResult:
+    return _series(g, "derived", commutator_subgroup)
 
 
 def derived_length(g: PermGroup) -> int:
@@ -178,20 +182,12 @@ def derived_length(g: PermGroup) -> int:
 
 def lower_central_series(g: PermGroup) -> SeriesResult:
     """g = G1 >= G2 >= ... with G_{i+1} = [G, G_i]."""
-    groups = [g]
-    while groups[-1].order > 1:
-        seeds = [
-            commutator(t, y)
-            for t in g.generators
-            for y in groups[-1].generators
-        ]
-        nxt = normal_closure(g, seeds)
-        groups.append(nxt)
-        if nxt.order == groups[-2].order:
-            break
-    return SeriesResult(
-        "lower_central", tuple(h.order for h in groups), tuple(groups)
-    )
+
+    def step(h: PermGroup) -> PermGroup:
+        seeds = [commutator(t, y) for t in g.generators for y in h.generators]
+        return normal_closure(g, seeds)
+
+    return _series(g, "lower_central", step)
 
 
 def factor_ranks(ser: SeriesResult, l: Optional[int] = None) -> tuple:

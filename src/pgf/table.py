@@ -48,28 +48,35 @@ def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TSub:
-    """A subgroup of the ambient table, as sorted element ids plus flags."""
+    """A subgroup of the ambient table, as sorted element ids plus flags.
+
+    `gens` generate the subgroup: the lattice climb records its parent's
+    generators plus the adjoined element. `normalizer` is the membership
+    mask of its normaliser in the whole group.
+    """
 
     ids: tuple
     mask: np.ndarray = field(repr=False)
     order: int
     abelian: bool
-    normal: bool
+    gens: tuple
+    normalizer: np.ndarray = field(repr=False)
     class_rep: int  # index into Lattice.subgroups of the class representative
     conj_to_rep: int  # element id c with rep^c == this subgroup
 
+    @property
+    def normal(self) -> bool:
+        return bool(self.normalizer.all())
+
 
 class Lattice:
-    """All subgroups of a prime-power CayleyTable, with conjugacy fusion."""
+    """All subgroups of a prime-power CayleyTable, with conjugacy fusion.
+
+    Subgroups are sorted by (order, ids), so the whole group comes last.
+    """
 
     def __init__(self, subgroups: Sequence[TSub]):
         self.subgroups = tuple(subgroups)
-        self._by_key = {s.mask.tobytes(): i for i, s in enumerate(self.subgroups)}
-        self._full_order = max(s.order for s in self.subgroups)
-
-    def index_of(self, mask: np.ndarray) -> int:
-        """Position of the subgroup with this membership mask."""
-        return self._by_key[mask.tobytes()]
 
     def class_reps(self) -> tuple:
         return tuple(
@@ -78,7 +85,7 @@ class Lattice:
 
     def maximal(self) -> tuple:
         # maximal subgroups of an l-group are exactly those of index l
-        full = self._full_order
+        full = self.subgroups[-1].order
         if full == 1:
             return ()
         l = prime_power_root(full)
@@ -298,31 +305,33 @@ class CayleyTable:
         except ValueError as exc:
             raise PgfError("Frattini quotient is not a power of the prime") from exc
 
-    def derived_length(self) -> int:
+    def _series_orders(self, step) -> tuple:
+        """Orders along G = S_0 >= S_1 >= ... with S_{t+1} = step(ids of S_t).
+
+        Ends at 1, or repeats the last order where the series stalls.
+        """
         cur = tuple(range(self.n))
-        length = 0
+        orders = [self.n]
         while len(cur) > 1:
-            nxt = self.derived_ids(cur)
+            nxt = step(np.asarray(cur, dtype=np.int64))
+            orders.append(len(nxt))
             if len(nxt) == len(cur):
-                raise PgfError("derived series does not terminate")
+                break
             cur = nxt
-            length += 1
-        return max(length, 0 if self.n == 1 else 1)
+        return tuple(orders)
+
+    def derived_length(self) -> int:
+        orders = self._series_orders(self.derived_ids)
+        if orders[-1] != 1:
+            raise PgfError("derived series does not terminate")
+        return len(orders) - 1
 
     def lcs_orders(self) -> tuple:
         """Orders along the lower central series, ending at 1 for nilpotent groups."""
         all_ids = np.arange(self.n, dtype=np.int64)
-        cur = tuple(range(self.n))
-        orders = [self.n]
-        while len(cur) > 1:
-            seeds = self._comm_ids(all_ids, np.asarray(cur, dtype=np.int64))
-            nxt = self.closure_ids(seeds)
-            if len(nxt) == len(cur):
-                orders.append(len(nxt))
-                break
-            cur = nxt
-            orders.append(len(cur))
-        return tuple(orders)
+        return self._series_orders(
+            lambda idx: self.closure_ids(self._comm_ids(all_ids, idx))
+        )
 
     def lower_exp_orders(self, l: Optional[int] = None) -> tuple:
         """Orders along the lower exponent-l central series.
@@ -332,89 +341,94 @@ class CayleyTable:
         """
         if l is None:
             l = self._require_prime()
-        if self.n == 1:
-            return (1,)
         all_ids = np.arange(self.n, dtype=np.int64)
-        cur = tuple(range(self.n))
-        orders = [self.n]
-        while len(cur) > 1:
-            idx = np.asarray(cur, dtype=np.int64)
+
+        def step(idx):
             seeds = set(self.pow_map(l)[idx].tolist())
             seeds.update(self._comm_ids(all_ids, idx).tolist())
-            nxt = self.closure_ids(seeds)
-            if len(nxt) == len(cur):
-                orders.append(len(nxt))
-                break
-            cur = nxt
-            orders.append(len(cur))
-        return tuple(orders)
+            return self.closure_ids(seeds)
+
+        return self._series_orders(step)
 
     # ----- subgroup lattice ----------------------------------------------------
 
+    def orbit(self, mask: np.ndarray, gens: Sequence[int]) -> dict:
+        """Orbit of a subgroup under conjugation by the group `gens` generate.
+
+        Maps the mask bytes of each conjugate to an element id c with
+        start^c equal to it (0 for the start itself). The traversal is a
+        stack over `gens` in order, which fixes the conjugators recorded.
+        """
+        conj = self.conj()
+        orbit = {mask.tobytes(): 0}
+        stack = [(mask, 0)]
+        while stack:
+            m, c = stack.pop()
+            ids = np.nonzero(m)[0]
+            for g in gens:
+                img = np.zeros(self.n, dtype=bool)
+                img[conj[g, ids]] = True
+                key = img.tobytes()
+                if key not in orbit:
+                    cg = int(self.table[c, g])
+                    orbit[key] = cg
+                    stack.append((img, cg))
+        return orbit
+
     def lattice(self) -> Lattice:
-        """All subgroups, by cyclic extension one index-l layer at a time."""
+        """All subgroups, by cyclic extension one index-l layer at a time.
+
+        Each subgroup keeps the generators it was reached with, and its
+        normaliser falls out of the extension test at no extra cost.
+        """
         if self._lattice is not None:
             return self._lattice
         l = self._require_prime()
+        conj = self.conj()
+        powl = self.pow_map(l)
         triv = np.zeros(self.n, dtype=bool)
         triv[0] = True
-        by_key = {triv.tobytes(): triv}
-        layer = [triv]
-        if self.n > 1:
-            conj = self.conj()
-            powl = self.pow_map(l)
-            while layer:
-                nxt = {}
-                for mask in layer:
-                    # g outside H with g**l in H normalizing H: adjoining g
-                    # gives an index-l overgroup, and every one arises so
-                    h_ids = np.nonzero(mask)[0]
-                    cand = mask[powl] & ~mask & mask[conj[:, h_ids]].all(axis=1)
-                    for g in np.nonzero(cand)[0]:
-                        cols = []
-                        gp = int(g)
-                        for _ in range(l - 1):
-                            cols.append(gp)
-                            gp = int(self.table[gp, g])
-                        new = mask.copy()
-                        new[self.table[np.ix_(h_ids, np.asarray(cols))]] = True
-                        key = new.tobytes()
-                        if key not in by_key:
-                            by_key[key] = new
-                            nxt[key] = new
-                layer = list(nxt.values())
-        self._lattice = self._fuse_lattice(list(by_key.values()))
+        seen = {triv.tobytes()}
+        layer = [(triv, ())]
+        found = []  # (mask, generators, normaliser mask) per subgroup
+        while layer:
+            nxt = []
+            for mask, gens in layer:
+                # g normalises H exactly when it maps H's generators into H
+                norm = mask[conj[:, np.asarray(gens, dtype=np.intp)]].all(axis=1)
+                found.append((mask, gens, norm))
+                # g outside H with g**l in H normalizing H: adjoining g
+                # gives an index-l overgroup, and every one arises so
+                h_ids = np.nonzero(mask)[0]
+                for g in np.nonzero(norm & mask[powl] & ~mask)[0]:
+                    cols = []
+                    gp = int(g)
+                    for _ in range(l - 1):
+                        cols.append(gp)
+                        gp = int(self.table[gp, g])
+                    new = mask.copy()
+                    new[self.table[np.ix_(h_ids, np.asarray(cols))]] = True
+                    key = new.tobytes()
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append((new, gens + (int(g),)))
+            layer = nxt
+        self._lattice = self._fuse_lattice(found)
         return self._lattice
 
-    def _fuse_lattice(self, masks: list) -> Lattice:
-        masks.sort(key=lambda m: (int(m.sum()), tuple(np.nonzero(m)[0])))
-        key_to_pos = {m.tobytes(): i for i, m in enumerate(masks)}
-        conj = self.conj()
-        class_rep = [-1] * len(masks)
-        conj_to_rep = [0] * len(masks)
-        for start, mask in enumerate(masks):
+    def _fuse_lattice(self, found: list) -> Lattice:
+        """Sort (mask, gens, normaliser) triples and fuse conjugacy classes."""
+        found.sort(key=lambda f: (int(f[0].sum()), tuple(np.nonzero(f[0])[0])))
+        key_to_pos = {f[0].tobytes(): i for i, f in enumerate(found)}
+        class_rep = [-1] * len(found)
+        conj_to_rep = [0] * len(found)
+        for start, (mask, _, _) in enumerate(found):
             if class_rep[start] != -1:
                 continue
-            # breadth-first orbit under conjugation by the group generators,
-            # tracking a conjugating element for each orbit member
-            orbit = {mask.tobytes(): 0}
-            queue = [(mask, 0)]
-            while queue:
-                m, c = queue.pop()
-                ids = np.nonzero(m)[0]
-                for g in self.gen_ids:
-                    img = np.zeros(self.n, dtype=bool)
-                    img[conj[g, ids]] = True
-                    key = img.tobytes()
-                    if key not in orbit:
-                        cg = int(self.table[c, g])
-                        orbit[key] = cg
-                        queue.append((img, cg))
+            orbit = self.orbit(mask, self.gen_ids)
             # canonical representative: least position in the sorted list
-            positions = sorted(key_to_pos[k] for k in orbit)
-            rep_pos = positions[0]
-            rep_key = masks[rep_pos].tobytes()
-            a = orbit[rep_key]  # start^a == rep
+            rep_pos = min(key_to_pos[k] for k in orbit)
+            a = orbit[found[rep_pos][0].tobytes()]  # start^a == rep
             inv_a = int(self.inv()[a])
             for key, b in orbit.items():
                 pos = key_to_pos[key]
@@ -422,19 +436,18 @@ class CayleyTable:
                 # start^b == this, so rep^(a^-1 b) == this
                 conj_to_rep[pos] = int(self.table[inv_a, b])
         subs = []
-        for i, mask in enumerate(masks):
+        for i, (mask, gens, norm) in enumerate(found):
             ids = tuple(int(v) for v in np.nonzero(mask)[0])
             mask.setflags(write=False)
-            # stable under conjugation by every generator <=> normal
-            ids_arr = np.asarray(ids, dtype=np.int64)
-            normal = all(mask[conj[g, ids_arr]].all() for g in self.gen_ids)
+            norm.setflags(write=False)
             subs.append(
                 TSub(
                     ids=ids,
                     mask=mask,
                     order=len(ids),
                     abelian=self.is_abelian_ids(ids),
-                    normal=normal,
+                    gens=gens,
+                    normalizer=norm,
                     class_rep=class_rep[i],
                     conj_to_rep=conj_to_rep[i],
                 )

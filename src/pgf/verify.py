@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .arith import exact_log
 from .group import DEFAULT_ENUM_CAP, PermGroup
 from .perm import Perm
 
@@ -142,7 +143,7 @@ def _count_claim(ctx, targets) -> tuple:
     for prime, order, want_total, want_non in targets:
         presentations = buckets.get((prime, order), [])
         if not presentations:
-            absent.append(f"{prime}^{_exp(prime, order)}")
+            absent.append(f"{prime}^{exact_log(order, prime)}")
             continue
         records, failures = _classify_bucket(ctx, presentations)
         ctx.records.extend(records)
@@ -163,14 +164,6 @@ def _count_claim(ctx, targets) -> tuple:
             note += "; " + "; ".join(ran)
         return "SKIPPED", note
     return "PASS", "; ".join(ran)
-
-
-def _exp(prime, order):
-    e = 0
-    while order % prime == 0 and order > 1:
-        order //= prime
-        e += 1
-    return e
 
 
 def _claim_note_counts(ctx) -> tuple:

@@ -6,6 +6,7 @@ computations without a failure here.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -22,8 +23,9 @@ from pgf.census import (
     run_census,
 )
 from pgf.datasets import load_fixture
+from pgf.cli import dispatch
 from pgf.errors import PcFileError, PgfError
-from pgf.pc import pc_to_perm
+from pgf.pc import pc_to_perm, serialize_pc
 
 from oracles import brute_derived_length, brute_rank
 from test_pc import INCONSISTENT_TEXT
@@ -35,6 +37,29 @@ def fixture_path(name):
 
 def zeroed(records):
     return [dataclasses.replace(r, elapsed_ms=0) for r in records]
+
+
+def o8_pres(index):
+    return next(p for p in load_fixture("o8.pc") if p.group_id == (8, index))
+
+
+def cache_line(rec, pres=None):
+    """A cache line for `rec`, stamped with the digest of `pres` if given."""
+    d = rec.to_json_dict()
+    if pres is not None:
+        text = serialize_pc(pres).encode("utf-8")
+        d["pc_sha256"] = hashlib.sha256(text).hexdigest()
+    return json.dumps(d) + "\n"
+
+
+def record_dicts(lines):
+    """Record fields of cache lines, without the presentation digest."""
+    out = []
+    for line in lines:
+        d = json.loads(line)
+        del d["pc_sha256"]
+        out.append(d)
+    return out
 
 
 # ----- single-record classification ------------------------------------------
@@ -235,7 +260,7 @@ def test_complete_but_unterminated_final_line_is_kept(tmp_path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
     _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
-    assert [json.dumps(r.to_json_dict()) for r in records] == lines
+    assert [r.to_json_dict() for r in records] == record_dicts(lines)
     with open(path) as fh:
         assert fh.read() == "\n".join(lines) + "\n"
 
@@ -267,10 +292,73 @@ def test_resume_skips_cached_ids(tmp_path):
     os.makedirs(cache)
     fake = CensusRecord((8, 1), "handmade", 1, 1, True, "inconclusive", 12345)
     with open(cache_file_path(cache, 2, 8), "w") as fh:
-        fh.write(json.dumps(fake.to_json_dict()) + "\n")
+        fh.write(cache_line(fake, o8_pres(1)))
     _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
     assert records[0] == fake  # trusted verbatim, not recomputed
     assert len(records) == 5
+
+
+@pytest.mark.parametrize("stamp", [None, 5], ids=["no-digest", "other-digest"])
+def test_cache_line_for_another_presentation_is_recomputed(tmp_path, stamp):
+    cache = str(tmp_path / "cache")
+    os.makedirs(cache)
+    fake = CensusRecord((8, 1), "handmade", 1, 1, True, "inconclusive", 12345)
+    pres = o8_pres(stamp) if stamp else None
+    with open(cache_file_path(cache, 2, 8), "w") as fh:
+        fh.write(cache_line(fake, pres))
+    _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    assert records[0].provenance == "o8.pc"  # recomputed, not the fake
+
+
+def test_changed_dataset_is_never_served_stale_records(tmp_path):
+    cache = str(tmp_path / "cache")
+    run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    # same ids, but groups 1 (cyclic) and 5 (quaternion) trade presentations
+    blocks = {p.group_id[1]: serialize_pc(p) for p in load_fixture("o8.pc")}
+    blocks[1], blocks[5] = (
+        blocks[5].replace("GROUP 8 5", "GROUP 8 1"),
+        blocks[1].replace("GROUP 8 1", "GROUP 8 5"),
+    )
+    changed = tmp_path / "o8.pc"
+    changed.write_text("".join(blocks[i] for i in sorted(blocks)))
+    _, resumed = run_census(str(changed), cache_dir=cache, jobs=1)
+    _, fresh = run_census(str(changed), jobs=1)
+    assert zeroed(resumed) == zeroed(fresh)
+    assert (resumed[0].rank, resumed[0].derived_length) == (2, 2)
+    # the recomputed records were appended and now serve the next resume
+    _, again = run_census(str(changed), cache_dir=cache, jobs=1)
+    assert again == resumed
+
+
+def test_unexpected_exception_is_a_recorded_failure(tmp_path, monkeypatch, capsys):
+    real = census.classify_presentation
+    calls = []
+
+    def broken_at_group_3(pres, table_cap):
+        calls.append(pres.group_id)
+        if pres.group_id == (8, 3):
+            raise ValueError("boom")
+        return real(pres, table_cap)
+
+    monkeypatch.setattr(census, "classify_presentation", broken_at_group_3)
+    cache = str(tmp_path / "cache")
+    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    assert len(calls) == 5  # the groups after the fault still ran
+    assert [r.group_id[1] for r in records] == [1, 2, 4, 5]
+    [entry] = summary.failures
+    assert (entry["order"], entry["index"]) == (8, 3)
+    # the type, the message and the raising function are named
+    assert entry["error"].startswith("ValueError: boom (in broken_at_group_3 at ")
+    with open(cache_file_path(cache, 2, 8)) as fh:
+        assert [json.loads(line)["index"] for line in fh] == [1, 2, 4, 5]
+
+    # nothing was cached for the group, so a resume retries it, and the
+    # command-line driver exits 1
+    calls.clear()
+    args = ["census", fixture_path("o8.pc"), "--cache", cache, "--jobs", "1"]
+    assert dispatch(args) == 1
+    assert calls == [(8, 3)]
+    assert "error: group (8,3): ValueError: boom" in capsys.readouterr().err
 
 
 def test_tampered_cache_fails_loudly(tmp_path):

@@ -5,7 +5,9 @@ the engine and are never regenerated: a refactor that changes a census
 verdict or a printed witness fails here. Census reports are compared with
 `elapsed_ms` zeroed. Semiabelian outputs are stored as the command line
 followed by its stdout, with the bundled data directory stripped from
-dataset targets.
+dataset targets. Witness chains are stored one line per bundled group as
+`file#index flag A/H A/H ...`, each A and H a comma-separated list of
+element ids in the `CayleyTable.from_pc` numbering.
 """
 
 import dataclasses
@@ -16,7 +18,9 @@ import pytest
 
 from pgf.census import emit_report, run_census
 from pgf.cli import dispatch
-from pgf.datasets import fixture_names
+from pgf.datasets import fixture_names, load_fixture
+from pgf.family import semiabelian_table
+from pgf.table import CayleyTable
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 DATA = str(resources.files("pgf").joinpath("data"))
@@ -52,3 +56,17 @@ def test_semiabelian_stdout_matches_golden(target, expected, capsys):
     arg = os.path.join(DATA, target) if "#" in target else target
     assert dispatch(["semiabelian", arg]) == 0
     assert capsys.readouterr().out.replace(DATA + os.sep, "") == expected
+
+
+def test_witness_chains_match_golden():
+    def ids(t):
+        return ",".join(str(x) for x in t)
+
+    lines = []
+    for name in fixture_names():
+        for pres in load_fixture(name):
+            v = semiabelian_table(CayleyTable.from_pc(pres))
+            steps = [f"{ids(a)}/{ids(h)}" for a, h in v.witness or ()]
+            flag = "true" if v.flag else "false"
+            lines.append(" ".join([f"{name}#{pres.group_id[1]}", flag] + steps) + "\n")
+    assert "".join(lines) == read_golden("witness.txt")

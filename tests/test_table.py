@@ -151,6 +151,23 @@ def test_all_subgroups_match_subset_oracle(name, index):
     k = round(math.log(g.order, pres.prime))
     ref = brute_subgroups(g.elements(), g.degree, max_gens=k)
     assert ours == ref
+    assert_climb_facts(ct)
+
+
+def assert_climb_facts(ct):
+    """Each subgroup's recorded generators generate it, and its recorded
+    normaliser is {x : x^-1 H x = H}, computed on the permutations."""
+    for s in ct.lattice().subgroups:
+        assert ct.closure_ids(s.gens) == s.ids
+        h = elems_of_ids(ct, s.ids)
+        brute = [{x.inverse() * y * x for y in h} == h for x in ct.elems]
+        assert s.normalizer.tolist() == brute
+
+
+@pytest.mark.parametrize("name", ["o16.pc", "o27.pc"])
+def test_climb_generators_and_normalisers_whole_catalogue(name):
+    for pres in load_fixture(name):
+        assert_climb_facts(CayleyTable.from_perm_group(pc_to_perm(pres)))
 
 
 def test_d4_lattice_shape():
