@@ -6,15 +6,16 @@ derived-length screen) and returns summary counts next to the records.
 Each record is appended to a JSON-lines cache file as soon as its group
 is classified, together with a SHA-256 of the group's presentation, so an
 interrupted long run resumes by skipping finished groups, and a record
-whose presentation has changed since is recomputed rather than served.
+whose presentation or file name differs from the current one is
+recomputed rather than served.
 Groups classify independently, so a worker pool can spread the load;
 results are keyed and sorted by group id before reporting, which keeps
 the output independent of scheduling.
 
 Per-group failures (typically cap violations, but any exception a group's
-classification raises) never vanish: they are collected in the summary,
-excluded from the cache so a later run retries them, and the command-line
-driver turns them into a nonzero exit.
+classification raises, or a worker process that dies) never vanish: they
+are collected in the summary, excluded from the cache so a later run
+retries them, and the `pgf census` command turns them into a nonzero exit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -162,11 +164,19 @@ def cache_file_path(cache_dir: str, prime: int, order: int) -> str:
     return os.path.join(cache_dir, f"census-p{prime}-o{order}.jsonl")
 
 
-def _load_cache(path: str, digests: dict) -> dict:
-    """Read completed records whose `pc_sha256` matches the digest of the
-    current presentation with that id; the first such line wins. Lines for
-    other ids, without a digest or with a different one are skipped, so
-    those groups are recomputed (the file is append-only and may be shared).
+def _cache_key(pres: PcPresentation) -> tuple:
+    """(SHA-256 of the presentation text, provenance): what a cache line
+    must match to be served for this group."""
+    text = serialize_pc(pres).encode("utf-8")
+    return hashlib.sha256(text).hexdigest(), pres.provenance
+
+
+def _load_cache(path: str, keys: dict) -> dict:
+    """Read completed records whose `pc_sha256` and provenance match the
+    `_cache_key` of the current presentation with that id; the first such
+    line wins. Lines for other ids, without a digest, with a different one
+    or from another file are skipped, so those groups are recomputed (the
+    file is append-only and may be shared).
 
     A final line without a newline is an append cut short by an interrupt.
     It is kept and terminated when it parses, and cut off otherwise, so the
@@ -202,8 +212,7 @@ def _load_cache(path: str, digests: dict) -> dict:
             raise PgfError(
                 f"unreadable cache line {lineno} in {path}: {exc}"
             ) from exc
-        want = digests.get(rec.group_id)
-        if want is not None and d.get("pc_sha256") == want:
+        if keys.get(rec.group_id) == (d.get("pc_sha256"), rec.provenance):
             out.setdefault(rec.group_id, rec)
     return out
 
@@ -230,16 +239,21 @@ def _classify_task(args) -> tuple:
 
 def _map_tasks(todo: Sequence, table_cap: int, jobs: int) -> Iterator[tuple]:
     """Yield each outcome as soon as it is ready, so callers can cache it
-    before the next group finishes."""
+    before the next group finishes. A worker that dies breaks the pool;
+    every group it leaves unfinished becomes a failure."""
     tasks = [(p, table_cap) for p in todo]
     if jobs <= 1 or len(tasks) <= 1:
         yield from map(_classify_task, tasks)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_classify_task, t) for t in tasks]
+        futures = {pool.submit(_classify_task, t): t[0].group_id for t in tasks}
         try:
             for fut in as_completed(futures):
-                yield fut.result()
+                try:
+                    outcome = fut.result()
+                except BrokenProcessPool as exc:
+                    outcome = ("fail", futures[fut], f"BrokenProcessPool: {exc}")
+                yield outcome
         finally:
             # an interrupted run must not wait for the groups still queued
             pool.shutdown(cancel_futures=True)
@@ -268,11 +282,8 @@ def run_census(
     if len(primes) > 1:
         raise PcFileError(f"dataset mixes primes {primes}", path=path)
     order, prime = orders[0], primes[0]
-    # a cached record is served only for the presentation it was made from
-    digests = {
-        p.group_id: hashlib.sha256(serialize_pc(p).encode("utf-8")).hexdigest()
-        for p in presentations
-    }
+    # a cached record is served only for the presentation and file it came from
+    keys = {p.group_id: _cache_key(p) for p in presentations}
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV)
@@ -280,7 +291,7 @@ def run_census(
     cached: dict = {}
     if cache_dir:
         cache_path = cache_file_path(cache_dir, prime, order)
-        cached = _load_cache(cache_path, digests)
+        cached = _load_cache(cache_path, keys)
 
     todo = [p for p in presentations if p.group_id not in cached]
     if jobs is None:
@@ -293,7 +304,7 @@ def run_census(
             rec = outcome[1]
             fresh[rec.group_id] = rec
             if cache_path:
-                _append_record(cache_path, rec, digests[rec.group_id])
+                _append_record(cache_path, rec, keys[rec.group_id][0])
         else:
             _, gid, msg = outcome
             failures.append({"order": gid[0], "index": gid[1], "error": msg})

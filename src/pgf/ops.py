@@ -123,22 +123,21 @@ def commutator_subgroup(g: PermGroup) -> PermGroup:
     return normal_closure(g, seeds)
 
 
-def frattini_subgroup(g: PermGroup, l: Optional[int] = None) -> PermGroup:
-    """Frattini subgroup of an l-group: closure of powers and commutators.
-
-    For a group of prime-power order this is the kernel of the largest
-    elementary abelian quotient, the normal closure of {x**l} together with
-    generator commutators.
-    """
-    if l is None:
-        l = group_prime(g)
+def _frattini_seeds(g: PermGroup, l: int) -> list:
+    """l-th powers and pairwise commutators of g's generators; in an
+    l-group their normal closure is the Frattini subgroup Phi(g)."""
     seeds = []
     gens = g.generators
     for i, a in enumerate(gens):
         seeds.append(a**l)
         for b in gens[i + 1 :]:
             seeds.append(commutator(a, b))
-    return normal_closure(g, seeds)
+    return seeds
+
+
+def frattini_subgroup(g: PermGroup, l: Optional[int] = None) -> PermGroup:
+    """Frattini subgroup of an l-group: closure of powers and commutators."""
+    return normal_closure(g, _frattini_seeds(g, l or group_prime(g)))
 
 
 # ----- series ----------------------------------------------------------------
@@ -152,12 +151,11 @@ class SeriesResult:
     means the series became stationary without reaching the identity.
     """
 
-    kind: str
     orders: tuple
     groups: tuple
 
 
-def _series(g: PermGroup, kind: str, step) -> SeriesResult:
+def _series(g: PermGroup, step) -> SeriesResult:
     """g = G1 >= G2 >= ... with G_{i+1} = step(G_i), until the trivial group
     or a repeated order."""
     groups = [g]
@@ -166,11 +164,11 @@ def _series(g: PermGroup, kind: str, step) -> SeriesResult:
         groups.append(nxt)
         if nxt.order == groups[-2].order:
             break
-    return SeriesResult(kind, tuple(h.order for h in groups), tuple(groups))
+    return SeriesResult(tuple(h.order for h in groups), tuple(groups))
 
 
 def derived_series(g: PermGroup) -> SeriesResult:
-    return _series(g, "derived", commutator_subgroup)
+    return _series(g, commutator_subgroup)
 
 
 def derived_length(g: PermGroup) -> int:
@@ -187,21 +185,19 @@ def lower_central_series(g: PermGroup) -> SeriesResult:
         seeds = [commutator(t, y) for t in g.generators for y in h.generators]
         return normal_closure(g, seeds)
 
-    return _series(g, "lower_central", step)
+    return _series(g, step)
 
 
 def factor_ranks(ser: SeriesResult, l: Optional[int] = None) -> tuple:
-    """Rank of each successive factor group in the series."""
+    """Rank of each factor G_i/G_{i+1}, with no quotient group built: in an
+    l-group Phi(G_i/N) = Phi(G_i)N/N for N normal in G_i, so the rank is
+    log_l |G_i : Phi(G_i)G_{i+1}|, one normal closure per factor."""
     if l is None and ser.groups[0].order > 1:
         l = group_prime(ser.groups[0])
-    out = []
-    for top, bot in zip(ser.groups, ser.groups[1:]):
-        if bot.order == 1:
-            out.append(rank(top, l))
-        else:
-            q = quotient_group(top, bot)
-            out.append(rank(q.group, l))
-    return tuple(out)
+    return tuple(
+        _frattini_rank(top, l, bot.generators)
+        for top, bot in zip(ser.groups, ser.groups[1:])
+    )
 
 
 # ----- quotients and rank ----------------------------------------------------
@@ -277,10 +273,13 @@ def rank(g: PermGroup, l: Optional[int] = None) -> int:
     """Minimal number of generators of an l-group (Frattini quotient size)."""
     if g.order == 1:
         return 0
-    if l is None:
-        l = group_prime(g)
-    f = frattini_subgroup(g, l)
+    return _frattini_rank(g, l or group_prime(g))
+
+
+def _frattini_rank(g: PermGroup, l: int, extra: Sequence[Perm] = ()) -> int:
+    """log_l |g : <Frattini seeds, extra>^g|, the rank of g/<extra>^g."""
+    sub = normal_closure(g, _frattini_seeds(g, l) + list(extra))
     try:
-        return exact_log(g.order // f.order, l)
+        return exact_log(g.order // sub.order, l)
     except ValueError as exc:
         raise PgfError("Frattini quotient is not a power of the prime") from exc

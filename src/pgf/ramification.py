@@ -95,7 +95,9 @@ def plans_bound(g: PermGroup, l: Optional[int] = None) -> Tuple[int, int]:
     single factor (abelian groups) the second sum keeps it: dropping the
     only factor would report 0, below the always-attainable rank bound,
     which no reading of the series bound intends; the value is then the
-    rank itself.
+    rank itself. Each r_i is read as a Frattini index, with no quotient
+    group built: Phi(G_i/G_{i+1}) = Phi(G_i)G_{i+1}/G_{i+1} in an l-group,
+    so r_i = log_l |G_i : Phi(G_i)G_{i+1}|.
     """
     if g.order == 1:
         raise PgfError("series bound needs a nontrivial group")

@@ -8,7 +8,9 @@ computations without a failure here.
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
+import shutil
 
 import pytest
 from importlib import resources
@@ -290,7 +292,7 @@ def test_inconsistent_presentation_is_a_recorded_failure(tmp_path):
 def test_resume_skips_cached_ids(tmp_path):
     cache = str(tmp_path / "cache")
     os.makedirs(cache)
-    fake = CensusRecord((8, 1), "handmade", 1, 1, True, "inconclusive", 12345)
+    fake = CensusRecord((8, 1), "o8.pc", 1, 1, True, "inconclusive", 12345)
     with open(cache_file_path(cache, 2, 8), "w") as fh:
         fh.write(cache_line(fake, o8_pres(1)))
     _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
@@ -302,12 +304,23 @@ def test_resume_skips_cached_ids(tmp_path):
 def test_cache_line_for_another_presentation_is_recomputed(tmp_path, stamp):
     cache = str(tmp_path / "cache")
     os.makedirs(cache)
-    fake = CensusRecord((8, 1), "handmade", 1, 1, True, "inconclusive", 12345)
+    fake = CensusRecord((8, 1), "o8.pc", 1, 1, True, "inconclusive", 12345)
     pres = o8_pres(stamp) if stamp else None
     with open(cache_file_path(cache, 2, 8), "w") as fh:
         fh.write(cache_line(fake, pres))
     _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
-    assert records[0].provenance == "o8.pc"  # recomputed, not the fake
+    assert records[0].elapsed_ms != fake.elapsed_ms  # recomputed, not the fake
+
+
+def test_cache_line_from_another_file_is_recomputed(tmp_path):
+    cache = str(tmp_path / "cache")
+    run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    other = tmp_path / "other.pc"
+    shutil.copyfile(fixture_path("o8.pc"), other)  # byte-identical
+    _, shared = run_census(str(other), cache_dir=cache, jobs=1)
+    _, fresh = run_census(str(other), jobs=1)
+    assert zeroed(shared) == zeroed(fresh)
+    assert {r.provenance for r in shared} == {"other.pc"}
 
 
 def test_changed_dataset_is_never_served_stale_records(tmp_path):
@@ -359,6 +372,48 @@ def test_unexpected_exception_is_a_recorded_failure(tmp_path, monkeypatch, capsy
     assert dispatch(args) == 1
     assert calls == [(8, 3)]
     assert "error: group (8,3): ValueError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched classifier reaches the workers only when they fork",
+)
+def test_broken_worker_pool_is_a_recorded_failure(tmp_path, monkeypatch, capsys):
+    real = census.classify_presentation
+
+    def worker_dies_at_group_3(pres, table_cap):
+        if pres.group_id == (8, 3):
+            os._exit(1)
+        return real(pres, table_cap)
+
+    monkeypatch.setattr(census, "classify_presentation", worker_dies_at_group_3)
+    cache = str(tmp_path / "cache")
+    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=2)
+    done = [r.group_id for r in records]
+    failed = [(f["order"], f["index"]) for f in summary.failures]
+    assert (8, 3) in failed
+    assert sorted(done + failed) == [(8, i) for i in range(1, 6)]
+    assert all(f["error"].startswith("BrokenProcessPool: ") for f in summary.failures)
+    with open(cache_file_path(cache, 2, 8)) as fh:
+        assert sorted((8, json.loads(line)["index"]) for line in fh) == sorted(done)
+    # the command-line driver reports the broken pool and exits 1
+    args = ["census", fixture_path("o8.pc"), "--cache", str(tmp_path / "cli")]
+    assert dispatch(args + ["--jobs", "2"]) == 1
+    assert "error: group (8,3): BrokenProcessPool: " in capsys.readouterr().err
+
+    # a resume retries exactly the groups the broken pool left unfinished
+    calls = []
+
+    def counted(pres, table_cap):
+        calls.append(pres.group_id)
+        return real(pres, table_cap)
+
+    monkeypatch.setattr(census, "classify_presentation", counted)
+    summary, resumed = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    assert sorted(calls) == sorted(failed)
+    assert summary.failures == ()
+    _, fresh = run_census(fixture_path("o8.pc"), jobs=1)
+    assert zeroed(resumed) == zeroed(fresh)
 
 
 def test_tampered_cache_fails_loudly(tmp_path):

@@ -18,6 +18,7 @@ from oracles import (
     closure_of,
 )
 from pgf.errors import CapExceeded, NotNormal, PgfError
+from pgf.family import cert_prime, certificate_corpus, eval_cert, serialize_cert
 from pgf.group import PermGroup
 from pgf.ops import (
     commutator_subgroup,
@@ -167,6 +168,26 @@ def test_lower_central_series_d4():
     ser = lower_central_series(w)
     assert ser.orders == (8, 2, 1)
     assert factor_ranks(ser) == (2, 1)
+
+
+# the corpus groups up to this order, 78 of the 110: their quotient route
+# takes about 1.5 s in all on a 2-vCPU VM
+CROSS_CHECK_ORDER_CAP = 729
+
+
+def test_factor_ranks_agree_with_quotient_route():
+    """Frattini-index factor ranks equal the ranks of the explicit quotient
+    groups G_i/G_{i+1} (and rank(G_i) where G_{i+1} is trivial)."""
+    corpus = certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP)
+    assert len(corpus) == 78
+    for c in corpus:
+        g, l = eval_cert(c), cert_prime(c)
+        ser = lower_central_series(g)
+        ref = tuple(
+            rank(top, l) if bot.order == 1 else rank(quotient_group(top, bot).group, l)
+            for top, bot in zip(ser.groups, ser.groups[1:])
+        )
+        assert factor_ranks(ser, l) == ref, serialize_cert(c)
 
 
 def test_lower_exp_p_series_c4():
