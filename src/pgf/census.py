@@ -43,6 +43,8 @@ from .pc import PcPresentation, parse_pc_file, serialize_pc
 from .table import DEFAULT_TABLE_CAP, CayleyTable
 
 CACHE_ENV = "PGF_CACHE"
+# version of the cache line layout; lines of any other version are recomputed
+CACHE_SCHEMA = 1
 
 CSV_COLUMNS = (
     "order",
@@ -172,11 +174,12 @@ def _cache_key(pres: PcPresentation) -> tuple:
 
 
 def _load_cache(path: str, keys: dict) -> dict:
-    """Read completed records whose `pc_sha256` and provenance match the
-    `_cache_key` of the current presentation with that id; the first such
-    line wins. Lines for other ids, without a digest, with a different one
-    or from another file are skipped, so those groups are recomputed (the
-    file is append-only and may be shared).
+    """Read completed records of schema `CACHE_SCHEMA` whose `pc_sha256`
+    and provenance match the `_cache_key` of the current presentation with
+    that id; the first such line wins. Lines for other ids, of another
+    schema or none, without a digest, with a different one or from another
+    file are skipped, so those groups are recomputed (the file is
+    append-only and may be shared).
 
     A final line without a newline is an append cut short by an interrupt.
     It is kept and terminated when it parses, and cut off otherwise, so the
@@ -212,6 +215,8 @@ def _load_cache(path: str, keys: dict) -> dict:
             raise PgfError(
                 f"unreadable cache line {lineno} in {path}: {exc}"
             ) from exc
+        if d.get("schema") != CACHE_SCHEMA:
+            continue
         if keys.get(rec.group_id) == (d.get("pc_sha256"), rec.provenance):
             out.setdefault(rec.group_id, rec)
     return out
@@ -220,7 +225,8 @@ def _load_cache(path: str, keys: dict) -> dict:
 def _append_record(path: str, rec: CensusRecord, digest: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(dict(rec.to_json_dict(), pc_sha256=digest)) + "\n")
+        line = dict(rec.to_json_dict(), pc_sha256=digest, schema=CACHE_SCHEMA)
+        fh.write(json.dumps(line) + "\n")
 
 
 def _classify_task(args) -> tuple:

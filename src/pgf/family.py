@@ -523,13 +523,17 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
         ]
         a_cands.sort(key=lambda j: (-subs[j].order, subs[j].ids))
         # one representative per S-class of proper subgroups: the first
-        # member of each orbit in (order, ids) order
-        seen: set = set()
-        h_reps = []
-        for j in members[:-1]:
-            if subs[j].mask.tobytes() not in seen:
-                seen.update(ct.orbit(subs[j].mask, s.gens))
-                h_reps.append(j)
+        # member of each orbit in (order, ids) order. For S = G these are
+        # the fused classes, whose first member is their class_rep.
+        if r == m - 1:
+            h_reps = [j for j in range(m - 1) if subs[j].class_rep == j]
+        else:
+            seen: set = set()
+            h_reps = []
+            for j in members[:-1]:
+                if subs[j].mask.tobytes() not in seen:
+                    seen.update(ct.orbit(subs[j].mask, s.gens))
+                    h_reps.append(j)
         for a in a_cands:
             pa = packed[a]
             oa = subs[a].order

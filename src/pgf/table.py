@@ -73,10 +73,16 @@ class Lattice:
     """All subgroups of a prime-power CayleyTable, with conjugacy fusion.
 
     Subgroups are sorted by (order, ids), so the whole group comes last.
+    `builds` counts the overgroup masks the climb built.
     """
 
-    def __init__(self, subgroups: Sequence[TSub]):
+    def __init__(self, subgroups: Sequence[TSub], builds: int):
         self.subgroups = tuple(subgroups)
+        self._builds = builds
+
+    @property
+    def builds(self) -> int:
+        return self._builds
 
     def class_reps(self) -> tuple:
         return tuple(
@@ -379,50 +385,64 @@ class CayleyTable:
         """All subgroups, by cyclic extension one index-l layer at a time.
 
         Each subgroup keeps the generators it was reached with, and its
-        normaliser falls out of the extension test at no extra cost.
+        normaliser falls out of the extension test at no extra cost. Each
+        overgroup is built once from each subgroup it covers, so the number
+        of masks built is the number of covering pairs (`Lattice.builds`).
         """
         if self._lattice is not None:
             return self._lattice
         l = self._require_prime()
+        t = self.table
         conj = self.conj()
         powl = self.pow_map(l)
         triv = np.zeros(self.n, dtype=bool)
         triv[0] = True
         seen = {triv.tobytes()}
-        layer = [(triv, ())]
-        found = []  # (mask, generators, normaliser mask) per subgroup
+        layer = [(triv, (), True)]
+        found = []  # (mask, generators, normaliser mask, abelian) per subgroup
+        builds = 0
         while layer:
             nxt = []
-            for mask, gens in layer:
+            for mask, gens, abelian in layer:
+                gen_arr = np.asarray(gens, dtype=np.intp)
                 # g normalises H exactly when it maps H's generators into H
-                norm = mask[conj[:, np.asarray(gens, dtype=np.intp)]].all(axis=1)
-                found.append((mask, gens, norm))
+                norm = mask[conj[:, gen_arr]].all(axis=1)
+                found.append((mask, gens, norm, abelian))
                 # g outside H with g**l in H normalizing H: adjoining g
-                # gives an index-l overgroup, and every one arises so
-                h_ids = np.nonzero(mask)[0]
-                for g in np.nonzero(norm & mask[powl] & ~mask)[0]:
-                    cols = []
-                    gp = int(g)
-                    for _ in range(l - 1):
-                        cols.append(gp)
-                        gp = int(self.table[gp, g])
+                # gives an index-l overgroup K, and every one arises so.
+                # Every g' in K \ H gives H<g'> = K because |K:H| = l is
+                # prime, so K's elements leave the candidates once K is built.
+                h_ids = np.nonzero(mask)[0][:, None]
+                cand = norm & mask[powl] & ~mask
+                for g in np.nonzero(cand)[0]:
+                    if not cand[g]:
+                        continue
+                    cols = [g]
+                    for _ in range(l - 2):
+                        cols.append(t[cols[-1], g])
                     new = mask.copy()
-                    new[self.table[np.ix_(h_ids, np.asarray(cols))]] = True
+                    new[t[h_ids, cols]] = True
+                    builds += 1
+                    cand &= ~new
                     key = new.tobytes()
                     if key not in seen:
                         seen.add(key)
-                        nxt.append((new, gens + (int(g),)))
+                        # K = H<g> is abelian when H is and g commutes with
+                        # H's generators
+                        ab = abelian and bool((t[g, gen_arr] == t[gen_arr, g]).all())
+                        nxt.append((new, gens + (int(g),), ab))
             layer = nxt
-        self._lattice = self._fuse_lattice(found)
+        self._lattice = Lattice(self._fuse_lattice(found), builds)
         return self._lattice
 
-    def _fuse_lattice(self, found: list) -> Lattice:
-        """Sort (mask, gens, normaliser) triples and fuse conjugacy classes."""
+    def _fuse_lattice(self, found: list) -> list:
+        """Sort (mask, gens, normaliser, abelian) tuples into TSubs and fuse
+        conjugacy classes."""
         found.sort(key=lambda f: (int(f[0].sum()), tuple(np.nonzero(f[0])[0])))
         key_to_pos = {f[0].tobytes(): i for i, f in enumerate(found)}
         class_rep = [-1] * len(found)
         conj_to_rep = [0] * len(found)
-        for start, (mask, _, _) in enumerate(found):
+        for start, (mask, _, _, _) in enumerate(found):
             if class_rep[start] != -1:
                 continue
             orbit = self.orbit(mask, self.gen_ids)
@@ -436,7 +456,7 @@ class CayleyTable:
                 # start^b == this, so rep^(a^-1 b) == this
                 conj_to_rep[pos] = int(self.table[inv_a, b])
         subs = []
-        for i, (mask, gens, norm) in enumerate(found):
+        for i, (mask, gens, norm, abelian) in enumerate(found):
             ids = tuple(int(v) for v in np.nonzero(mask)[0])
             mask.setflags(write=False)
             norm.setflags(write=False)
@@ -445,11 +465,11 @@ class CayleyTable:
                     ids=ids,
                     mask=mask,
                     order=len(ids),
-                    abelian=self.is_abelian_ids(ids),
+                    abelian=abelian,
                     gens=gens,
                     normalizer=norm,
                     class_rep=class_rep[i],
                     conj_to_rep=conj_to_rep[i],
                 )
             )
-        return Lattice(subs)
+        return subs

@@ -45,9 +45,12 @@ def o8_pres(index):
     return next(p for p in load_fixture("o8.pc") if p.group_id == (8, index))
 
 
-def cache_line(rec, pres=None):
-    """A cache line for `rec`, stamped with the digest of `pres` if given."""
+def cache_line(rec, pres=None, schema=census.CACHE_SCHEMA):
+    """A cache line for `rec` of the given schema (none if None), stamped
+    with the digest of `pres` if given."""
     d = rec.to_json_dict()
+    if schema is not None:
+        d["schema"] = schema
     if pres is not None:
         text = serialize_pc(pres).encode("utf-8")
         d["pc_sha256"] = hashlib.sha256(text).hexdigest()
@@ -55,11 +58,12 @@ def cache_line(rec, pres=None):
 
 
 def record_dicts(lines):
-    """Record fields of cache lines, without the presentation digest."""
+    """Record fields of cache lines, without the presentation digest and
+    the schema."""
     out = []
     for line in lines:
         d = json.loads(line)
-        del d["pc_sha256"]
+        del d["pc_sha256"], d["schema"]
         out.append(d)
     return out
 
@@ -310,6 +314,21 @@ def test_cache_line_for_another_presentation_is_recomputed(tmp_path, stamp):
         fh.write(cache_line(fake, pres))
     _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
     assert records[0].elapsed_ms != fake.elapsed_ms  # recomputed, not the fake
+
+
+@pytest.mark.parametrize(
+    "schema", [None, census.CACHE_SCHEMA + 1], ids=["no-schema", "other-schema"]
+)
+def test_cache_line_of_another_schema_is_recomputed(tmp_path, schema):
+    cache = str(tmp_path / "cache")
+    os.makedirs(cache)
+    fake = CensusRecord((8, 1), "o8.pc", 1, 1, True, "inconclusive", 12345)
+    with open(cache_file_path(cache, 2, 8), "w") as fh:
+        fh.write(cache_line(fake, o8_pres(1), schema))
+    _, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    assert records[0].elapsed_ms != fake.elapsed_ms  # recomputed, not the fake
+    _, fresh = run_census(fixture_path("o8.pc"), jobs=1)
+    assert zeroed(records) == zeroed(fresh)
 
 
 def test_cache_line_from_another_file_is_recomputed(tmp_path):

@@ -22,6 +22,7 @@ from oracles import (
 )
 from pgf.datasets import load_fixture
 from pgf.errors import CapExceeded
+from pgf.family import eval_cert, parse_cert, semiabelian_table, validate_witness
 from pgf.group import PermGroup
 from pgf.pc import pc_to_perm
 from pgf.perm import Perm
@@ -162,6 +163,50 @@ def assert_climb_facts(ct):
         h = elems_of_ids(ct, s.ids)
         brute = [{x.inverse() * y * x for y in h} == h for x in ct.elems]
         assert s.normalizer.tolist() == brute
+        assert s.abelian == is_abelian_elems(h)
+
+
+def covering_pairs(lat, l):
+    """Pairs H < K of subgroups with |K| = l|H|, counted from the finished
+    lattice by intersection sizes: H lies in K when |H meet K| = |H|."""
+    by_order = {}
+    for s in lat.subgroups:
+        by_order.setdefault(s.order, []).append(s.mask)
+    total = 0
+    for order, small in by_order.items():
+        big = by_order.get(order * l)
+        if big is None:
+            continue
+        meet = np.asarray(small, np.float32) @ np.asarray(big, np.float32).T
+        total += int((meet == order).sum())
+    return total
+
+
+@pytest.mark.parametrize("name", ["o16.pc", "o27.pc", "o32.pc"])
+def test_climb_builds_each_covering_pair_once(name):
+    for pres in load_fixture(name):
+        lat = CayleyTable.from_pc(pres).lattice()
+        assert lat.builds == covering_pairs(lat, pres.prime), pres.group_id
+
+
+HEAVY_729 = "D(C(3,1),D(C(3,1),W(C(3,1),C(3,1))))"
+
+
+@pytest.fixture(scope="module")
+def heavy729():
+    return CayleyTable.from_perm_group(eval_cert(parse_cert(HEAVY_729)))
+
+
+def test_heavy_group_builds_each_covering_pair_once(heavy729):
+    lat = heavy729.lattice()
+    assert lat.builds == covering_pairs(lat, 3) == 32526
+
+
+def test_heavy_group_lattice_and_witness(heavy729):
+    assert len(heavy729.lattice().subgroups) == 3820
+    verdict = semiabelian_table(heavy729)
+    assert verdict.flag
+    assert validate_witness(heavy729, verdict.witness)
 
 
 @pytest.mark.parametrize("name", ["o16.pc", "o27.pc"])
