@@ -12,6 +12,8 @@ the certificate or group), 2 usage errors (argparse's own convention).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -33,6 +35,7 @@ examples:
   pgf build "W(C(2,1),C(2,1))"          -> order=8 rank=2 dl=2
   pgf semiabelian "W(C(2,1),C(2,1))"    -> verdict plus a witness chain
   pgf verify                            -> claim-by-claim PASS/FAIL table
+  pgf verify --json                     -> the same claims as a JSON array
 """
 
 
@@ -120,6 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--long",
         action="store_true",
         help="include the long-running extended counts claim",
+    )
+    p_verify.add_argument(
+        "--json",
+        action="store_true",
+        help="print a JSON array of {number, name, status, detail, "
+        "elapsed_s} instead of one line per claim",
     )
     return parser
 
@@ -228,7 +237,10 @@ def _cmd_verify(args) -> int:
         cache_dir=args.cache,
         include_long=True if args.long else None,
     )
-    print(format_claims(results))
+    if args.json:
+        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2))
+    else:
+        print(format_claims(results))
     return 0 if all(r.status != "FAIL" for r in results) else 1
 
 

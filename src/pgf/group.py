@@ -1,10 +1,24 @@
 """Permutation groups backed by deterministic stabilizer chains.
 
-The chain construction (Schreier-Sims) processes generators, orbit points and
-Schreier generators in fixed orders, so identical generator lists always
-produce the identical chain: same base, same cached order, same membership
-answers. Groups and chains are immutable once built and safe to share
-between threads.
+A chain is built by one of two routines:
+
+* ``StabilizerChain.adjoin`` builds the chain of an l-group, for a prime l
+  the caller knows. Before an element r joins, every conjugate of a strong
+  generator by r and r**l are made members first, so r normalises the group
+  H built so far, <H, r> has order l|H|, and one orbit grows by exactly a
+  factor l. No Schreier generator is ever sifted. Every constructor that
+  knows its prime takes this route: ``PermGroup(..., prime=l)``, the
+  cyclic, direct-product, wreath and quotient constructions of ``ops``, the
+  normal closure inside a group of prime-power order and ``pc_to_perm``.
+* ``StabilizerChain.add_generator`` is Schreier-Sims for any group. It runs
+  when no prime is given, for example for mixed-prime products and for
+  closures inside groups whose order is not a prime power.
+
+Both process generators and orbit points (and Schreier-Sims its Schreier
+generators) in fixed orders, so identical generator lists always produce
+the identical chain: same base, same cached order, same membership answers.
+Groups and chains are immutable once built and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -12,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from .errors import CapExceeded
+from .errors import CapExceeded, PgfError
 from .perm import Perm
 
 DEFAULT_ENUM_CAP = 2**20
@@ -99,6 +113,87 @@ class StabilizerChain:
         m = self._install(g, 0)
         self._sweep(m)
 
+    def adjoin(self, r: Perm, l: int) -> None:
+        """Extend the chain of an l-group by r, with no Schreier generator.
+
+        r's prerequisites, r**l and r^-1 s r for each level-0 strong
+        generator s, are adjoined first, depth first on an explicit stack.
+        Each is tested once per element, because the chain only grows, and
+        the test gives the same answers for r and for its sifted residue,
+        which lies in r times the current group H. In an l-group every
+        prerequisite lies in each maximal subgroup of <H, r> containing H,
+        so the groups on the stack shrink strictly and the stack never
+        holds more than log_l |<H, r>| <= (degree - 1) / (l - 1) elements.
+        Outside l-groups an element turns up again among its own
+        prerequisites, the stack outgrows that bound, or an orbit grows by
+        other than l; each raises PgfError naming the prime.
+        """
+        if r.degree != self.degree:
+            raise ValueError("generator degree mismatch")
+        max_depth = (self.degree - 1) // (l - 1)
+        pending: set = set()
+        stack: list = []  # [element, its inverse, next generator or -1]
+
+        def push(x: Perm) -> None:
+            if self.contains(x):
+                return
+            if x in pending or len(stack) >= max_depth:
+                raise PgfError(
+                    f"generators do not generate an l-group for l = {l}: an "
+                    f"element of order {x.order()} cannot be adjoined"
+                )
+            pending.add(x)
+            stack.append([x, x.inverse(), -1])
+
+        push(r)
+        while stack:
+            frame = stack[-1]
+            x, x_inv, k = frame
+            if k < 0:
+                frame[2] = 0
+                push(x**l)
+                continue
+            gens = self.levels[0].gens if self.levels else ()
+            if k < len(gens):
+                frame[2] = k + 1
+                push(x_inv * gens[k] * x)
+                continue
+            stack.pop()
+            pending.discard(x)
+            self._extend(x, l)
+
+    def _extend(self, r: Perm, l: int) -> None:
+        """Adjoin r, which normalises the group H and has r**l in H: sift
+        r to its stopping level i, install the residue at levels 0..i and
+        close the level-i orbit, which must grow by exactly a factor l."""
+        residue, i = self._sift(r, 0)
+        if residue.is_identity():
+            return
+        self._install(residue, 0)
+        lvl = self.levels[i]
+        trans = lvl.transversal
+        before = len(trans)
+        fresh = []
+        for x in list(trans):
+            y = int(residue.img0[x])
+            if y not in trans:
+                u = trans[x][0] * residue
+                trans[y] = (u, u.inverse())
+                fresh.append(y)
+        for y in fresh:
+            u_y = trans[y][0]
+            for s in lvl.gens:
+                z = int(s.img0[y])
+                if z not in trans:
+                    u = u_y * s
+                    trans[z] = (u, u.inverse())
+                    fresh.append(z)
+        if len(trans) != l * before:
+            raise PgfError(
+                f"generators do not generate an l-group for l = {l}: an "
+                f"orbit grew from {before} to {len(trans)} points"
+            )
+
     def _sweep(self, start: int) -> None:
         """Re-verify levels from `start` up to the top; a level is clean when
         its orbit is closed and every Schreier generator sifts to identity
@@ -156,7 +251,11 @@ class PermGroup:
         generators: Iterable[Perm],
         degree: Optional[int] = None,
         order_hint: Optional[int] = None,
+        prime: Optional[int] = None,
     ):
+        """Generate a group; with `prime` the generators must generate an
+        l-group for that prime and the chain is built by
+        StabilizerChain.adjoin, otherwise by Schreier-Sims."""
         gens = tuple(generators)
         if degree is None:
             if not gens:
@@ -165,15 +264,30 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generators must share one degree")
-        self.generators = tuple(g for g in gens if not g.is_identity())
-        self.degree = degree
+        gens = tuple(g for g in gens if not g.is_identity())
         chain = StabilizerChain(degree, order_hint=order_hint)
-        for g in self.generators:
-            chain.add_generator(g)
+        for g in gens:
+            if prime is None:
+                chain.add_generator(g)
+            else:
+                chain.adjoin(g, prime)
         if order_hint is not None and chain.order() != order_hint:
             raise ValueError(
                 f"order hint {order_hint} does not match computed order {chain.order()}"
             )
+        self._wrap(gens, chain)
+
+    @classmethod
+    def _from_chain(cls, generators: tuple, chain: StabilizerChain) -> "PermGroup":
+        """Wrap a finished chain whose group the non-identity `generators`
+        generate."""
+        g = object.__new__(cls)
+        g._wrap(generators, chain)
+        return g
+
+    def _wrap(self, generators: tuple, chain: StabilizerChain) -> None:
+        self.generators = generators
+        self.degree = chain.degree
         self._chain = chain
         self._order = chain.order()
         self._elements: Optional[tuple] = None

@@ -3,6 +3,9 @@
 Everything here works through stabilizer chains and normal closures, never
 through multiplication tables, so results can be cross-checked against the
 table layer. Groups are immutable; each operation returns a fresh PermGroup.
+A construction whose result has prime-power order builds its chain with
+the l-group routine StabilizerChain.adjoin; any other falls back to
+Schreier-Sims.
 
 Conventions: products apply the left factor first, and the commutator is
 [a, b] = a^-1 b^-1 a b.
@@ -41,18 +44,22 @@ def cyclic_group(l: int, k: int) -> PermGroup:
         raise ValueError("exponent must be >= 1")
     n = l**k
     gen = Perm.from_cycles(n, [tuple(range(1, n + 1))])
-    return PermGroup([gen], degree=n, order_hint=n)
+    return PermGroup([gen], degree=n, order_hint=n, prime=l)
 
 
 def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
-    """Direct product acting on the disjoint union of the two point sets."""
+    """Direct product acting on the disjoint union of the two point sets;
+    an l-group chain when both factors are l-groups for one prime."""
     da, db = a.degree, b.degree
     gens = []
     for p in a.generators:
         gens.append(Perm(tuple(p.images) + tuple(range(da + 1, da + db + 1))))
     for p in b.generators:
         gens.append(Perm(tuple(range(1, da + 1)) + tuple(x + da for x in p.images)))
-    return PermGroup(gens, degree=da + db, order_hint=a.order * b.order)
+    order = a.order * b.order
+    return PermGroup(
+        gens, degree=da + db, order_hint=order, prime=prime_power_root(order)
+    )
 
 
 def wreath_regular(
@@ -64,7 +71,8 @@ def wreath_regular(
     each block carries a copy of inner's point set. Generators are inner's
     generators acting on the block of the identity coset plus outer's
     generators permuting whole blocks, which together generate the full
-    product of order |inner| ** |outer| * |outer|.
+    product of order |inner| ** |outer| * |outer|, an l-group chain when
+    both factors are l-groups for one prime.
     """
     d, m = inner.degree, outer.order
     degree = d * m
@@ -87,7 +95,10 @@ def wreath_regular(
             for j in range(1, d + 1):
                 img[b * d + j - 1] = tb * d + j
         gens.append(Perm(img))
-    return PermGroup(gens, degree=degree, order_hint=inner.order**m * m)
+    order = inner.order**m * m
+    return PermGroup(
+        gens, degree=degree, order_hint=order, prime=prime_power_root(order)
+    )
 
 
 # ----- closures --------------------------------------------------------------
@@ -96,21 +107,30 @@ def wreath_regular(
 def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     """Smallest subgroup of g containing the seeds and normal in g.
 
-    Grows a stabilizer chain from the seeds, repeatedly adjoining conjugates
-    of current generators by g's generators until closed.
+    Grows one stabilizer chain from the seeds, repeatedly adjoining
+    conjugates of current generators by g's generators until closed, and
+    returns the group wrapping that chain. When |g| is a power of a prime
+    l the chain is an l-group chain (StabilizerChain.adjoin), otherwise
+    Schreier-Sims.
     """
+    l = prime_power_root(g.order)
     chain = StabilizerChain(g.degree)
+    conjugators = [(t.inverse(), t) for t in g.generators]
     kept = []
     queue = [p for p in seeds if not p.is_identity()]
     while queue:
         s = queue.pop()
-        if chain.contains(s):
+        before = chain.order()
+        if l is None:
+            chain.add_generator(s)
+        else:
+            chain.adjoin(s, l)
+        if chain.order() == before:
             continue
-        chain.add_generator(s)
         kept.append(s)
-        for t in g.generators:
-            queue.append((t.inverse() * s) * t)
-    return PermGroup(kept, degree=g.degree, order_hint=chain.order())
+        for t_inv, t in conjugators:
+            queue.append((t_inv * s) * t)
+    return PermGroup._from_chain(tuple(kept), chain)
 
 
 def commutator_subgroup(g: PermGroup) -> PermGroup:
@@ -265,7 +285,7 @@ def quotient_group(
         return Perm(img)
 
     qgens = [project(t) for t in g.generators]
-    qgroup = PermGroup(qgens, degree=q, order_hint=q)
+    qgroup = PermGroup(qgens, degree=q, order_hint=q, prime=prime_power_root(q))
     return Quotient(group=qgroup, project=project, reps=frozen)
 
 

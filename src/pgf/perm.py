@@ -12,9 +12,18 @@ table layer can index with them directly.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def _arange(n: int) -> np.ndarray:
+    """The read-only identity image array of degree n, shared per degree."""
+    arr = np.arange(n, dtype=np.int32)
+    arr.setflags(write=False)
+    return arr
 
 
 class Perm:
@@ -36,13 +45,13 @@ class Perm:
         self._img = arr
         self._hash = None
 
-    # trusted constructor for internal use: arr is a valid 0-based image array
+    # trusted constructor for internal use: arr is a valid 0-based image
+    # array that the new Perm takes over; it is made read-only in place, so
+    # the caller must pass a fresh array it no longer writes to
     @classmethod
     def _from0(cls, arr: np.ndarray) -> "Perm":
         p = object.__new__(cls)
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
+        arr.setflags(write=False)
         p._img = arr
         p._hash = None
         return p
@@ -51,7 +60,7 @@ class Perm:
     def identity(cls, degree: int) -> "Perm":
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        return cls._from0(np.arange(degree, dtype=np.int32))
+        return cls._from0(_arange(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Perm":
@@ -94,11 +103,11 @@ class Perm:
             return NotImplemented
         if other._img.size != self._img.size:
             raise ValueError("degree mismatch in composition")
-        return Perm._from0(other._img[self._img])
+        return Perm._from0(other._img.take(self._img))
 
     def inverse(self) -> "Perm":
         inv = np.empty_like(self._img)
-        inv[self._img] = np.arange(self._img.size, dtype=np.int32)
+        inv[self._img] = _arange(self._img.size)
         return Perm._from0(inv)
 
     def __pow__(self, k: int) -> "Perm":
@@ -108,20 +117,20 @@ class Perm:
         base = self.inverse() if k < 0 else self
         k = abs(k)
         cur = base._img
-        out = np.arange(base._img.size, dtype=np.int32)
+        out = _arange(base._img.size)
         while k:
             if k & 1:
-                out = cur[out]
-            cur = cur[cur]
+                out = cur.take(out)
+            cur = cur.take(cur)
             k >>= 1
         return Perm._from0(out)
 
     def is_identity(self) -> bool:
-        return bool((self._img == np.arange(self._img.size, dtype=np.int32)).all())
+        return self._img.tobytes() == _arange(self._img.size).tobytes()
 
     def first_moved(self):
         """Smallest 1-based moved point, or None for the identity."""
-        diff = np.nonzero(self._img != np.arange(self._img.size, dtype=np.int32))[0]
+        diff = np.nonzero(self._img != _arange(self._img.size))[0]
         return int(diff[0]) + 1 if diff.size else None
 
     def cycles(self) -> list:
@@ -156,9 +165,7 @@ class Perm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Perm):
             return NotImplemented
-        return self._img.size == other._img.size and bool(
-            (self._img == other._img).all()
-        )
+        return self._img.tobytes() == other._img.tobytes()
 
     def __hash__(self) -> int:
         if self._hash is None:

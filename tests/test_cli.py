@@ -155,6 +155,21 @@ def test_verify_prints_one_line_per_criterion(capsys):
         assert any(s in ln for s in (": PASS", ": FAIL", ": SKIPPED"))
 
 
+def test_verify_json_matches_run_claims(capsys):
+    from pgf.verify import run_claims
+
+    code = dispatch(["verify", "--json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert [sorted(r) for r in rows] == [
+        ["detail", "elapsed_s", "name", "number", "status"]
+    ] * 8
+    want = run_claims()
+    assert [(r["number"], r["name"], r["status"]) for r in rows] == [
+        (r.number, r.name, r.status) for r in want
+    ]
+    assert code == (0 if all(r["status"] != "FAIL" for r in rows) else 1)
+
+
 def test_module_entry_point_runs_the_cli():
     src = os.path.dirname(os.path.dirname(pgf.__file__))
     env = dict(os.environ)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from pgf.errors import CapExceeded
+from pgf.errors import CapExceeded, PgfError
 from pgf.group import DEFAULT_ENUM_CAP, PermGroup
 from pgf.perm import Perm
 from pgf.verify import naive_closure
@@ -142,3 +142,49 @@ def test_random_element_lies_in_group():
 
 def test_enum_cap_default_present():
     assert DEFAULT_ENUM_CAP == 2**20
+
+
+def test_l_chain_matches_naive_closure_on_random_two_groups():
+    # generators inside the Sylow 2-subgroup D4 x C2 of S6 = <(1 2), (3 4),
+    # (1 3)(2 4), (5 6)>, so every generated group is a 2-group
+    d4c2 = sorted(
+        naive_closure(
+            [
+                Perm.from_cycles(6, [(1, 2)]),
+                Perm.from_cycles(6, [(1, 3), (2, 4)]),
+                Perm.from_cycles(6, [(5, 6)]),
+            ]
+        ),
+        key=lambda q: q.images,
+    )
+    rng = random.Random(7)
+    for _ in range(30):
+        gens = rng.sample(d4c2, rng.randint(1, 3))
+        ref = naive_closure(gens)
+        g = PermGroup(gens, prime=2)
+        assert g.order == len(ref)
+        assert set(g.elements()) == ref
+        assert g.generators == tuple(p for p in gens if not p.is_identity())
+
+
+def test_l_chain_rejects_generators_outside_l_groups():
+    t12 = Perm.from_cycles(3, [(1, 2)])
+    t23 = Perm.from_cycles(3, [(2, 3)])
+    c = Perm.from_cycles(3, [(1, 2, 3)])
+    # a 3-cycle and its square each need the other adjoined first
+    with pytest.raises(PgfError, match="l-group for l = 2"):
+        PermGroup([t12, c], prime=2)
+    with pytest.raises(PgfError, match="l-group for l = 2"):
+        PermGroup([c], prime=2)
+    # two 2-elements generating S3
+    with pytest.raises(PgfError, match="l-group for l = 2"):
+        PermGroup([t12, t23], prime=2)
+    with pytest.raises(PgfError, match="l-group for l = 3"):
+        PermGroup([c, t12], prime=3)
+    # S6 from 2-elements: the failure is a PgfError, never a RecursionError
+    s6_involutions = [
+        Perm.from_cycles(6, cycles)
+        for cycles in ([(1, 2)], [(1, 4), (2, 5), (3, 6)], [(2, 3)], [(4, 5)])
+    ]
+    with pytest.raises(PgfError, match="l-group for l = 2"):
+        PermGroup(s6_involutions, prime=2)

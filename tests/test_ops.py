@@ -6,6 +6,8 @@ algorithm, and several tests here cross-check the two routes. Brute-force
 element oracles provide a third, independent reference.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,16 @@ from oracles import (
     brute_rank,
     closure_of,
 )
+from pgf import family
 from pgf.errors import CapExceeded, NotNormal, PgfError
-from pgf.family import cert_prime, certificate_corpus, eval_cert, serialize_cert
-from pgf.group import PermGroup
+from pgf.family import (
+    cert_prime,
+    certificate_corpus,
+    declared_rank,
+    eval_cert,
+    serialize_cert,
+)
+from pgf.group import PermGroup, StabilizerChain
 from pgf.ops import (
     commutator_subgroup,
     cyclic_group,
@@ -311,3 +320,78 @@ def test_larger_wreath_frattini_quotient():
     q = quotient_group(w, f)
     assert q.group.order == 9
     assert rank(w) == 2
+
+
+def symmetric_group(n):
+    return PermGroup(
+        [Perm.from_cycles(n, [(1, 2)]), Perm.from_cycles(n, [tuple(range(1, n + 1))])]
+    )
+
+
+def test_series_outside_l_groups_use_schreier_sims():
+    s4, s5 = symmetric_group(4), symmetric_group(5)
+    assert commutator_subgroup(s4).order == 12
+    assert derived_length(s4) == 3
+    with pytest.raises(PgfError, match="group is not solvable"):
+        derived_length(s5)
+
+
+def random_word(rng, gens, length=12):
+    p = gens[0] ** 0
+    for _ in range(rng.randrange(1, length)):
+        p = p * rng.choice(gens) ** rng.choice((1, -1))
+    return p
+
+
+def test_l_chain_agrees_with_schreier_sims_on_corpus():
+    """Every corpus group and its Frattini and derived subgroups have the
+    same order and the same members under the l-group chain and under a
+    Schreier-Sims chain built from the same generators."""
+    rng = random.Random(2008)
+    outside = 0
+    for c in certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP):
+        g = eval_cert(c)
+        label = serialize_cert(c)
+        groups = [g, frattini_subgroup(g), commutator_subgroup(g)]
+        for h in groups:
+            ss = PermGroup(h.generators, degree=h.degree)
+            assert ss.order == h.order, label
+            words = [random_word(rng, g.generators) for _ in range(8)]
+            others = []
+            for _ in range(4):
+                images = list(range(1, g.degree + 1))
+                rng.shuffle(images)
+                others.append(Perm(images))
+            for p in words + others:
+                assert h.contains(p) == ss.contains(p), label
+            outside += sum(not ss.contains(p) for p in others)
+    assert outside > 500
+
+
+def test_l_group_route_sifts_no_schreier_generator(monkeypatch):
+    """With Schreier-Sims disabled, the corpus still evaluates, rank,
+    derived length and series-factor ranks come out unchanged, and
+    presentations still convert to permutation groups."""
+    from pgf.datasets import load_all_fixtures
+    from pgf.pc import pc_to_perm
+
+    corpus = certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP)
+
+    def invariants(c):
+        g = eval_cert(c)
+        return rank(g), derived_length(g), factor_ranks(lower_central_series(g))
+
+    before = {c: invariants(c) for c in corpus}
+
+    def no_schreier(self, w):
+        raise AssertionError("a Schreier generator was sifted")
+
+    monkeypatch.setattr(StabilizerChain, "_verify", no_schreier)
+    monkeypatch.setattr(family, "_EVAL_CACHE", {})
+    for c in corpus:
+        got = invariants(c)
+        assert got == before[c], serialize_cert(c)
+        assert got[0] == declared_rank(c) == got[2][0], serialize_cert(c)
+    for pres in load_all_fixtures():
+        if pres.order <= 32:
+            assert pc_to_perm(pres).order == pres.order, pres.group_id
