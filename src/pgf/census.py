@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from io import StringIO
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, PcFileError, PgfError
+from .errors import PcFileError, PgfError
 from .family import (
     SCREEN_INCONCLUSIVE,
     SCREEN_NOT_MEMBER,
@@ -138,9 +138,7 @@ def classify_presentation(
     proves to be a group, and independently validate any semiabelian
     witness before trusting it."""
     t0 = time.perf_counter()
-    if pres.order > table_cap:
-        raise CapExceeded(f"order {pres.order} exceeds table cap {table_cap}")
-    ct = CayleyTable.from_pc(pres)
+    ct = CayleyTable.from_pc(pres, cap=table_cap)
     rk = ct.rank()
     dl = ct.derived_length()
     verdict = semiabelian_table(ct)

@@ -144,8 +144,11 @@ def _cmd_build(args) -> int:
 
 
 def _load_target(target: str):
-    """A certificate, or path.pc#index into a dataset file."""
-    from .pc import parse_pc_file, pc_to_perm
+    """The Cayley table and label of a certificate, or of path.pc#index in
+    a dataset file. A presentation is tabulated with CayleyTable.from_pc,
+    the census route, which rejects an inconsistent presentation."""
+    from .pc import parse_pc_file
+    from .table import CayleyTable
 
     if "#" in target:
         path, _, index_text = target.rpartition("#")
@@ -157,27 +160,23 @@ def _load_target(target: str):
             matches = [p for p in parse_pc_file(path) if p.group_id[1] == index]
             if not matches:
                 raise PgfError(f"no group with index {index} in {path}")
-            return pc_to_perm(matches[0]), f"{path}#{index}"
+            return CayleyTable.from_pc(matches[0]), f"{path}#{index}"
     from .family import eval_cert, parse_cert, serialize_cert
 
     cert = parse_cert(target)
-    return eval_cert(cert), serialize_cert(cert)
+    return CayleyTable.from_perm_group(eval_cert(cert)), serialize_cert(cert)
 
 
 def _cmd_semiabelian(args) -> int:
     from .family import semiabelian_table, validate_witness
-    from .table import CayleyTable
 
-    g, label = _load_target(args.target)
-    # the printed steps depend on element ids, so keep the permutation
-    # group's numbering rather than tabulating the presentation directly
-    ct = CayleyTable.from_perm_group(g)
+    ct, label = _load_target(args.target)
     verdict = semiabelian_table(ct)
     if verdict.flag:
         if not validate_witness(ct, verdict.witness):
             raise PgfError(f"witness for {label} failed the independent recheck")
         print(f"{label}: semiabelian=true")
-        remaining = g.order
+        remaining = ct.n
         for step, (a_ids, h_ids) in enumerate(verdict.witness, start=1):
             print(
                 f"  step {step}: group of order {remaining} = A * H with "

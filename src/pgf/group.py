@@ -1,31 +1,27 @@
-"""Permutation groups backed by deterministic stabilizer chains.
+"""Permutation l-groups backed by deterministic stabilizer chains.
 
-A chain is built by one of two routines:
+pgf works with groups of prime-power order only, and every chain is built
+by one routine, ``StabilizerChain.adjoin`` (Sims, "Computing the order of a
+solvable permutation group", JSC 9, 1990; Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, ch. 4). Before an element r
+joins, every conjugate of a strong generator by r and r**l are made
+members first, so r normalises the group H built so far, <H, r> has order
+l|H|, and one orbit grows by exactly a factor l. No Schreier generator is
+ever sifted. ``PermGroup`` takes l from the order of its first
+non-identity generator; generators that do not generate an l-group raise
+PgfError naming the prime.
 
-* ``StabilizerChain.adjoin`` builds the chain of an l-group, for a prime l
-  the caller knows. Before an element r joins, every conjugate of a strong
-  generator by r and r**l are made members first, so r normalises the group
-  H built so far, <H, r> has order l|H|, and one orbit grows by exactly a
-  factor l. No Schreier generator is ever sifted. Every constructor that
-  knows its prime takes this route: ``PermGroup(..., prime=l)``, the
-  cyclic, direct-product, wreath and quotient constructions of ``ops``, the
-  normal closure inside a group of prime-power order and ``pc_to_perm``.
-* ``StabilizerChain.add_generator`` is Schreier-Sims for any group. It runs
-  when no prime is given, for example for mixed-prime products and for
-  closures inside groups whose order is not a prime power.
-
-Both process generators and orbit points (and Schreier-Sims its Schreier
-generators) in fixed orders, so identical generator lists always produce
-the identical chain: same base, same cached order, same membership answers.
-Groups and chains are immutable once built and safe to share between
-threads.
+Generators and orbit points are processed in fixed orders, so identical
+generator lists always produce the identical chain: same base, same cached
+order, same membership answers. Groups and chains are immutable once built
+and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
+from .arith import prime_power_root
 from .errors import CapExceeded, PgfError
 from .perm import Perm
 
@@ -33,28 +29,24 @@ DEFAULT_ENUM_CAP = 2**20
 
 
 class _Level:
-    __slots__ = ("base", "gens", "gen_set", "transversal", "done")
+    __slots__ = ("base", "gens", "transversal")
 
     def __init__(self, base: int):
         self.base = base  # 0-based point
         # strong generators fixing all earlier bases (nested convention:
-        # an element stored here is also stored at every shallower level
-        # whose base it fixes, back to the level that discovered it)
+        # an element stored here is also stored at every shallower level)
         self.gens: list[Perm] = []
-        self.gen_set: set[Perm] = set()
         # orbit point (0-based) -> (rep u with u(base) = point, inverse of u)
         self.transversal: dict[int, tuple[Perm, Perm]] = {}
-        self.done: set[tuple[int, int]] = set()  # processed (point, gen index)
 
 
 class StabilizerChain:
-    """Base, transversals and strong generators of a permutation group."""
+    """Base, transversals and strong generators of a permutation l-group."""
 
-    def __init__(self, degree: int, order_hint: Optional[int] = None):
+    def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
         self._identity = Perm.identity(degree)
-        self._target = order_hint
 
     def order(self) -> int:
         n = 1
@@ -65,11 +57,10 @@ class StabilizerChain:
     def base(self) -> tuple:
         return tuple(lvl.base + 1 for lvl in self.levels)
 
-    def _sift(self, p: Perm, start: int) -> tuple[Perm, int]:
-        """Strip p through levels from `start` on; returns (residue, level
-        where sifting stopped). Identity residue means membership."""
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
+    def _sift(self, p: Perm) -> tuple[Perm, int]:
+        """Strip p through the levels; returns (residue, level where
+        sifting stopped). Identity residue means membership."""
+        for i, lvl in enumerate(self.levels):
             x = int(p.img0[lvl.base])
             if x == lvl.base:
                 continue
@@ -80,38 +71,8 @@ class StabilizerChain:
         return p, len(self.levels)
 
     def contains(self, p: Perm) -> bool:
-        residue, _ = self._sift(p, 0)
+        residue, _ = self._sift(p)
         return residue.is_identity()
-
-    def _install(self, g: Perm, start: int) -> int:
-        """Record g as a strong generator at levels start..m, where m is the
-        first level (>= start) whose base g moves; creates a trailing level
-        when g fixes every existing base. Returns m."""
-        k = start
-        while k < len(self.levels) and int(g.img0[self.levels[k].base]) == self.levels[k].base:
-            k += 1
-        if k == len(self.levels):
-            lvl = _Level(g.first_moved() - 1)
-            lvl.transversal[lvl.base] = (self._identity, self._identity)
-            self.levels.append(lvl)
-        for j in range(start, k + 1):
-            lvl = self.levels[j]
-            if g not in lvl.gen_set:
-                lvl.gens.append(g)
-                lvl.gen_set.add(g)
-        return k
-
-    def add_generator(self, g: Perm) -> None:
-        """Extend the group by one generator and re-verify the chain."""
-        if g.degree != self.degree:
-            raise ValueError("generator degree mismatch")
-        if g.is_identity():
-            return
-        residue, _ = self._sift(g, 0)
-        if residue.is_identity():
-            return
-        m = self._install(g, 0)
-        self._sweep(m)
 
     def adjoin(self, r: Perm, l: int) -> None:
         """Extend the chain of an l-group by r, with no Schreier generator.
@@ -164,12 +125,20 @@ class StabilizerChain:
 
     def _extend(self, r: Perm, l: int) -> None:
         """Adjoin r, which normalises the group H and has r**l in H: sift
-        r to its stopping level i, install the residue at levels 0..i and
-        close the level-i orbit, which must grow by exactly a factor l."""
-        residue, i = self._sift(r, 0)
+        r to its stopping level i, record the residue as a strong generator
+        at levels 0..i (it fixes the bases of levels 0..i-1; level i is a
+        new trailing level when it fixes every base) and close the level-i
+        orbit, which must grow by exactly a factor l. The residue is never already a strong
+        generator, because it lies outside H."""
+        residue, i = self._sift(r)
         if residue.is_identity():
             return
-        self._install(residue, 0)
+        if i == len(self.levels):
+            new = _Level(residue.first_moved() - 1)
+            new.transversal[new.base] = (self._identity, self._identity)
+            self.levels.append(new)
+        for lvl in self.levels[: i + 1]:
+            lvl.gens.append(residue)
         lvl = self.levels[i]
         trans = lvl.transversal
         before = len(trans)
@@ -194,68 +163,20 @@ class StabilizerChain:
                 f"orbit grew from {before} to {len(trans)} points"
             )
 
-    def _sweep(self, start: int) -> None:
-        """Re-verify levels from `start` up to the top; a level is clean when
-        its orbit is closed and every Schreier generator sifts to identity
-        through the levels below it."""
-        w = min(start, len(self.levels) - 1)
-        while w >= 0:
-            if self._target is not None and self.order() == self._target:
-                return
-            dirty = self._verify(w)
-            w = w - 1 if dirty is None else dirty
-
-    def _verify(self, w: int) -> Optional[int]:
-        """Process pending (orbit point, generator) pairs at level w.
-        Returns the deepest level that gained a generator, or None."""
-        lvl = self.levels[w]
-        deepest = None
-        work = deque(
-            (p, k)
-            for p in list(lvl.transversal)
-            for k in range(len(lvl.gens))
-            if (p, k) not in lvl.done
-        )
-        while work:
-            if self._target is not None and self.order() == self._target:
-                return None
-            p, k = work.popleft()
-            if (p, k) in lvl.done:
-                continue
-            lvl.done.add((p, k))
-            s = lvl.gens[k]
-            u_p = lvl.transversal[p][0]
-            x = int(s.img0[p])
-            if x not in lvl.transversal:
-                u_x = u_p * s
-                lvl.transversal[x] = (u_x, u_x.inverse())
-                work.extend((x, k2) for k2 in range(len(lvl.gens)))
-            else:
-                schreier = u_p * s * lvl.transversal[x][1]
-                if schreier.is_identity():
-                    continue
-                residue, _ = self._sift(schreier, w + 1)
-                if residue.is_identity():
-                    continue
-                m = self._install(residue, w + 1)
-                if deepest is None or m > deepest:
-                    deepest = m
-        return deepest
-
 
 class PermGroup:
-    """Immutable permutation group with a cached stabilizer chain."""
+    """Immutable permutation l-group with a cached stabilizer chain."""
 
     def __init__(
         self,
         generators: Iterable[Perm],
         degree: Optional[int] = None,
         order_hint: Optional[int] = None,
-        prime: Optional[int] = None,
     ):
-        """Generate a group; with `prime` the generators must generate an
-        l-group for that prime and the chain is built by
-        StabilizerChain.adjoin, otherwise by Schreier-Sims."""
+        """Generate a group with StabilizerChain.adjoin, for the prime l
+        whose power is the order of the first non-identity generator.
+        Raises PgfError when the generators do not generate an l-group,
+        and ValueError when `order_hint` differs from the built order."""
         gens = tuple(generators)
         if degree is None:
             if not gens:
@@ -265,12 +186,17 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError("generators must share one degree")
         gens = tuple(g for g in gens if not g.is_identity())
-        chain = StabilizerChain(degree, order_hint=order_hint)
-        for g in gens:
-            if prime is None:
-                chain.add_generator(g)
-            else:
-                chain.adjoin(g, prime)
+        chain = StabilizerChain(degree)
+        if gens:
+            k = gens[0].order()
+            l = prime_power_root(k)
+            if l is None:
+                raise PgfError(
+                    f"generators do not generate an l-group: a generator "
+                    f"has order {k}, which is not a prime power"
+                )
+            for g in gens:
+                chain.adjoin(g, l)
         if order_hint is not None and chain.order() != order_hint:
             raise ValueError(
                 f"order hint {order_hint} does not match computed order {chain.order()}"

@@ -3,9 +3,9 @@
 Everything here works through stabilizer chains and normal closures, never
 through multiplication tables, so results can be cross-checked against the
 table layer. Groups are immutable; each operation returns a fresh PermGroup.
-A construction whose result has prime-power order builds its chain with
-the l-group routine StabilizerChain.adjoin; any other falls back to
-Schreier-Sims.
+Every group is an l-group, and every chain is built by the l-group routine
+StabilizerChain.adjoin: a construction whose input mixes primes, such as a
+wreath product of a 2-group by a 3-group, raises PgfError.
 
 Conventions: products apply the left factor first, and the commutator is
 [a, b] = a^-1 b^-1 a b.
@@ -44,22 +44,19 @@ def cyclic_group(l: int, k: int) -> PermGroup:
         raise ValueError("exponent must be >= 1")
     n = l**k
     gen = Perm.from_cycles(n, [tuple(range(1, n + 1))])
-    return PermGroup([gen], degree=n, order_hint=n, prime=l)
+    return PermGroup([gen], degree=n, order_hint=n)
 
 
 def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     """Direct product acting on the disjoint union of the two point sets;
-    an l-group chain when both factors are l-groups for one prime."""
+    both factors must be l-groups for one prime."""
     da, db = a.degree, b.degree
     gens = []
     for p in a.generators:
         gens.append(Perm(tuple(p.images) + tuple(range(da + 1, da + db + 1))))
     for p in b.generators:
         gens.append(Perm(tuple(range(1, da + 1)) + tuple(x + da for x in p.images)))
-    order = a.order * b.order
-    return PermGroup(
-        gens, degree=da + db, order_hint=order, prime=prime_power_root(order)
-    )
+    return PermGroup(gens, degree=da + db, order_hint=a.order * b.order)
 
 
 def wreath_regular(
@@ -71,8 +68,8 @@ def wreath_regular(
     each block carries a copy of inner's point set. Generators are inner's
     generators acting on the block of the identity coset plus outer's
     generators permuting whole blocks, which together generate the full
-    product of order |inner| ** |outer| * |outer|, an l-group chain when
-    both factors are l-groups for one prime.
+    product of order |inner| ** |outer| * |outer|. Both factors must be
+    l-groups for one prime.
     """
     d, m = inner.degree, outer.order
     degree = d * m
@@ -95,10 +92,7 @@ def wreath_regular(
             for j in range(1, d + 1):
                 img[b * d + j - 1] = tb * d + j
         gens.append(Perm(img))
-    order = inner.order**m * m
-    return PermGroup(
-        gens, degree=degree, order_hint=order, prime=prime_power_root(order)
-    )
+    return PermGroup(gens, degree=degree, order_hint=inner.order**m * m)
 
 
 # ----- closures --------------------------------------------------------------
@@ -109,22 +103,18 @@ def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
 
     Grows one stabilizer chain from the seeds, repeatedly adjoining
     conjugates of current generators by g's generators until closed, and
-    returns the group wrapping that chain. When |g| is a power of a prime
-    l the chain is an l-group chain (StabilizerChain.adjoin), otherwise
-    Schreier-Sims.
+    returns the group wrapping that chain, an l-group chain for g's
+    prime l. The seeds must lie in g.
     """
-    l = prime_power_root(g.order)
     chain = StabilizerChain(g.degree)
     conjugators = [(t.inverse(), t) for t in g.generators]
     kept = []
     queue = [p for p in seeds if not p.is_identity()]
+    l = group_prime(g) if queue else None
     while queue:
         s = queue.pop()
         before = chain.order()
-        if l is None:
-            chain.add_generator(s)
-        else:
-            chain.adjoin(s, l)
+        chain.adjoin(s, l)
         if chain.order() == before:
             continue
         kept.append(s)
@@ -285,7 +275,7 @@ def quotient_group(
         return Perm(img)
 
     qgens = [project(t) for t in g.generators]
-    qgroup = PermGroup(qgens, degree=q, order_hint=q, prime=prime_power_root(q))
+    qgroup = PermGroup(qgens, degree=q, order_hint=q)
     return Quotient(group=qgroup, project=project, reps=frozen)
 
 

@@ -301,16 +301,16 @@ def check_consistency(pres: PcPresentation) -> ConsistencyResult:
 def pc_to_perm(pres: PcPresentation) -> PermGroup:
     """Faithful right-regular permutation image on prime**ngens points.
 
-    The chain is the l-group chain for pres.prime and is built without an
-    order hint on purpose. Each generator that joins it must grow one orbit
-    by exactly a factor prime, so the order is a product of such checked
-    steps, and its equalling prime**ngens is an independent check on the
-    presentation, kept for `pgf verify` (criterion 7). Columns that do not
-    generate an l-group raise PgfError.
+    The chain is built without an order hint on purpose, for the prime of
+    the first generator's order. Each generator that joins it must grow one
+    orbit by exactly a factor of that prime, so the order is a product of
+    such checked steps, and its equalling prime**ngens is an independent
+    check on the presentation, kept for `pgf verify` (criterion 7). Columns
+    that do not generate an l-group raise PgfError.
     """
     cols = pres.gen_columns()
     gens = [Perm._from0(cols[j].copy()) for j in range(pres.ngens)]
-    return PermGroup(gens, degree=pres.order, prime=pres.prime)
+    return PermGroup(gens, degree=pres.order)
 
 
 # ---------------------------------------------------------------------------

@@ -170,12 +170,15 @@ class CayleyTable:
         return cls(table, els, gen_ids)
 
     @classmethod
-    def from_pc(cls, pres: PcPresentation):
-        """Tabulate a collected presentation via its collection table.
+    def from_pc(cls, pres: PcPresentation, cap: int = DEFAULT_TABLE_CAP):
+        """Tabulate a collected presentation of order at most `cap` via its
+        collection table.
 
         Raises PgfError, naming the group and the defect, when collection
         does not define a group (an inconsistent presentation).
         """
+        if pres.order > cap:
+            raise CapExceeded(f"order {pres.order} exceeds table cap {cap}")
         table = multiplication_table(pres)
         gen_ids = pres.gen_ids()
         defect = _table_defect(table, gen_ids)

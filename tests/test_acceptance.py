@@ -9,17 +9,19 @@ and 8 depend on external datasets and report SKIPPED when those are
 absent; criterion 8 additionally requires PGF_RUN_LONG=1.
 
 The per-criterion lines are written with capture suspended so they always
-appear in the terminal transcript.
+appear in the terminal transcript. The gate runs once per session, in the
+`claim_results` fixture of conftest.py.
 """
 
 import pytest
 
-from pgf.verify import run_claims
+from pgf import pc, verify
+from pgf.group import PermGroup
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {r.number: r for r in run_claims()}
+def results(claim_results):
+    out = {r.number: r for r in claim_results}
     assert sorted(out) == list(range(1, 9))
     return out
 
@@ -36,3 +38,25 @@ def test_criterion(number, results, capfd):
     if r.status == "SKIPPED":
         pytest.skip(r.detail)
     assert r.status == "PASS", f"{r.name}: {r.detail}"
+
+
+class DoubledOrder(PermGroup):
+    """A chain that reports twice its true order."""
+
+    @property
+    def order(self):
+        return 2 * self._order
+
+
+@pytest.mark.parametrize(
+    "module,detail",
+    [
+        (verify, "chain order"),
+        (pc, "presentation/chain order mismatch on (2, 1)"),
+    ],
+)
+def test_oracle_agreement_fails_on_a_wrong_chain_order(module, detail, monkeypatch):
+    monkeypatch.setattr(module, "PermGroup", DoubledOrder)
+    status, got = verify._claim_oracle_agreement(None)
+    assert status == "FAIL"
+    assert got.startswith(detail)

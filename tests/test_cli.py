@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from importlib import resources
 
 import pgf
 from pgf.cli import dispatch
+from test_pc import INCONSISTENT_TEXT
 
 
 def fixture_path(name):
@@ -146,28 +148,71 @@ def test_bounds_multiple_certificates(capsys):
     assert len(out.splitlines()) == 3
 
 
-def test_verify_prints_one_line_per_criterion(capsys):
+def replay_claims(monkeypatch, results):
+    """Make `pgf verify` print `results` instead of rerunning the gate;
+    returns the list of keyword arguments it was called with."""
+    calls = []
+
+    def fake_run_claims(**kwargs):
+        calls.append(kwargs)
+        return list(results)
+
+    monkeypatch.setattr("pgf.verify.run_claims", fake_run_claims)
+    return calls
+
+
+def test_verify_prints_one_line_per_criterion(capsys, monkeypatch, claim_results):
+    from pgf.verify import format_claims
+
+    calls = replay_claims(monkeypatch, claim_results)
     assert dispatch(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    assert calls == [{"data_dir": None, "cache_dir": None, "include_long": None}]
+    out = capsys.readouterr().out
+    assert out == format_claims(claim_results) + "\n"
+    lines = out.splitlines()
     tags = [ln.split(":")[0] for ln in lines]
     assert tags == [f"CRITERION {i}" for i in range(1, 9)]
     for ln in lines:
         assert any(s in ln for s in (": PASS", ": FAIL", ": SKIPPED"))
 
 
-def test_verify_json_matches_run_claims(capsys):
-    from pgf.verify import run_claims
-
+def test_verify_json_matches_run_claims(capsys, monkeypatch, claim_results):
+    replay_claims(monkeypatch, claim_results)
     code = dispatch(["verify", "--json"])
     rows = json.loads(capsys.readouterr().out)
     assert [sorted(r) for r in rows] == [
         ["detail", "elapsed_s", "name", "number", "status"]
     ] * 8
-    want = run_claims()
-    assert [(r["number"], r["name"], r["status"]) for r in rows] == [
-        (r.number, r.name, r.status) for r in want
-    ]
+    assert rows == [dataclasses.asdict(r) for r in claim_results]
     assert code == (0 if all(r["status"] != "FAIL" for r in rows) else 1)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_exits_1_on_a_failed_claim(flags, capsys, monkeypatch, claim_results):
+    failed = dataclasses.replace(claim_results[0], status="FAIL", detail="synthetic")
+    replay_claims(monkeypatch, (failed,) + claim_results[1:])
+    assert dispatch(["verify"] + flags) == 1
+    out = capsys.readouterr().out
+    if flags:
+        assert json.loads(out)[0]["status"] == "FAIL"
+    else:
+        assert out.startswith("CRITERION 1: FAIL - ")
+
+
+def test_semiabelian_inconsistent_presentation_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.pc"
+    path.write_text(INCONSISTENT_TEXT)
+    assert dispatch(["semiabelian", f"{path}#9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "group (8, 9): inconsistent presentation" in captured.err
+
+
+def test_semiabelian_presentation_over_table_cap_exits_1(tmp_path, capsys):
+    big = tmp_path / "o2048.pc"
+    big.write_text("GROUP 2048 1\nPRIME 2\nNGENS 11\nEND\n")
+    assert dispatch(["semiabelian", f"{big}#1"]) == 1
+    assert "order 2048 exceeds table cap 1024" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_the_cli():

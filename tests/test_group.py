@@ -2,12 +2,15 @@
 
 The closure reference multiplies elements until saturation and never touches
 the chain code, so order agreement between the two is a real cross-check.
+Every chain is an l-group chain: generators of a group whose order is not a
+prime power raise PgfError naming the prime taken from the first generator.
 """
 
 import random
 
 import pytest
 
+from pgf.arith import prime_power_root
 from pgf.errors import CapExceeded, PgfError
 from pgf.group import DEFAULT_ENUM_CAP, PermGroup
 from pgf.perm import Perm
@@ -18,6 +21,15 @@ def random_perm(rng, degree):
     imgs = list(range(1, degree + 1))
     rng.shuffle(imgs)
     return Perm(imgs)
+
+
+# the Sylow 2-subgroup C2 wr C2 wr C2 of S8, of order 128
+SYLOW2_S8 = [
+    Perm.from_cycles(8, [(1, 2)]),
+    Perm.from_cycles(8, [(1, 3), (2, 4)]),
+    Perm.from_cycles(8, [(1, 5), (2, 6), (3, 7), (4, 8)]),
+]
+S4_GENS = [Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(1, 2, 3, 4)])]
 
 
 def test_three_generator_example_order_eight():
@@ -48,36 +60,56 @@ def test_single_sixteen_cycle():
 
 
 def test_symmetric_group_order():
-    gens = [Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(1, 2, 3, 4)])]
-    assert PermGroup(gens).order == 24
-    assert len(naive_closure(gens)) == 24
+    # S4 (order 24) is not an l-group; its Sylow 2-subgroup D4 is
+    assert len(naive_closure(S4_GENS)) == 24
+    with pytest.raises(PgfError, match="l-group for l = 2"):
+        PermGroup(S4_GENS)
+    d4 = [Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(4, [(1, 3)])]
+    assert PermGroup(d4).order == 8 == len(naive_closure(d4))
 
 
 def test_alternating_membership():
-    gens = [Perm.from_cycles(4, [(1, 2, 3)]), Perm.from_cycles(4, [(2, 3, 4)])]
+    # A4 (order 12) is not an l-group; its normal Klein four-group is
+    a4 = [Perm.from_cycles(4, [(1, 2, 3)]), Perm.from_cycles(4, [(2, 3, 4)])]
+    with pytest.raises(PgfError, match="l-group for l = 3"):
+        PermGroup(a4)
+    gens = [Perm.from_cycles(4, [(1, 2), (3, 4)]), Perm.from_cycles(4, [(1, 3), (2, 4)])]
     g = PermGroup(gens)
-    assert g.order == 12
-    assert g.contains(Perm.from_cycles(4, [(1, 2), (3, 4)]))
+    assert g.order == 4
+    assert g.contains(Perm.from_cycles(4, [(1, 4), (2, 3)]))
     assert not g.contains(Perm.from_cycles(4, [(1, 2)]))
+    assert not g.contains(Perm.from_cycles(4, [(1, 2, 3)]))
     for p in naive_closure(gens):
         assert g.contains(p)
 
 
 def test_chain_order_matches_naive_closure_on_random_sets():
+    """Random generator sets: the chain is built exactly when the closure
+    has prime-power order, and then has its order and members; every
+    other set raises PgfError."""
     rng = random.Random(20250825)
-    done = 0
-    while done < 40:
+    built = rejected = 0
+    while built + rejected < 60:
         degree = rng.randint(3, 9)
         gens = [random_perm(rng, degree) for _ in range(rng.randint(1, 3))]
         ref = naive_closure(gens, cap=4096)
-        if ref is None:
+        if ref is None or len(ref) == 1:
+            continue
+        if prime_power_root(len(ref)) is None:
+            with pytest.raises(PgfError, match="l-group"):
+                PermGroup(gens)
+            rejected += 1
             continue
         g = PermGroup(gens)
         assert g.order == len(ref)
         # membership must accept exactly the closure
         for p in rng.sample(sorted(ref, key=lambda q: q.images), min(6, len(ref))):
             assert g.contains(p)
-        done += 1
+        for _ in range(6):
+            p = random_perm(rng, degree)
+            assert g.contains(p) == (p in ref)
+        built += 1
+    assert built >= 15 and rejected >= 15
 
 
 def test_membership_rejects_outside_elements():
@@ -100,44 +132,48 @@ def test_elements_sorted_unique_and_capped():
     assert [e.images for e in els] == sorted(e.images for e in els)
     assert els[0].is_identity()
     with pytest.raises(CapExceeded):
-        PermGroup(
-            [Perm.from_cycles(8, [(1, 2)]), Perm.from_cycles(8, [tuple(range(1, 9))])]
-        ).elements(cap=100)
+        PermGroup(SYLOW2_S8).elements(cap=100)
 
 
 def test_rebuild_is_deterministic():
     gens = [
-        Perm.from_cycles(6, [(1, 2), (3, 4)]),
-        Perm.from_cycles(6, [(1, 3, 5)]),
+        Perm.from_cycles(9, [(1, 4, 7), (2, 5, 8), (3, 6, 9)]),
+        Perm.from_cycles(9, [(1, 2, 3), (4, 6, 5)]),
     ]
     a = PermGroup(gens)
     b = PermGroup(gens)
-    assert a.order == b.order
+    assert a.order == b.order == len(naive_closure(gens))
     assert a.base() == b.base()
+    assert a.elements() == b.elements()
     rng = random.Random(3)
     for _ in range(20):
-        p = random_perm(rng, 6)
+        p = random_perm(rng, 9)
         assert a.contains(p) == b.contains(p)
 
 
-def test_order_hint_early_exit_agrees():
-    gens = [Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(1, 2, 3, 4)])]
-    g = PermGroup(gens, order_hint=24)
-    assert g.order == 24
-    with pytest.raises(ValueError):
-        PermGroup(gens, order_hint=48)  # hint larger than the true order
+def test_order_hint_mismatch_raises():
+    d4 = [Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(4, [(1, 3)])]
+    assert PermGroup(d4, order_hint=8).order == 8
+    with pytest.raises(ValueError, match="order hint 16"):
+        PermGroup(d4, order_hint=16)  # hint larger than the true order
+    with pytest.raises(ValueError, match="order hint 4"):
+        PermGroup(d4, order_hint=4)  # hint smaller than the true order
+    # a hint never cuts a build short: S4 is refused, not taken for order 8
+    with pytest.raises(PgfError):
+        PermGroup(S4_GENS, order_hint=8)
 
 
 def test_random_element_lies_in_group():
     rng = random.Random(5)
-    gens = [Perm.from_cycles(5, [(1, 2, 3, 4, 5)]), Perm.from_cycles(5, [(2, 3, 5, 4)])]
-    g = PermGroup(gens)
-    assert g.order == 20
+    g = PermGroup(SYLOW2_S8)
+    assert g.order == 128
     for _ in range(25):
-        p = Perm.identity(5)
+        p = Perm.identity(8)
         for _ in range(rng.randrange(1, 12)):
-            p = p * rng.choice(gens)
+            p = p * rng.choice(SYLOW2_S8)
         assert g.contains(p)
+    # an odd-order element of S8 is never in a 2-group
+    assert not g.contains(Perm.from_cycles(8, [(1, 2, 3)]))
 
 
 def test_enum_cap_default_present():
@@ -161,7 +197,7 @@ def test_l_chain_matches_naive_closure_on_random_two_groups():
     for _ in range(30):
         gens = rng.sample(d4c2, rng.randint(1, 3))
         ref = naive_closure(gens)
-        g = PermGroup(gens, prime=2)
+        g = PermGroup(gens)
         assert g.order == len(ref)
         assert set(g.elements()) == ref
         assert g.generators == tuple(p for p in gens if not p.is_identity())
@@ -171,20 +207,23 @@ def test_l_chain_rejects_generators_outside_l_groups():
     t12 = Perm.from_cycles(3, [(1, 2)])
     t23 = Perm.from_cycles(3, [(2, 3)])
     c = Perm.from_cycles(3, [(1, 2, 3)])
-    # a 3-cycle and its square each need the other adjoined first
+    assert PermGroup([c]).order == 3
+    # l comes from the first generator; a 3-cycle and its square each
+    # need the other adjoined first
     with pytest.raises(PgfError, match="l-group for l = 2"):
-        PermGroup([t12, c], prime=2)
-    with pytest.raises(PgfError, match="l-group for l = 2"):
-        PermGroup([c], prime=2)
+        PermGroup([t12, c])
+    with pytest.raises(PgfError, match="l-group for l = 3"):
+        PermGroup([c, t12])
     # two 2-elements generating S3
     with pytest.raises(PgfError, match="l-group for l = 2"):
-        PermGroup([t12, t23], prime=2)
-    with pytest.raises(PgfError, match="l-group for l = 3"):
-        PermGroup([c, t12], prime=3)
+        PermGroup([t12, t23])
+    # a first generator of order 6 names no prime
+    with pytest.raises(PgfError, match="order 6, which is not a prime power"):
+        PermGroup([Perm.from_cycles(5, [(1, 2), (3, 4, 5)])])
     # S6 from 2-elements: the failure is a PgfError, never a RecursionError
     s6_involutions = [
         Perm.from_cycles(6, cycles)
         for cycles in ([(1, 2)], [(1, 4), (2, 5), (3, 6)], [(2, 3)], [(4, 5)])
     ]
     with pytest.raises(PgfError, match="l-group for l = 2"):
-        PermGroup(s6_involutions, prime=2)
+        PermGroup(s6_involutions)

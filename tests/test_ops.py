@@ -19,7 +19,6 @@ from oracles import (
     brute_rank,
     closure_of,
 )
-from pgf import family
 from pgf.errors import CapExceeded, NotNormal, PgfError
 from pgf.family import (
     cert_prime,
@@ -28,7 +27,7 @@ from pgf.family import (
     eval_cert,
     serialize_cert,
 )
-from pgf.group import PermGroup, StabilizerChain
+from pgf.group import PermGroup
 from pgf.ops import (
     commutator_subgroup,
     cyclic_group,
@@ -45,6 +44,7 @@ from pgf.ops import (
 )
 from pgf.perm import Perm
 from pgf.table import CayleyTable
+from pgf.verify import naive_closure
 
 
 def profile(g):
@@ -134,10 +134,12 @@ def test_wreath_degree_cap():
         wreath_regular(cyclic_group(2, 1), cyclic_group(2, 2), degree_cap=7)
 
 
-def test_wreath_mixed_primes_allowed_as_perm_group():
-    # the construction itself is generic; family certificates restrict primes
-    w = wreath_regular(cyclic_group(2, 1), cyclic_group(3, 1))
-    assert w.order == 2**3 * 3
+def test_wreath_mixed_primes_raise():
+    # every group is an l-group, so products that mix primes are refused
+    with pytest.raises(PgfError, match="l-group for l = 2"):
+        wreath_regular(cyclic_group(2, 1), cyclic_group(3, 1))
+    with pytest.raises(PgfError, match="l-group for l = 3"):
+        direct_product(cyclic_group(3, 1), cyclic_group(2, 2))
 
 
 def test_normal_closure_in_dihedral():
@@ -249,9 +251,11 @@ def test_rank_additive_over_direct_products():
 
 
 def test_rank_rejects_mixed_order():
-    w = wreath_regular(cyclic_group(2, 1), cyclic_group(3, 1))
+    # a group of mixed order cannot be built, so rank never sees one
     with pytest.raises(PgfError):
-        rank(w)
+        rank(wreath_regular(cyclic_group(2, 1), cyclic_group(3, 1)))
+    with pytest.raises(PgfError):
+        rank(direct_product(cyclic_group(2, 1), cyclic_group(3, 1)))
 
 
 def test_quotient_by_center_of_d4():
@@ -328,12 +332,11 @@ def symmetric_group(n):
     )
 
 
-def test_series_outside_l_groups_use_schreier_sims():
-    s4, s5 = symmetric_group(4), symmetric_group(5)
-    assert commutator_subgroup(s4).order == 12
-    assert derived_length(s4) == 3
-    with pytest.raises(PgfError, match="group is not solvable"):
-        derived_length(s5)
+def test_series_outside_l_groups_raise():
+    # S4 and S5 are not l-groups, so no series of theirs is ever computed
+    for n in (4, 5):
+        with pytest.raises(PgfError, match="l-group for l = 2"):
+            symmetric_group(n)
 
 
 def random_word(rng, gens, length=12):
@@ -343,19 +346,22 @@ def random_word(rng, gens, length=12):
     return p
 
 
-def test_l_chain_agrees_with_schreier_sims_on_corpus():
+def test_l_chain_agrees_with_naive_closure_on_corpus():
     """Every corpus group and its Frattini and derived subgroups have the
-    same order and the same members under the l-group chain and under a
-    Schreier-Sims chain built from the same generators."""
+    order and the members of the naive closure of their generators; rank,
+    derived length and the first lower-central factor rank equal the
+    declared rank; and presentations convert to groups of their order."""
+    from pgf.datasets import load_all_fixtures
+    from pgf.pc import pc_to_perm
+
     rng = random.Random(2008)
     outside = 0
     for c in certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP):
         g = eval_cert(c)
         label = serialize_cert(c)
-        groups = [g, frattini_subgroup(g), commutator_subgroup(g)]
-        for h in groups:
-            ss = PermGroup(h.generators, degree=h.degree)
-            assert ss.order == h.order, label
+        for h in (g, frattini_subgroup(g), commutator_subgroup(g)):
+            ref = naive_closure(h.generators or [h.identity])
+            assert h.order == len(ref), label
             words = [random_word(rng, g.generators) for _ in range(8)]
             others = []
             for _ in range(4):
@@ -363,35 +369,12 @@ def test_l_chain_agrees_with_schreier_sims_on_corpus():
                 rng.shuffle(images)
                 others.append(Perm(images))
             for p in words + others:
-                assert h.contains(p) == ss.contains(p), label
-            outside += sum(not ss.contains(p) for p in others)
+                assert h.contains(p) == (p in ref), label
+            outside += sum(p not in ref for p in others)
+        got = factor_ranks(lower_central_series(g))
+        assert rank(g) == declared_rank(c) == got[0], label
+        assert derived_length(g) <= rank(g), label
     assert outside > 500
-
-
-def test_l_group_route_sifts_no_schreier_generator(monkeypatch):
-    """With Schreier-Sims disabled, the corpus still evaluates, rank,
-    derived length and series-factor ranks come out unchanged, and
-    presentations still convert to permutation groups."""
-    from pgf.datasets import load_all_fixtures
-    from pgf.pc import pc_to_perm
-
-    corpus = certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP)
-
-    def invariants(c):
-        g = eval_cert(c)
-        return rank(g), derived_length(g), factor_ranks(lower_central_series(g))
-
-    before = {c: invariants(c) for c in corpus}
-
-    def no_schreier(self, w):
-        raise AssertionError("a Schreier generator was sifted")
-
-    monkeypatch.setattr(StabilizerChain, "_verify", no_schreier)
-    monkeypatch.setattr(family, "_EVAL_CACHE", {})
-    for c in corpus:
-        got = invariants(c)
-        assert got == before[c], serialize_cert(c)
-        assert got[0] == declared_rank(c) == got[2][0], serialize_cert(c)
     for pres in load_all_fixtures():
         if pres.order <= 32:
             assert pc_to_perm(pres).order == pres.order, pres.group_id
