@@ -134,12 +134,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    from .family import cert_prime, eval_cert, parse_cert
+    from .family import eval_cert, parse_cert
     from .ops import derived_length, rank
 
-    cert = parse_cert(args.cert)
-    g = eval_cert(cert)
-    print(f"order={g.order} rank={rank(g, cert_prime(cert))} dl={derived_length(g)}")
+    g = eval_cert(parse_cert(args.cert))
+    print(f"order={g.order} rank={rank(g)} dl={derived_length(g)}")
     return 0
 
 

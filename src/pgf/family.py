@@ -498,7 +498,8 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
         return SemiabelianVerdict(True, ((all_ids, (0,)),))
     if ct.prime is None:
         raise PgfError(f"order {n} is not a prime power")
-    subs = ct.lattice().subgroups
+    lat = ct.lattice()
+    subs = lat.subgroups
     m = len(subs)
     packed = [int.from_bytes(np.packbits(s.mask).tobytes(), "big") for s in subs]
     stats = {"subgroups": m, "classes_examined": 0, "pairs_tested": 0}
@@ -528,12 +529,7 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
         if r == m - 1:
             h_reps = [j for j in range(m - 1) if subs[j].class_rep == j]
         else:
-            seen: set = set()
-            h_reps = []
-            for j in members[:-1]:
-                if subs[j].mask.tobytes() not in seen:
-                    seen.update(ct.orbit(subs[j].mask, s.gens))
-                    h_reps.append(j)
+            h_reps = lat.orbit_reps(members[:-1], s.gens)
         for a in a_cands:
             pa = packed[a]
             oa = subs[a].order

@@ -14,7 +14,7 @@ Conventions: products apply the left factor first, and the commutator is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .arith import exact_log, is_prime, prime_power_root
 from .errors import CapExceeded, NotNormal, PgfError
@@ -145,9 +145,10 @@ def _frattini_seeds(g: PermGroup, l: int) -> list:
     return seeds
 
 
-def frattini_subgroup(g: PermGroup, l: Optional[int] = None) -> PermGroup:
+def frattini_subgroup(g: PermGroup) -> PermGroup:
     """Frattini subgroup of an l-group: closure of powers and commutators."""
-    return normal_closure(g, _frattini_seeds(g, l or group_prime(g)))
+    seeds = _frattini_seeds(g, group_prime(g)) if g.order > 1 else []
+    return normal_closure(g, seeds)
 
 
 # ----- series ----------------------------------------------------------------
@@ -182,10 +183,8 @@ def derived_series(g: PermGroup) -> SeriesResult:
 
 
 def derived_length(g: PermGroup) -> int:
-    ser = derived_series(g)
-    if ser.orders[-1] != 1:
-        raise PgfError("group is not solvable")
-    return len(ser.orders) - 1
+    # every group here is an l-group, hence solvable: the series ends at 1
+    return len(derived_series(g).orders) - 1
 
 
 def lower_central_series(g: PermGroup) -> SeriesResult:
@@ -198,12 +197,13 @@ def lower_central_series(g: PermGroup) -> SeriesResult:
     return _series(g, step)
 
 
-def factor_ranks(ser: SeriesResult, l: Optional[int] = None) -> tuple:
+def factor_ranks(ser: SeriesResult) -> tuple:
     """Rank of each factor G_i/G_{i+1}, with no quotient group built: in an
     l-group Phi(G_i/N) = Phi(G_i)N/N for N normal in G_i, so the rank is
     log_l |G_i : Phi(G_i)G_{i+1}|, one normal closure per factor."""
-    if l is None and ser.groups[0].order > 1:
-        l = group_prime(ser.groups[0])
+    if ser.groups[0].order == 1:
+        return ()
+    l = group_prime(ser.groups[0])
     return tuple(
         _frattini_rank(top, l, bot.generators)
         for top, bot in zip(ser.groups, ser.groups[1:])
@@ -279,11 +279,11 @@ def quotient_group(
     return Quotient(group=qgroup, project=project, reps=frozen)
 
 
-def rank(g: PermGroup, l: Optional[int] = None) -> int:
+def rank(g: PermGroup) -> int:
     """Minimal number of generators of an l-group (Frattini quotient size)."""
     if g.order == 1:
         return 0
-    return _frattini_rank(g, l or group_prime(g))
+    return _frattini_rank(g, group_prime(g))
 
 
 def _frattini_rank(g: PermGroup, l: int, extra: Sequence[Perm] = ()) -> int:

@@ -19,19 +19,18 @@ certificate; no number fields are touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from .errors import PgfError
 from .family import (
     Cert,
-    cert_prime,
     declared_rank,
     eval_cert,
     parse_cert,
     serialize_cert,
 )
 from .group import PermGroup
-from .ops import factor_ranks, group_prime, lower_central_series, rank
+from .ops import factor_ranks, lower_central_series, rank
 
 RANK_LOWER_BOUND_NOTE = (
     "lower bound: the rationals admit no nontrivial unramified extension "
@@ -87,7 +86,7 @@ class RamReport:
         return "\n".join(lines)
 
 
-def plans_bound(g: PermGroup, l: Optional[int] = None) -> Tuple[int, int]:
+def plans_bound(g: PermGroup) -> Tuple[int, int]:
     """Both readings of the lower-central-series bound on ramified primes.
 
     Let r_1, ..., r_c be the ranks of the successive factors of the lower
@@ -101,12 +100,7 @@ def plans_bound(g: PermGroup, l: Optional[int] = None) -> Tuple[int, int]:
     """
     if g.order == 1:
         raise PgfError("series bound needs a nontrivial group")
-    if l is None:
-        l = group_prime(g)
-    ser = lower_central_series(g)
-    if ser.orders[-1] != 1:
-        raise PgfError("group is not nilpotent")
-    ranks = factor_ranks(ser, l)
+    ranks = factor_ranks(lower_central_series(g))
     ex_first = sum(ranks[1:])
     ex_last = sum(ranks[:-1]) if len(ranks) > 1 else ranks[0]
     return ex_first, ex_last
@@ -122,15 +116,14 @@ def min_ramified_primes(c: Union[Cert, str]) -> RamReport:
     cert = parse_cert(c) if isinstance(c, str) else c
     label = serialize_cert(cert)
     g = eval_cert(cert)
-    l = cert_prime(cert)
     structural = declared_rank(cert)
-    computed = rank(g, l)
+    computed = rank(g)
     if structural != computed:
         raise PgfError(
             f"structural rank {structural} disagrees with computed rank "
             f"{computed} for {label}"
         )
-    ex_first, ex_last = plans_bound(g, l)
+    ex_first, ex_last = plans_bound(g)
     return RamReport(
         descriptor=label,
         rank=computed,
@@ -165,9 +158,8 @@ def compare_bounds(certs: Union[Cert, str, Iterable]) -> str:
     for item in certs:
         cert = parse_cert(item) if isinstance(item, str) else item
         g = eval_cert(cert)
-        l = cert_prime(cert)
-        rk = rank(g, l)
-        ex_first, ex_last = plans_bound(g, l)
+        rk = rank(g)
+        ex_first, ex_last = plans_bound(g)
         rows.append(
             (
                 serialize_cert(cert),

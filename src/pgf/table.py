@@ -8,7 +8,10 @@ from the permutation-level algorithms built on stabilizer chains.
 The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
 normal subgroup of index l, so climbing one index-l layer at a time from the
-trivial subgroup visits everything.
+trivial subgroup visits everything. The climb builds one mask per non-trivial
+subgroup, skipping the overgroups it already holds. Conjugacy classes are
+fused on positions: conjugation by an element permutes the positions of the
+sorted subgroups, one gather over the stacked masks per element.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ class TSub:
 
     `gens` generate the subgroup: the lattice climb records its parent's
     generators plus the adjoined element. `normalizer` is the membership
-    mask of its normaliser in the whole group.
+    mask of its normaliser in the whole group. Both masks are read-only
+    rows of the lattice's stacked matrices.
     """
 
     ids: tuple
@@ -72,17 +76,139 @@ class TSub:
 class Lattice:
     """All subgroups of a prime-power CayleyTable, with conjugacy fusion.
 
-    Subgroups are sorted by (order, ids), so the whole group comes last.
-    `builds` counts the overgroup masks the climb built.
+    Subgroups are sorted by (order, ids), so the whole group comes last,
+    and a position in that order names a subgroup. Their masks and
+    normalisers are read-only rows of two stacked matrices. Conjugation by
+    an element permutes positions (`_position_map`), and classes are fused
+    on positions (`orbit`). `builds` counts the overgroup masks the climb
+    built: one per non-trivial subgroup.
     """
 
-    def __init__(self, subgroups: Sequence[TSub], builds: int):
-        self.subgroups = tuple(subgroups)
+    def __init__(self, ct: CayleyTable, masks: list, norms: list, info: list, builds: int):
+        """Sort the climb's layers of masks and normalisers, with their
+        (generators, abelian) pairs in `info`, into TSubs and fuse classes.
+
+        Within a layer every subgroup has the same order, and ascending ids
+        are descending packed bytes, so each layer is sorted on its
+        complemented packed rows.
+        """
+        n = ct.n
+        perm = []  # perm[i] = climb index of the subgroup at position i
+        off = 0
+        for layer in masks:
+            keys = ~np.packbits(layer, axis=1)
+            perm.append(off + np.argsort(_rows_as_void(keys)))
+            off += len(layer)
+        perm = np.concatenate(perm)
+        self._masks = _stack_rows(masks, perm, n)
+        normalizers = _stack_rows(norms, perm, n)
+        self._table = ct.table
+        self._conj = ct.conj()
+        self._inv = ct.inv()
         self._builds = builds
+        self._keys = np.packbits(self._masks, axis=1)
+        keys = _rows_as_void(self._keys)
+        self._key_order = np.argsort(keys).astype(np.int32)
+        self._sorted_keys = keys[self._key_order]
+        self._maps = {}
+        class_rep, conj_to_rep = self._fuse(ct.gen_ids)
+        sizes = self._masks.sum(axis=1).tolist()
+        flat = np.nonzero(self._masks)[1].tolist()
+        subs = []
+        start = 0
+        for i, j in enumerate(perm.tolist()):
+            gens, abelian = info[j]
+            stop = start + sizes[i]
+            subs.append(
+                TSub(
+                    ids=tuple(flat[start:stop]),
+                    mask=self._masks[i],
+                    order=sizes[i],
+                    abelian=abelian,
+                    gens=gens,
+                    normalizer=normalizers[i],
+                    class_rep=class_rep[i],
+                    conj_to_rep=conj_to_rep[i],
+                )
+            )
+            start = stop
+        self.subgroups = tuple(subs)
 
     @property
     def builds(self) -> int:
         return self._builds
+
+    def _position_map(self, g: int) -> np.ndarray:
+        """pm[i] = position of g^-1 H g, for H the subgroup at position i.
+
+        One gather conjugates every mask at once (y lies in H^g exactly when
+        g y g^-1 lies in H); the packed images are found among the sorted
+        packed masks. Memoised per element.
+        """
+        pm = self._maps.get(g)
+        if pm is None:
+            m = len(self._masks)
+            img = np.packbits(np.take(self._masks, self._conj[self._inv[g]], axis=1), axis=1)
+            at = np.searchsorted(self._sorted_keys, _rows_as_void(img))
+            pm = self._key_order[np.minimum(at, m - 1)]
+            if not (self._keys[pm] == img).all():
+                raise PgfError("a conjugate subgroup is missing from the lattice")
+            pm.setflags(write=False)
+            self._maps[g] = pm
+        return pm
+
+    def orbit(self, pos: int, gens: Sequence[int]) -> dict:
+        """Orbit of the subgroup at `pos` under conjugation by the group
+        `gens` generate.
+
+        Maps the position of each conjugate to an element id c with
+        start^c equal to it (0 for the start itself). The traversal is a
+        stack over `gens` in order, which fixes the conjugators recorded.
+        """
+        t = self._table
+        moves = [(g, self._position_map(g)) for g in gens]
+        orbit = {pos: 0}
+        stack = [(pos, 0)]
+        while stack:
+            p, c = stack.pop()
+            for g, pm in moves:
+                q = int(pm[p])
+                if q not in orbit:
+                    cg = int(t[c, g])
+                    orbit[q] = cg
+                    stack.append((q, cg))
+        return orbit
+
+    def orbit_reps(self, positions: Sequence[int], gens: Sequence[int]) -> list:
+        """The first position of each orbit under conjugation by the group
+        `gens` generate, for `positions` a union of such orbits, in the
+        order given."""
+        seen: set = set()
+        reps = []
+        for p in positions:
+            if p not in seen:
+                seen.update(self.orbit(p, gens))
+                reps.append(p)
+        return reps
+
+    def _fuse(self, gens: Sequence[int]) -> tuple:
+        """Class representative and conjugator per position under the
+        group `gens` generate.
+
+        Positions are visited in increasing order, so each orbit starts at
+        its least position, which is the class representative, and the
+        orbit's conjugator c gives rep^c == the subgroup.
+        """
+        m = len(self._masks)
+        class_rep = [-1] * m
+        conj_to_rep = [0] * m
+        for start in range(m):
+            if class_rep[start] != -1:
+                continue
+            for pos, c in self.orbit(start, gens).items():
+                class_rep[pos] = start
+                conj_to_rep[pos] = c
+        return class_rep, conj_to_rep
 
     def class_reps(self) -> tuple:
         return tuple(
@@ -99,6 +225,26 @@ class Lattice:
 
     def normal_abelian(self) -> tuple:
         return tuple(s for s in self.subgroups if s.normal and s.abelian)
+
+
+def _rows_as_void(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array as one opaque item each, which sort
+    and compare as byte strings."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _stack_rows(layers: list, perm: np.ndarray, n: int) -> np.ndarray:
+    """One read-only matrix of the layers' rows, row i being row perm[i] of
+    their concatenation; perm keeps each row within its layer."""
+    out = np.empty((len(perm), n), dtype=bool)
+    off = 0
+    for layer in layers:
+        k = len(layer)
+        np.take(layer, perm[off : off + k] - off, axis=0, out=out[off : off + k])
+        off += k
+    out.setflags(write=False)
+    return out
 
 
 class CayleyTable:
@@ -361,118 +507,72 @@ class CayleyTable:
 
     # ----- subgroup lattice ----------------------------------------------------
 
-    def orbit(self, mask: np.ndarray, gens: Sequence[int]) -> dict:
-        """Orbit of a subgroup under conjugation by the group `gens` generate.
-
-        Maps the mask bytes of each conjugate to an element id c with
-        start^c equal to it (0 for the start itself). The traversal is a
-        stack over `gens` in order, which fixes the conjugators recorded.
-        """
-        conj = self.conj()
-        orbit = {mask.tobytes(): 0}
-        stack = [(mask, 0)]
-        while stack:
-            m, c = stack.pop()
-            ids = np.nonzero(m)[0]
-            for g in gens:
-                img = np.zeros(self.n, dtype=bool)
-                img[conj[g, ids]] = True
-                key = img.tobytes()
-                if key not in orbit:
-                    cg = int(self.table[c, g])
-                    orbit[key] = cg
-                    stack.append((img, cg))
-        return orbit
-
     def lattice(self) -> Lattice:
         """All subgroups, by cyclic extension one index-l layer at a time.
 
         Each subgroup keeps the generators it was reached with, and its
         normaliser falls out of the extension test at no extra cost. Each
-        overgroup is built once from each subgroup it covers, so the number
-        of masks built is the number of covering pairs (`Lattice.builds`).
+        overgroup is built once, from the first subgroup it covers in layer
+        order, so the climb builds one mask per non-trivial subgroup
+        (`Lattice.builds`).
         """
         if self._lattice is not None:
             return self._lattice
         l = self._require_prime()
+        n = self.n
         t = self.table
-        conj = self.conj()
+        conj_t = np.ascontiguousarray(self.conj().T)  # conj_t[g] = column g of conj
         powl = self.pow_map(l)
-        triv = np.zeros(self.n, dtype=bool)
-        triv[0] = True
-        seen = {triv.tobytes()}
-        layer = [(triv, (), True)]
-        found = []  # (mask, generators, normaliser mask, abelian) per subgroup
+        layer = np.zeros((1, n), dtype=bool)
+        layer[0, 0] = True
+        info = [((), True)]  # (generators, abelian) per row of layer
+        masks, norms, infos = [], [], []
         builds = 0
-        while layer:
+        while info:
+            norm = np.empty((len(info), n), dtype=bool)
+            # the next layer, grown by doubling, and its transpose for
+            # gathering the rows that hold given elements
+            nx = np.zeros((2 * len(info), n), dtype=bool)
+            nx_t = np.zeros((n, len(nx)), dtype=bool)
             nxt = []
-            for mask, gens, abelian in layer:
+            for i, (gens, abelian) in enumerate(info):
+                mask = layer[i]
                 gen_arr = np.asarray(gens, dtype=np.intp)
                 # g normalises H exactly when it maps H's generators into H
-                norm = mask[conj[:, gen_arr]].all(axis=1)
-                found.append((mask, gens, norm, abelian))
+                np.all(mask[conj_t[gen_arr]], axis=0, out=norm[i])
                 # g outside H with g**l in H normalizing H: adjoining g
                 # gives an index-l overgroup K, and every one arises so.
                 # Every g' in K \ H gives H<g'> = K because |K:H| = l is
-                # prime, so K's elements leave the candidates once K is built.
-                h_ids = np.nonzero(mask)[0][:, None]
-                cand = norm & mask[powl] & ~mask
-                for g in np.nonzero(cand)[0]:
+                # prime, so K's elements leave the candidates once K is
+                # known: the overgroups already in the next layer are the
+                # rows holding H's generators, and each new one is built.
+                cand = norm[i] & mask[powl] & ~mask
+                above = nx_t[gen_arr, : len(nxt)].all(axis=0)
+                if above.any():
+                    cand &= ~nx[: len(nxt)][above].any(axis=0)
+                h_ids = np.flatnonzero(mask)[:, None]
+                for g in np.flatnonzero(cand):
                     if not cand[g]:
                         continue
+                    if len(nxt) == len(nx):
+                        nx = np.concatenate([nx, np.zeros_like(nx)])
+                        nx_t = np.concatenate([nx_t, np.zeros_like(nx_t)], axis=1)
                     cols = [g]
                     for _ in range(l - 2):
                         cols.append(t[cols[-1], g])
-                    new = mask.copy()
+                    new = nx[len(nxt)]
+                    new |= mask
                     new[t[h_ids, cols]] = True
+                    nx_t[:, len(nxt)] = new
                     builds += 1
                     cand &= ~new
-                    key = new.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        # K = H<g> is abelian when H is and g commutes with
-                        # H's generators
-                        ab = abelian and bool((t[g, gen_arr] == t[gen_arr, g]).all())
-                        nxt.append((new, gens + (int(g),), ab))
-            layer = nxt
-        self._lattice = Lattice(self._fuse_lattice(found), builds)
+                    # K = H<g> is abelian when H is and g commutes with
+                    # H's generators
+                    ab = abelian and bool((t[g, gen_arr] == t[gen_arr, g]).all())
+                    nxt.append((gens + (int(g),), ab))
+            masks.append(layer)
+            norms.append(norm)
+            infos.extend(info)
+            layer, info = nx[: len(nxt)], nxt
+        self._lattice = Lattice(self, masks, norms, infos, builds)
         return self._lattice
-
-    def _fuse_lattice(self, found: list) -> list:
-        """Sort (mask, gens, normaliser, abelian) tuples into TSubs and fuse
-        conjugacy classes."""
-        found.sort(key=lambda f: (int(f[0].sum()), tuple(np.nonzero(f[0])[0])))
-        key_to_pos = {f[0].tobytes(): i for i, f in enumerate(found)}
-        class_rep = [-1] * len(found)
-        conj_to_rep = [0] * len(found)
-        for start, (mask, _, _, _) in enumerate(found):
-            if class_rep[start] != -1:
-                continue
-            orbit = self.orbit(mask, self.gen_ids)
-            # canonical representative: least position in the sorted list
-            rep_pos = min(key_to_pos[k] for k in orbit)
-            a = orbit[found[rep_pos][0].tobytes()]  # start^a == rep
-            inv_a = int(self.inv()[a])
-            for key, b in orbit.items():
-                pos = key_to_pos[key]
-                class_rep[pos] = rep_pos
-                # start^b == this, so rep^(a^-1 b) == this
-                conj_to_rep[pos] = int(self.table[inv_a, b])
-        subs = []
-        for i, (mask, gens, norm, abelian) in enumerate(found):
-            ids = tuple(int(v) for v in np.nonzero(mask)[0])
-            mask.setflags(write=False)
-            norm.setflags(write=False)
-            subs.append(
-                TSub(
-                    ids=ids,
-                    mask=mask,
-                    order=len(ids),
-                    abelian=abelian,
-                    gens=gens,
-                    normalizer=norm,
-                    class_rep=class_rep[i],
-                    conj_to_rep=conj_to_rep[i],
-                )
-            )
-        return subs

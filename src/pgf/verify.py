@@ -98,14 +98,14 @@ def _claim_rank_additivity(ctx) -> tuple:
 
 
 def _claim_dl_le_rank(ctx) -> tuple:
-    from .family import cert_prime, certificate_corpus, eval_cert, serialize_cert
+    from .family import certificate_corpus, eval_cert, serialize_cert
     from .ops import derived_length, rank
 
     corpus = certificate_corpus()
     bad = []
     for c in corpus:
         g = eval_cert(c)
-        if derived_length(g) > rank(g, cert_prime(c)):
+        if derived_length(g) > rank(g):
             bad.append(serialize_cert(c))
     if bad:
         return "FAIL", f"derived length exceeds rank for {bad[:3]}"

@@ -21,7 +21,6 @@ from oracles import (
 )
 from pgf.errors import CapExceeded, NotNormal, PgfError
 from pgf.family import (
-    cert_prime,
     certificate_corpus,
     declared_rank,
     eval_cert,
@@ -192,13 +191,32 @@ def test_factor_ranks_agree_with_quotient_route():
     corpus = certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP)
     assert len(corpus) == 78
     for c in corpus:
-        g, l = eval_cert(c), cert_prime(c)
+        g = eval_cert(c)
         ser = lower_central_series(g)
         ref = tuple(
-            rank(top, l) if bot.order == 1 else rank(quotient_group(top, bot).group, l)
+            rank(top) if bot.order == 1 else rank(quotient_group(top, bot).group)
             for top, bot in zip(ser.groups, ser.groups[1:])
         )
-        assert factor_ranks(ser, l) == ref, serialize_cert(c)
+        assert factor_ranks(ser) == ref, serialize_cert(c)
+
+
+def test_rank_takes_the_prime_from_the_group():
+    """A caller can no longer pass a prime: rank(C4, 3) used to read the
+    Frattini index 4 in base 3 and return 0."""
+    c4 = cyclic_group(2, 2)
+    assert rank(c4) == 1
+    assert frattini_subgroup(c4).order == 2
+    assert factor_ranks(lower_central_series(c4)) == (1,)
+    with pytest.raises(TypeError):
+        rank(c4, 3)
+    with pytest.raises(TypeError):
+        frattini_subgroup(c4, 3)
+    with pytest.raises(TypeError):
+        factor_ranks(lower_central_series(c4), 3)
+    trivial = PermGroup([Perm.identity(3)])
+    assert rank(trivial) == 0
+    assert frattini_subgroup(trivial).order == 1
+    assert factor_ranks(lower_central_series(trivial)) == ()
 
 
 def test_lower_exp_p_series_c4():

@@ -183,10 +183,10 @@ def covering_pairs(lat, l):
 
 
 @pytest.mark.parametrize("name", ["o16.pc", "o27.pc", "o32.pc"])
-def test_climb_builds_each_covering_pair_once(name):
+def test_climb_builds_each_subgroup_once(name):
     for pres in load_fixture(name):
         lat = CayleyTable.from_pc(pres).lattice()
-        assert lat.builds == covering_pairs(lat, pres.prime), pres.group_id
+        assert lat.builds == len(lat.subgroups) - 1, pres.group_id
 
 
 HEAVY_729 = "D(C(3,1),D(C(3,1),W(C(3,1),C(3,1))))"
@@ -197,9 +197,78 @@ def heavy729():
     return CayleyTable.from_perm_group(eval_cert(parse_cert(HEAVY_729)))
 
 
-def test_heavy_group_builds_each_covering_pair_once(heavy729):
+def test_heavy_group_builds_each_subgroup_once(heavy729):
     lat = heavy729.lattice()
-    assert lat.builds == covering_pairs(lat, 3) == 32526
+    assert lat.builds == len(lat.subgroups) - 1 == 3819
+    # a lattice fact: the climb used to build one mask per covering pair
+    assert covering_pairs(lat, 3) == 32526
+
+
+def brute_orbit(ct, ids, conjugators):
+    """Sorted ids of every conjugate x^-1 H x, x in `conjugators`, of the
+    subgroup H with these ids: conjugate_ids(ids, x) for all x at once."""
+    rows = np.sort(ct.conj()[np.ix_(list(conjugators), list(ids))], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return {tuple(r) for r in rows[first].tolist()}
+
+
+def assert_fusion_facts(ct, search_orders):
+    """Fusion and the search's S-orbits against brute-force conjugation.
+
+    Every subgroup's class, conjugated by every element of the group, is
+    the set of positions sharing its class_rep, whose least position is
+    class_rep; conj_to_rep carries the representative onto the subgroup.
+    For each non-abelian class representative S below the whole group
+    with order in `search_orders`, the orbit representatives the search
+    takes among S's proper subgroups are the first member of each
+    brute-force orbit under <S.gens>. Returns the number of such S.
+    """
+    lat = ct.lattice()
+    subs = lat.subgroups
+    pos = {s.ids: i for i, s in enumerate(subs)}
+    classes = {}
+    for i, s in enumerate(subs):
+        classes.setdefault(s.class_rep, set()).add(i)
+        assert ct.conjugate_ids(subs[s.class_rep].ids, s.conj_to_rep) == s.ids
+    for r, members in classes.items():
+        brute = {pos[c] for c in brute_orbit(ct, subs[r].ids, range(ct.n))}
+        assert brute == members
+        assert min(brute) == r
+    masks = np.array([h.mask for h in subs])
+    checked = 0
+    for r in classes:
+        s = subs[r]
+        if s.abelian or r == len(subs) - 1 or s.order not in search_orders:
+            continue
+        # the search's members: positions of the subgroups inside S, S last
+        inside = np.flatnonzero(~masks[:, ~s.mask].any(axis=1)).tolist()
+        assert inside[-1] == r
+        s_ids = ct.closure_ids(s.gens)
+        seen, want = set(), []
+        for j in inside[:-1]:
+            if j not in seen:
+                seen |= {pos[c] for c in brute_orbit(ct, subs[j].ids, s_ids)}
+                want.append(j)
+        assert lat.orbit_reps(inside[:-1], s.gens) == want
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", ["o16.pc", "o27.pc", "o32.pc"])
+def test_fusion_and_search_orbits_match_brute_force(name):
+    checked = 0
+    for pres in load_fixture(name):
+        checked += assert_fusion_facts(CayleyTable.from_pc(pres), range(pres.order))
+    # proper subgroups of a group of order 27 have order at most 9, so are
+    # abelian, and the search never takes their S-orbits
+    assert (checked > 0) == (name != "o27.pc")
+
+
+def test_heavy_group_fusion_and_search_orbits_match_brute_force(heavy729):
+    # S-orbits on the maximal subgroups, where the search recurses first:
+    # all 279 non-abelian proper class representatives take about 4 s
+    assert assert_fusion_facts(heavy729, (243,)) == 39
 
 
 def test_heavy_group_lattice_and_witness(heavy729):
