@@ -40,7 +40,7 @@ from .family import (
     validate_witness,
 )
 from .pc import PcPresentation, parse_pc_file, serialize_pc
-from .table import DEFAULT_TABLE_CAP, CayleyTable
+from .table import CayleyTable
 
 CACHE_ENV = "PGF_CACHE"
 # version of the cache line layout; lines of any other version are recomputed
@@ -131,14 +131,12 @@ class CensusSummary:
     failures: tuple
 
 
-def classify_presentation(
-    pres: PcPresentation, table_cap: int = DEFAULT_TABLE_CAP
-) -> CensusRecord:
+def classify_presentation(pres: PcPresentation) -> CensusRecord:
     """Classify one group from its multiplication table, which tabulation
     proves to be a group, and independently validate any semiabelian
     witness before trusting it."""
     t0 = time.perf_counter()
-    ct = CayleyTable.from_pc(pres, cap=table_cap)
+    ct = CayleyTable.from_pc(pres)
     rk = ct.rank()
     dl = ct.derived_length()
     verdict = semiabelian_table(ct)
@@ -227,10 +225,9 @@ def _append_record(path: str, rec: CensusRecord, digest: str) -> None:
         fh.write(json.dumps(line) + "\n")
 
 
-def _classify_task(args) -> tuple:
-    pres, table_cap = args
+def _classify_task(pres: PcPresentation) -> tuple:
     try:
-        return ("ok", classify_presentation(pres, table_cap))
+        return ("ok", classify_presentation(pres))
     except PgfError as exc:
         return ("fail", pres.group_id, str(exc))
     except Exception as exc:
@@ -241,16 +238,15 @@ def _classify_task(args) -> tuple:
         return ("fail", pres.group_id, f"{type(exc).__name__}: {exc} (in {where})")
 
 
-def _map_tasks(todo: Sequence, table_cap: int, jobs: int) -> Iterator[tuple]:
+def _map_tasks(todo: Sequence, jobs: int) -> Iterator[tuple]:
     """Yield each outcome as soon as it is ready, so callers can cache it
     before the next group finishes. A worker that dies breaks the pool;
     every group it leaves unfinished becomes a failure."""
-    tasks = [(p, table_cap) for p in todo]
-    if jobs <= 1 or len(tasks) <= 1:
-        yield from map(_classify_task, tasks)
+    if jobs <= 1 or len(todo) <= 1:
+        yield from map(_classify_task, todo)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(_classify_task, t): t[0].group_id for t in tasks}
+        futures = {pool.submit(_classify_task, p): p.group_id for p in todo}
         try:
             for fut in as_completed(futures):
                 try:
@@ -267,7 +263,6 @@ def run_census(
     path: str,
     cache_dir: Optional[str] = None,
     jobs: Optional[int] = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> Tuple[CensusSummary, List[CensusRecord]]:
     """Classify every group in a pc file, resuming from the cache if given.
 
@@ -303,7 +298,7 @@ def run_census(
 
     fresh: dict = {}
     failures: list = []
-    for outcome in _map_tasks(todo, table_cap, jobs):
+    for outcome in _map_tasks(todo, jobs):
         if outcome[0] == "ok":
             rec = outcome[1]
             fresh[rec.group_id] = rec

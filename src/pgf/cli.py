@@ -134,11 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    from .family import eval_cert, parse_cert
-    from .ops import derived_length, rank
+    from .family import declared_rank, eval_cert, parse_cert
+    from .ops import derived_length
 
-    g = eval_cert(parse_cert(args.cert))
-    print(f"order={g.order} rank={rank(g)} dl={derived_length(g)}")
+    cert = parse_cert(args.cert)
+    g = eval_cert(cert)  # checks the declared rank against the computed one
+    print(f"order={g.order} rank={declared_rank(cert)} dl={derived_length(g)}")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Bundled fixtures cover every group of the small orders (2, 4, 8, 16, 32
 for prime 2; 3, 9, 27, 81 for prime 3); the order-32 and order-81
-catalogues are generated by tools/generate_small_groups.py. Larger
+catalogues are generated by tools/generate_small_groups.py, which sweeps
+the automorphisms of index-l normal subgroups and collapses duplicates by
+explicit isomorphism search inside invariant buckets. Larger
 catalogues are external inputs: any *.pc files in a data directory are
 picked up and bucketed by (prime, order). The PGF_DATA environment
 variable names the default directory; nothing fails when it is absent,

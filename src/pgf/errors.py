@@ -6,7 +6,7 @@ class PgfError(Exception):
 
 
 class CapExceeded(PgfError):
-    """A computation would exceed a configured size cap."""
+    """A computation would exceed a size limit."""
 
 
 class PcFileError(PgfError):

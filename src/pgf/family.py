@@ -45,7 +45,7 @@ from .ops import (
     wreath_regular,
 )
 from .perm import commutator
-from .table import DEFAULT_TABLE_CAP, CayleyTable
+from .table import CayleyTable
 
 SCREEN_NOT_MEMBER = "definitely_not_member"
 SCREEN_INCONCLUSIVE = "inconclusive"
@@ -81,6 +81,13 @@ class FrattiniQuotient:
 Cert = Union[Cyclic, DirectProduct, Wreath, FrattiniQuotient]
 
 
+def _children(c: Cert) -> tuple:
+    """The two operands of a D or W node, in constructor order."""
+    if isinstance(c, DirectProduct):
+        return c.left, c.right
+    return c.inner, c.outer
+
+
 def cert_prime(c: Cert) -> int:
     """The common prime of all leaves; mixed primes invalidate the term."""
     primes = set()
@@ -93,8 +100,8 @@ def cert_prime(c: Cert) -> int:
                 raise InvalidCertificate("cyclic exponent must be >= 1")
             primes.add(t.prime)
         elif isinstance(t, (DirectProduct, Wreath)):
-            walk(t.left if isinstance(t, DirectProduct) else t.inner)
-            walk(t.right if isinstance(t, DirectProduct) else t.outer)
+            for k in _children(t):
+                walk(k)
         elif isinstance(t, FrattiniQuotient):
             walk(t.child)
         else:
@@ -112,11 +119,9 @@ def declared_rank(c: Cert) -> int:
     """Rank promised by the shape of the term alone."""
     if isinstance(c, Cyclic):
         return 1
-    if isinstance(c, DirectProduct):
-        return declared_rank(c.left) + declared_rank(c.right)
-    if isinstance(c, Wreath):
-        return declared_rank(c.inner) + declared_rank(c.outer)
-    return declared_rank(c.child)
+    if isinstance(c, FrattiniQuotient):
+        return declared_rank(c.child)
+    return sum(declared_rank(k) for k in _children(c))
 
 
 # ----- text form ----------------------------------------------------------------
@@ -147,9 +152,14 @@ class _Cursor:
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if not self.text[start : self.pos].lstrip("-"):
+        digits = self.text[start : self.pos]
+        if not digits.lstrip("-"):
             self.fail("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(digits)
+        except ValueError:  # past Python's limit on integer digits
+            self.pos = start
+            self.fail(f"integer of {len(digits)} characters is too long")
 
 
 def parse_cert(text: str) -> Cert:
@@ -253,52 +263,23 @@ def _word_text(w) -> str:
 _EVAL_CACHE: dict = {}
 
 
-def eval_cert(
-    c: Cert,
-    order_cap: int = DEFAULT_ENUM_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> PermGroup:
+def eval_cert(c: Cert) -> PermGroup:
     """Build the permutation group a certificate describes.
 
     Raises InvalidCertificate for mixed primes, out-of-range word
     generators, or quotient selectors escaping the Frattini subgroup;
-    CapExceeded when an intermediate group would outgrow the caps.
+    CapExceeded when an intermediate group would pass the size limits.
     """
     cert_prime(c)
-    return _eval(c, order_cap, degree_cap)
+    return _eval(c)
 
 
-def _eval(c: Cert, order_cap: int, degree_cap: int) -> PermGroup:
-    key = (c, order_cap, degree_cap)
-    hit = _EVAL_CACHE.get(key)
+def _eval(c: Cert) -> PermGroup:
+    hit = _EVAL_CACHE.get(c)
     if hit is not None:
         return hit
-    if isinstance(c, Cyclic):
-        n = c.prime**c.exponent
-        _check_caps(n, n, order_cap, degree_cap, c)
-        g = cyclic_group(c.prime, c.exponent)
-    elif isinstance(c, DirectProduct):
-        a = _eval(c.left, order_cap, degree_cap)
-        b = _eval(c.right, order_cap, degree_cap)
-        _check_caps(a.order * b.order, a.degree + b.degree, order_cap, degree_cap, c)
-        g = direct_product(a, b)
-    elif isinstance(c, Wreath):
-        a = _eval(c.inner, order_cap, degree_cap)
-        b = _eval(c.outer, order_cap, degree_cap)
-        if a.order > 1 and b.order * (a.order.bit_length() - 1) > order_cap.bit_length():
-            raise CapExceeded(
-                f"order exceeds cap {order_cap}: {serialize_cert(c)}"
-            )
-        _check_caps(
-            a.order**b.order * b.order,
-            a.degree * b.order,
-            order_cap,
-            degree_cap,
-            c,
-        )
-        g = wreath_regular(a, b, degree_cap=degree_cap)
-    else:
-        child = _eval(c.child, order_cap, degree_cap)
+    if isinstance(c, FrattiniQuotient):
+        child = _eval(c.child)
         label = serialize_cert(c)
         seeds = [_eval_word(w, child.generators, label) for w in c.words]
         n = normal_closure(child, seeds)
@@ -308,24 +289,56 @@ def _eval(c: Cert, order_cap: int, degree_cap: int) -> PermGroup:
                 raise InvalidCertificate(
                     "quotient selector escapes the Frattini subgroup: " + label
                 )
-        g = quotient_group(child, n, cap=degree_cap).group
+        g = quotient_group(child, n).group
+    else:
+        kids = [] if isinstance(c, Cyclic) else [_eval(k) for k in _children(c)]
+        if _node_size(c, *((k.order, k.degree) for k in kids)) is None:
+            raise CapExceeded(
+                f"{serialize_cert(c)} exceeds the size limits: order "
+                f"{DEFAULT_ENUM_CAP}, degree {DEFAULT_DEGREE_CAP}"
+            )
+        if isinstance(c, Cyclic):
+            g = cyclic_group(c.prime, c.exponent)
+        elif isinstance(c, DirectProduct):
+            g = direct_product(*kids)
+        else:
+            g = wreath_regular(*kids)
     want = declared_rank(c)
     got = rank(g)
     if want != got:
         raise PgfError(
             f"declared rank {want} but computed rank {got}: {serialize_cert(c)}"
         )
-    _EVAL_CACHE[key] = g
+    _EVAL_CACHE[c] = g
     return g
 
 
-def _check_caps(order, degree, order_cap, degree_cap, c) -> None:
-    if order > order_cap:
-        raise CapExceeded(f"order {order} exceeds cap {order_cap}: {serialize_cert(c)}")
-    if degree > degree_cap:
-        raise CapExceeded(
-            f"degree {degree} exceeds cap {degree_cap}: {serialize_cert(c)}"
-        )
+# a power base**exp with exp * floor(log2(base)) above this many bits is
+# certainly above the order limit, so it is never computed
+_ORDER_BITS = DEFAULT_ENUM_CAP.bit_length()
+
+
+def _node_size(c: Cert, a: tuple = (1, 0), b: tuple = (1, 0)) -> Optional[tuple]:
+    """(order, degree) of a C, D or W node, given its children's (order,
+    degree) pairs `a` and `b`; None once either passes its limit,
+    DEFAULT_ENUM_CAP or DEFAULT_DEGREE_CAP. A cyclic group acts on its own
+    elements, a direct product on the disjoint union of the factors' points
+    and a wreath product on one copy of the inner points per outer
+    element. No power is computed past the order limit."""
+    if isinstance(c, DirectProduct):
+        order, degree = a[0] * b[0], a[1] + b[1]
+    else:
+        if isinstance(c, Cyclic):
+            base, exp, m = c.prime, c.exponent, 1
+        else:
+            base, exp, m = a[0], b[0], b[0]
+        if base > 1 and exp * (base.bit_length() - 1) > _ORDER_BITS:
+            return None
+        order = base**exp * m
+        degree = order if isinstance(c, Cyclic) else a[1] * m
+    if order > DEFAULT_ENUM_CAP or degree > DEFAULT_DEGREE_CAP:
+        return None
+    return order, degree
 
 
 def _eval_word(w, gens, label):
@@ -363,16 +376,14 @@ _CORPUS_QUOTIENTS = (
 )
 
 
-def certificate_corpus(
-    max_constructors: int = 3,
-    order_cap: int = DEFAULT_ENUM_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> tuple:
-    """Every D/W tree over the standard leaves within the caps, plus the
-    curated quotient certificates; deterministic order."""
+def certificate_corpus(max_constructors: int = 3) -> tuple:
+    """Every D/W tree over the standard leaves within the size limits, plus
+    the curated quotient certificates; deterministic order."""
     out = []
     for l in (2, 3):
-        layers = [[Cyclic(l, 1), Cyclic(l, 2)]]
+        # entries are (cert, order, degree), sized by _node_size
+        leaves = [Cyclic(l, 1), Cyclic(l, 2)]
+        layers = [[(c,) + _node_size(c) for c in leaves]]
         for size in range(1, max_constructors + 1):
             layer = []
             for i in range(size):
@@ -380,16 +391,15 @@ def certificate_corpus(
                 for a in layers[i]:
                     for b in layers[j]:
                         for ctor in (DirectProduct, Wreath):
-                            c = ctor(a, b)
-                            if _fits(c, order_cap, degree_cap):
-                                layer.append(c)
+                            c = ctor(a[0], b[0])
+                            fit = _node_size(c, a[1:], b[1:])
+                            if fit is not None:
+                                layer.append((c,) + fit)
             layers.append(layer)
         for layer in layers:
-            out.extend(layer)
-    for text in _CORPUS_QUOTIENTS:
-        c = parse_cert(text)
-        if _fits(c, order_cap, degree_cap):
-            out.append(c)
+            out.extend(entry[0] for entry in layer)
+    # constants, each within the limits
+    out.extend(parse_cert(text) for text in _CORPUS_QUOTIENTS)
     out.sort(key=lambda c: (_constructor_count(c), serialize_cert(c)))
     return tuple(out)
 
@@ -399,60 +409,7 @@ def _constructor_count(c: Cert) -> int:
         return 0
     if isinstance(c, FrattiniQuotient):
         return 1 + _constructor_count(c.child)
-    return 1 + _constructor_count(c.left if isinstance(c, DirectProduct) else c.inner) + _constructor_count(
-        c.right if isinstance(c, DirectProduct) else c.outer
-    )
-
-
-def _order_bound(c: Cert, cap: int) -> Optional[int]:
-    """Structural order, or None once it exceeds the cap."""
-    if isinstance(c, Cyclic):
-        o = c.prime**c.exponent
-        return o if o <= cap else None
-    if isinstance(c, DirectProduct):
-        a = _order_bound(c.left, cap)
-        b = _order_bound(c.right, cap)
-        if a is None or b is None or a * b > cap:
-            return None
-        return a * b
-    if isinstance(c, Wreath):
-        a = _order_bound(c.inner, cap)
-        b = _order_bound(c.outer, cap)
-        if a is None or b is None:
-            return None
-        if a > 1 and b * (a.bit_length() - 1) > cap.bit_length():
-            return None
-        o = a**b * b
-        return o if o <= cap else None
-    return _order_bound(c.child, cap)
-
-
-def _degree_bound(c: Cert, order_cap: int, degree_cap: int) -> Optional[int]:
-    if isinstance(c, Cyclic):
-        d = c.prime**c.exponent
-        return d if d <= degree_cap else None
-    if isinstance(c, DirectProduct):
-        a = _degree_bound(c.left, order_cap, degree_cap)
-        b = _degree_bound(c.right, order_cap, degree_cap)
-        if a is None or b is None or a + b > degree_cap:
-            return None
-        return a + b
-    if isinstance(c, Wreath):
-        a = _degree_bound(c.inner, order_cap, degree_cap)
-        m = _order_bound(c.outer, order_cap)
-        if a is None or m is None or a * m > degree_cap:
-            return None
-        return a * m
-    # a quotient acts on cosets, at worst one per child element
-    d = _order_bound(c.child, order_cap)
-    return d if d is not None and d <= degree_cap else None
-
-
-def _fits(c: Cert, order_cap: int, degree_cap: int) -> bool:
-    return (
-        _order_bound(c, order_cap) is not None
-        and _degree_bound(c, order_cap, degree_cap) is not None
-    )
+    return 1 + sum(_constructor_count(k) for k in _children(c))
 
 
 # ----- semiabelian decision -----------------------------------------------------
@@ -473,9 +430,9 @@ class SemiabelianVerdict:
     search: Optional[dict] = None
 
 
-def is_semiabelian(g: PermGroup, cap: int = DEFAULT_TABLE_CAP) -> SemiabelianVerdict:
-    """Decide semiabelianity of a group of order at most `cap`."""
-    return semiabelian_table(CayleyTable.from_perm_group(g, cap=cap))
+def is_semiabelian(g: PermGroup) -> SemiabelianVerdict:
+    """Decide semiabelianity of a group of order at most DEFAULT_TABLE_CAP."""
+    return semiabelian_table(CayleyTable.from_perm_group(g))
 
 
 def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:

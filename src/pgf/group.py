@@ -235,14 +235,15 @@ class PermGroup:
     def base(self) -> tuple:
         return self._chain.base()
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP):
+    def elements(self):
         """All elements, sorted by image tuple (identity first), cached.
 
-        Raises CapExceeded when the order is larger than `cap`.
+        Raises CapExceeded when the order is larger than DEFAULT_ENUM_CAP.
         """
-        if self._order > cap:
+        if self._order > DEFAULT_ENUM_CAP:
             raise CapExceeded(
-                f"group order {self._order} exceeds enumeration cap {cap}"
+                f"group order {self._order} exceeds enumeration cap "
+                f"{DEFAULT_ENUM_CAP}"
             )
         if self._elements is None:
             acc = [self.identity]
@@ -253,10 +254,10 @@ class PermGroup:
             self._elements = tuple(acc)
         return self._elements
 
-    def element_index(self, cap: int = DEFAULT_ENUM_CAP) -> dict:
+    def element_index(self) -> dict:
         """Map element -> position in elements(); identity gets index 0."""
         if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.elements(cap))}
+            self._index = {p: i for i, p in enumerate(self.elements())}
         return self._index
 
     def __repr__(self) -> str:

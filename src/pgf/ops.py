@@ -21,8 +21,8 @@ from .errors import CapExceeded, NotNormal, PgfError
 from .group import PermGroup, StabilizerChain
 from .perm import Perm, commutator
 
+# the largest degree of a constructed group; a quotient's degree is its index
 DEFAULT_DEGREE_CAP = 4096
-DEFAULT_INDEX_CAP = 4096
 
 
 def group_prime(g: PermGroup) -> int:
@@ -59,9 +59,7 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     return PermGroup(gens, degree=da + db, order_hint=a.order * b.order)
 
 
-def wreath_regular(
-    inner: PermGroup, outer: PermGroup, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> PermGroup:
+def wreath_regular(inner: PermGroup, outer: PermGroup) -> PermGroup:
     """Regular wreath product inner wr outer.
 
     The outer group permutes |outer| blocks by its right regular action;
@@ -73,12 +71,12 @@ def wreath_regular(
     """
     d, m = inner.degree, outer.order
     degree = d * m
-    if degree > degree_cap:
+    if degree > DEFAULT_DEGREE_CAP:
         raise CapExceeded(
-            f"wreath degree {degree} exceeds cap {degree_cap}"
+            f"wreath degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}"
         )
-    blocks = outer.elements(cap=degree_cap)
-    index = outer.element_index(cap=degree_cap)
+    blocks = outer.elements()
+    index = outer.element_index()
     gens = []
     for p in inner.generators:
         img = list(range(1, degree + 1))
@@ -227,9 +225,7 @@ class Quotient:
     reps: tuple
 
 
-def quotient_group(
-    g: PermGroup, n: PermGroup, cap: int = DEFAULT_INDEX_CAP
-) -> Quotient:
+def quotient_group(g: PermGroup, n: PermGroup) -> Quotient:
     """Quotient of g by a normal subgroup, as the action on right cosets."""
     for s in n.generators:
         if not g.contains(s):
@@ -242,8 +238,8 @@ def quotient_group(
     if g.order % n.order:
         raise PgfError("subgroup order does not divide group order")
     q = g.order // n.order
-    if q > cap:
-        raise CapExceeded(f"quotient index {q} exceeds cap {cap}")
+    if q > DEFAULT_DEGREE_CAP:
+        raise CapExceeded(f"quotient index {q} exceeds cap {DEFAULT_DEGREE_CAP}")
 
     reps = [g.identity]
 

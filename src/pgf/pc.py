@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import is_prime as _is_prime
+from .arith import exact_log, is_prime as _is_prime
 from .errors import PcFileError, PgfError
 from .group import PermGroup
 from .perm import Perm
@@ -282,22 +281,6 @@ def _table_defect(table: np.ndarray, gen_ids: Sequence[int]) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
-    ok: bool
-    reason: Optional[str] = None
-
-
-def check_consistency(pres: PcPresentation) -> ConsistencyResult:
-    """Decide whether collection defines a group of order prime**ngens.
-
-    Failure of the table checks in `_table_defect` is exactly
-    inconsistency of the presentation.
-    """
-    reason = _table_defect(multiplication_table(pres), pres.gen_ids())
-    return ConsistencyResult(reason is None, reason)
-
-
 def pc_to_perm(pres: PcPresentation) -> PermGroup:
     """Faithful right-regular permutation image on prime**ngens points.
 
@@ -349,6 +332,14 @@ def _parse_word(tok: str, n: int, p: int, min_index: int, where: str):
         vec[k - 1] = e
         last = k
     return tuple(vec)
+
+
+def _is_power(order: int, prime: int, ngens: int) -> bool:
+    """order == prime**ngens, decided without computing the power."""
+    try:
+        return exact_log(order, prime) == ngens
+    except ValueError:
+        return False
 
 
 def parse_pc_text(text: str, source: str = "<text>") -> list:
@@ -454,12 +445,6 @@ def parse_pc_text(text: str, source: str = "<text>") -> list:
         elif tok[0] == "END":
             if state["prime"] is None or state["ngens"] is None:
                 fail("END before PRIME/NGENS")
-            expect = state["prime"] ** state["ngens"]
-            if state["order"] != expect:
-                fail(
-                    f"declared order {state['order']} is not "
-                    f"prime**ngens = {expect}"
-                )
             powers = [state["powers"].get(i) for i in range(1, state["ngens"] + 1)]
             try:
                 pres = PcPresentation(
@@ -477,6 +462,11 @@ def parse_pc_text(text: str, source: str = "<text>") -> list:
             state = None
         else:
             fail(f"unknown directive {tok[0]!r}")
+        if tok[0] in ("PRIME", "NGENS") and None not in (state["prime"], state["ngens"]):
+            # checked before any relation allocates an ngens-long vector
+            p, n = state["prime"], state["ngens"]
+            if not _is_power(state["order"], p, n):
+                fail(f"declared order {state['order']} is not prime**ngens = {p}**{n}")
     if state is not None:
         raise PcFileError(
             "file ends inside a GROUP block (missing END)",

@@ -280,17 +280,17 @@ class CayleyTable:
     # ----- constructors ---------------------------------------------------
 
     @classmethod
-    def from_perm_group(cls, g: PermGroup, cap: int = DEFAULT_TABLE_CAP):
-        """Tabulate a permutation group of order at most `cap`.
+    def from_perm_group(cls, g: PermGroup):
+        """Tabulate a permutation group of order at most DEFAULT_TABLE_CAP.
 
         Element ids follow the sorted enumeration of the group (identity is
         id 0). Columns are filled by dynamic programming over the right
         Cayley graph: if y = x * gen then column(y) = column(gen)[column(x)].
         """
-        if g.order > cap:
-            raise CapExceeded(f"order {g.order} exceeds table cap {cap}")
-        els = g.elements(cap)
-        index = g.element_index(cap)
+        if g.order > DEFAULT_TABLE_CAP:
+            raise CapExceeded(f"order {g.order} exceeds table cap {DEFAULT_TABLE_CAP}")
+        els = g.elements()
+        index = g.element_index()
         n = len(els)
         gen_ids = tuple(index[p] for p in g.generators)
         gen_cols = {}
@@ -316,15 +316,15 @@ class CayleyTable:
         return cls(table, els, gen_ids)
 
     @classmethod
-    def from_pc(cls, pres: PcPresentation, cap: int = DEFAULT_TABLE_CAP):
-        """Tabulate a collected presentation of order at most `cap` via its
-        collection table.
+    def from_pc(cls, pres: PcPresentation):
+        """Tabulate a collected presentation of order at most
+        DEFAULT_TABLE_CAP via its collection table.
 
         Raises PgfError, naming the group and the defect, when collection
         does not define a group (an inconsistent presentation).
         """
-        if pres.order > cap:
-            raise CapExceeded(f"order {pres.order} exceeds table cap {cap}")
+        if pres.order > DEFAULT_TABLE_CAP:
+            raise CapExceeded(f"order {pres.order} exceeds table cap {DEFAULT_TABLE_CAP}")
         table = multiplication_table(pres)
         gen_ids = pres.gen_ids()
         defect = _table_defect(table, gen_ids)

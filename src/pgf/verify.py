@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -98,29 +99,30 @@ def _claim_rank_additivity(ctx) -> tuple:
 
 
 def _claim_dl_le_rank(ctx) -> tuple:
-    from .family import certificate_corpus, eval_cert, serialize_cert
-    from .ops import derived_length, rank
+    from .family import certificate_corpus, declared_rank, eval_cert, serialize_cert
+    from .ops import derived_length
 
     corpus = certificate_corpus()
     bad = []
     for c in corpus:
-        g = eval_cert(c)
-        if derived_length(g) > rank(g):
+        # eval_cert raises unless the computed rank is the declared one
+        if derived_length(eval_cert(c)) > declared_rank(c):
             bad.append(serialize_cert(c))
     if bad:
         return "FAIL", f"derived length exceeds rank for {bad[:3]}"
     return "PASS", f"derived length <= rank on all {len(corpus)} corpus groups"
 
 
-def _classify_bucket(ctx, presentations) -> tuple:
+def _classify_bucket(ctx, data_dir, presentations, whole_files) -> tuple:
     """Classify one dataset bucket, through the resumable census when the
-    bucket is a single file, else group by group. Returns (records,
-    failures)."""
+    bucket is one file of `data_dir` that holds nothing else (a name in
+    `whole_files`), else group by group. Returns (records, failures)."""
     from .census import classify_presentation, run_census
 
-    paths = sorted({p.provenance for p in presentations})
-    if len(paths) == 1 and os.path.isfile(paths[0]):
-        summary, records = run_census(paths[0], cache_dir=ctx.cache_dir)
+    names = {p.provenance for p in presentations}
+    if len(names) == 1 and names <= whole_files:
+        path = os.path.join(data_dir, names.pop())
+        summary, records = run_census(path, cache_dir=ctx.cache_dir)
         return records, list(summary.failures)
     records, failures = [], []
     for pres in presentations:
@@ -138,14 +140,20 @@ def _count_claim(ctx, targets) -> tuple:
     (prime, order, expected_total, expected_non_semiabelian)."""
     from .datasets import default_data_dir, scan_data_dir
 
-    buckets = scan_data_dir(ctx.data_dir or default_data_dir())
+    data_dir = ctx.data_dir or default_data_dir()
+    buckets = scan_data_dir(data_dir)
+    # provenance is a file name inside data_dir
+    owners = Counter(
+        name for bucket in buckets.values() for name in {p.provenance for p in bucket}
+    )
+    whole_files = {name for name, n in owners.items() if n == 1}
     absent, ran, bad = [], [], []
     for prime, order, want_total, want_non in targets:
         presentations = buckets.get((prime, order), [])
         if not presentations:
             absent.append(f"{prime}^{exact_log(order, prime)}")
             continue
-        records, failures = _classify_bucket(ctx, presentations)
+        records, failures = _classify_bucket(ctx, data_dir, presentations, whole_files)
         ctx.records.extend(records)
         non = sum(1 for r in records if not r.semiabelian)
         ran.append(f"order {order}: {non} of {len(records)} non-semiabelian")

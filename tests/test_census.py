@@ -160,19 +160,23 @@ def test_run_census_parse_failure_aborts_before_classifying(tmp_path):
 
 
 def test_failures_recorded_not_skipped(tmp_path):
-    cache = tmp_path / "cache"
-    summary, records = run_census(
-        fixture_path("o8.pc"), cache_dir=str(cache), jobs=1, table_cap=4
+    # order 2048 is above the table limit, which is checked before anything
+    # is tabulated
+    path = tmp_path / "o2048.pc"
+    path.write_text(
+        "".join(f"GROUP 2048 {i}\nPRIME 2\nNGENS 11\nEND\n" for i in range(1, 6))
     )
+    cache = tmp_path / "cache"
+    summary, records = run_census(str(path), cache_dir=str(cache), jobs=1)
     assert records == []
     assert summary.total == 0
     assert summary.non_semiabelian == 0
     assert len(summary.failures) == 5
     for entry in summary.failures:
-        assert entry["order"] == 8
-        assert "cap" in entry["error"].lower()
+        assert entry["order"] == 2048
+        assert "exceeds table cap 1024" in entry["error"]
     # failures are retried on resume, so nothing may land in the cache
-    assert not os.path.exists(cache_file_path(str(cache), 2, 8))
+    assert not os.path.exists(cache_file_path(str(cache), 2, 2048))
 
 
 # ----- resumable cache --------------------------------------------------------
@@ -216,11 +220,11 @@ def test_interrupt_keeps_every_finished_record(tmp_path, monkeypatch):
     real = census.classify_presentation
     calls = []
 
-    def interrupted_at_k(pres, table_cap):
+    def interrupted_at_k(pres):
         calls.append(pres.group_id)
         if len(calls) == k:
             raise KeyboardInterrupt
-        return real(pres, table_cap)
+        return real(pres)
 
     monkeypatch.setattr(census, "classify_presentation", interrupted_at_k)
     cache = str(tmp_path / "cache")
@@ -366,11 +370,11 @@ def test_unexpected_exception_is_a_recorded_failure(tmp_path, monkeypatch, capsy
     real = census.classify_presentation
     calls = []
 
-    def broken_at_group_3(pres, table_cap):
+    def broken_at_group_3(pres):
         calls.append(pres.group_id)
         if pres.group_id == (8, 3):
             raise ValueError("boom")
-        return real(pres, table_cap)
+        return real(pres)
 
     monkeypatch.setattr(census, "classify_presentation", broken_at_group_3)
     cache = str(tmp_path / "cache")
@@ -400,10 +404,10 @@ def test_unexpected_exception_is_a_recorded_failure(tmp_path, monkeypatch, capsy
 def test_broken_worker_pool_is_a_recorded_failure(tmp_path, monkeypatch, capsys):
     real = census.classify_presentation
 
-    def worker_dies_at_group_3(pres, table_cap):
+    def worker_dies_at_group_3(pres):
         if pres.group_id == (8, 3):
             os._exit(1)
-        return real(pres, table_cap)
+        return real(pres)
 
     monkeypatch.setattr(census, "classify_presentation", worker_dies_at_group_3)
     cache = str(tmp_path / "cache")
@@ -423,9 +427,9 @@ def test_broken_worker_pool_is_a_recorded_failure(tmp_path, monkeypatch, capsys)
     # a resume retries exactly the groups the broken pool left unfinished
     calls = []
 
-    def counted(pres, table_cap):
+    def counted(pres):
         calls.append(pres.group_id)
-        return real(pres, table_cap)
+        return real(pres)
 
     monkeypatch.setattr(census, "classify_presentation", counted)
     summary, resumed = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)

@@ -215,18 +215,51 @@ def test_semiabelian_presentation_over_table_cap_exits_1(tmp_path, capsys):
     assert "order 2048 exceeds table cap 1024" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs_the_cli():
+LONG_INTEGER = "1" * 5000  # past Python's limit on digits in int()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "C(2,20000)"],
+        ["build", "C(3,30000000)"],
+        ["build", f"C(2,{LONG_INTEGER})"],
+        ["census", "huge-ngens.pc"],
+    ],
+    ids=["order-2^20000", "order-3^30000000", "5000-digit-exponent", "ngens-30000000"],
+)
+def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
+    """Each input once printed a traceback or ran for half a minute; now
+    each is refused within seconds with one error line."""
+    (tmp_path / "huge-ngens.pc").write_text(
+        "GROUP 16 1\nPRIME 2\nNGENS 30000000\nEND\n"
+    )
+    proc = run_module_cli(args, cwd=tmp_path, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def run_module_cli(args, cwd=None, timeout=60):
+    """`python -m pgf.cli ARGS` in a fresh process that imports this pgf."""
     src = os.path.dirname(os.path.dirname(pgf.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgf.cli", "build", "C(3,2)"],
+    return subprocess.run(
+        [sys.executable, "-m", "pgf.cli", *args],
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        cwd=cwd,
+        timeout=timeout,
     )
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = run_module_cli(["build", "C(3,2)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "order=9 rank=1 dl=1\n"

@@ -6,10 +6,13 @@ derived-length screen was found by seeded random search inside an iterated
 wreath tower and its generators are pinned below.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from oracles import brute_derived_length, brute_rank
+from pgf import family
 from pgf.errors import CapExceeded, InvalidCertificate
 from pgf.family import (
     Cyclic,
@@ -161,11 +164,24 @@ def test_eval_declared_rank_checked_against_brute_force():
         assert declared_rank(c) == brute_rank(g.elements(), l, g.degree)
 
 
-def test_eval_enforces_order_cap():
-    with pytest.raises(CapExceeded):
+def test_eval_enforces_order_cap(monkeypatch):
+    with pytest.raises(CapExceeded, match=r"W\(C\(3,2\),C\(3,2\)\) exceeds"):
         eval_cert(parse_cert("W(C(3,2),C(3,2))"))  # order 3**20
-    with pytest.raises(CapExceeded):
-        eval_cert(parse_cert("W(C(2,1),C(2,2))"), degree_cap=7)
+    # degree 2**13 passes the degree limit, which is checked before any
+    # group is built
+    monkeypatch.setattr(family, "cyclic_group", None)
+    with pytest.raises(CapExceeded, match="degree 4096"):
+        eval_cert(parse_cert("C(2,13)"))
+
+
+@pytest.mark.parametrize("text", ["C(2,20000)", "C(3,30000000)"])
+def test_eval_rejects_huge_orders_without_computing_them(text):
+    # the power is never formed, and the message carries no huge number
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        eval_cert(parse_cert(text))
+    assert time.perf_counter() - t0 < 1.0
+    assert len(str(exc.value)) < 120
 
 
 def test_eval_is_cached():
@@ -188,6 +204,10 @@ def test_corpus_is_deterministic_and_within_caps():
     wreath_rooted = [c for c in corpus if isinstance(c, Wreath)]
     assert len(wreath_rooted) >= 30
     assert any(isinstance(c, FrattiniQuotient) for c in corpus)
+
+
+def test_corpus_sizes_per_constructor_count():
+    assert [len(certificate_corpus(m)) for m in (1, 2, 3)] == [27, 110, 587]
 
 
 def test_corpus_constructor_count_bounded():

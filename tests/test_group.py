@@ -29,6 +29,18 @@ SYLOW2_S8 = [
     Perm.from_cycles(8, [(1, 3), (2, 4)]),
     Perm.from_cycles(8, [(1, 5), (2, 6), (3, 7), (4, 8)]),
 ]
+
+
+def sylow2_generators(n):
+    """Generators of the Sylow 2-subgroup of S_n for n a power of 2: the
+    swaps of the two halves of each block of 2, 4, ..., n points."""
+    gens, half = [], 1
+    while half < n:
+        gens.append(Perm.from_cycles(n, [(i, i + half) for i in range(1, half + 1)]))
+        half *= 2
+    return gens
+
+
 S4_GENS = [Perm.from_cycles(4, [(1, 2)]), Perm.from_cycles(4, [(1, 2, 3, 4)])]
 
 
@@ -131,8 +143,14 @@ def test_elements_sorted_unique_and_capped():
     assert len(set(els)) == 4
     assert [e.images for e in els] == sorted(e.images for e in els)
     assert els[0].is_identity()
+    # the Sylow 2-subgroup of S32, of order 2**31, builds its chain but
+    # is too large to enumerate
+    big = PermGroup(sylow2_generators(32))
+    assert big.order == 2**31
+    with pytest.raises(CapExceeded, match="exceeds enumeration cap 1048576"):
+        big.elements()
     with pytest.raises(CapExceeded):
-        PermGroup(SYLOW2_S8).elements(cap=100)
+        big.element_index()
 
 
 def test_rebuild_is_deterministic():

@@ -124,13 +124,13 @@ def test_iterated_wreath_128():
     w3 = wreath_regular(w2, cyclic_group(2, 1))
     assert w3.order == 128 and w3.degree == 8
     assert rank(w3) == 3
-    ct = CayleyTable.from_perm_group(w3, cap=128)
+    ct = CayleyTable.from_perm_group(w3)
     assert ct.rank() == 3
 
 
 def test_wreath_degree_cap():
-    with pytest.raises(CapExceeded):
-        wreath_regular(cyclic_group(2, 1), cyclic_group(2, 2), degree_cap=7)
+    with pytest.raises(CapExceeded, match="wreath degree 8192 exceeds cap 4096"):
+        wreath_regular(cyclic_group(2, 6), cyclic_group(2, 7))
 
 
 def test_wreath_mixed_primes_raise():
@@ -180,15 +180,17 @@ def test_lower_central_series_d4():
     assert factor_ranks(ser) == (2, 1)
 
 
-# the corpus groups up to this order, 78 of the 110: their quotient route
-# takes about 1.5 s in all on a 2-vCPU VM
-CROSS_CHECK_ORDER_CAP = 729
+def cross_check_corpus():
+    """The depth-2 corpus groups of order at most 729, 78 of the 110: their
+    quotient route takes about 1.5 s in all on a 2-vCPU VM."""
+    corpus = certificate_corpus(max_constructors=2)
+    return [c for c in corpus if eval_cert(c).order <= 729]
 
 
 def test_factor_ranks_agree_with_quotient_route():
     """Frattini-index factor ranks equal the ranks of the explicit quotient
     groups G_i/G_{i+1} (and rank(G_i) where G_{i+1} is trivial)."""
-    corpus = certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP)
+    corpus = cross_check_corpus()
     assert len(corpus) == 78
     for c in corpus:
         g = eval_cert(c)
@@ -374,7 +376,7 @@ def test_l_chain_agrees_with_naive_closure_on_corpus():
 
     rng = random.Random(2008)
     outside = 0
-    for c in certificate_corpus(max_constructors=2, order_cap=CROSS_CHECK_ORDER_CAP):
+    for c in cross_check_corpus():
         g = eval_cert(c)
         label = serialize_cert(c)
         for h in (g, frattini_subgroup(g), commutator_subgroup(g)):

@@ -5,18 +5,20 @@ multiplication table checks compare against direct elementwise products, and
 the permutation image is cross-checked with the naive closure reference.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from pgf.errors import PcFileError
+from pgf.errors import PcFileError, PgfError
 from pgf.pc import (
     PcPresentation,
-    check_consistency,
     multiplication_table,
     parse_pc_text,
     pc_to_perm,
     serialize_pc,
 )
+from pgf.table import CayleyTable
 from pgf.verify import naive_closure
 
 from oracles import brute_pc_is_group
@@ -136,15 +138,23 @@ def test_multiplication_table_matches_elementwise_products():
                 assert table[a, b] == pres.idx(pres.multiply(els[a], els[b]))
 
 
+def tabulates(pres) -> bool:
+    """Whether CayleyTable.from_pc, the census route, accepts `pres`."""
+    try:
+        CayleyTable.from_pc(pres)
+    except PgfError:
+        return False
+    return True
+
+
 def test_consistency_accepts_real_groups():
     for text in (C4_TEXT, D4_TEXT, Q8_TEXT, HEISENBERG27_TEXT):
-        assert check_consistency(parse_one(text)).ok
+        assert tabulates(parse_one(text))
 
 
 def test_consistency_rejects_collapsing_presentation():
-    res = check_consistency(parse_one(INCONSISTENT_TEXT))
-    assert not res.ok
-    assert res.reason
+    with pytest.raises(PgfError, match=r"group \(8, 9\): inconsistent presentation: "):
+        CayleyTable.from_pc(parse_one(INCONSISTENT_TEXT))
 
 
 def random_presentation(rng):
@@ -174,7 +184,7 @@ def test_consistency_agrees_with_brute_force_oracle():
     verdicts = []
     for _ in range(200):
         pres = random_presentation(rng)
-        ok = check_consistency(pres).ok
+        ok = tabulates(pres)
         assert ok == brute_pc_is_group(pres), pres
         verdicts.append(ok)
     # the sample exercises both outcomes
@@ -231,6 +241,18 @@ END
 """
     with pytest.raises(PcFileError):
         parse_pc_text(bad)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_parse_rejects_huge_ngens_without_forming_the_power(prime):
+    # prime**ngens has millions of digits; the check compares logarithms
+    # on the NGENS line, before any relation allocates an ngens-long vector
+    bad = f"GROUP 16 1\nPRIME {prime}\nNGENS 30000000\nPOWER 1 = 1\nEND\n"
+    t0 = time.perf_counter()
+    with pytest.raises(PcFileError, match=f"prime\\*\\*ngens = {prime}\\*\\*30000000") as err:
+        parse_pc_text(bad)
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.line == 3
 
 
 def test_parse_rejects_duplicate_ids_and_missing_end():

@@ -82,9 +82,9 @@ def test_from_pc_agrees_with_collection():
 
 
 def test_cap_enforced():
-    c32 = PermGroup([Perm.from_cycles(32, [tuple(range(1, 33))])])
-    with pytest.raises(CapExceeded):
-        CayleyTable.from_perm_group(c32, cap=16)
+    c2048 = PermGroup([Perm.from_cycles(2048, [tuple(range(1, 2049))])])
+    with pytest.raises(CapExceeded, match="order 2048 exceeds table cap 1024"):
+        CayleyTable.from_perm_group(c2048)
 
 
 def test_closure_matches_oracle():
