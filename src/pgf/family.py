@@ -94,6 +94,8 @@ def cert_prime(c: Cert) -> int:
 
     def walk(t):
         if isinstance(t, Cyclic):
+            if t.prime > DEFAULT_DEGREE_CAP:  # trial division on a huge l takes minutes
+                raise _size_error(t)
             if not is_prime(t.prime):
                 raise InvalidCertificate(f"{t.prime} is not prime")
             if t.exponent < 1:
@@ -127,13 +129,21 @@ def declared_rank(c: Cert) -> int:
 # ----- text form ----------------------------------------------------------------
 
 
+_QUOTE = 40
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def fail(self, msg: str):
-        raise InvalidCertificate(f"{msg} at position {self.pos} in {self.text!r}")
+        # quote at most _QUOTE characters on each side of the position, so
+        # a huge text still gives a short error
+        near = self.text[max(0, self.pos - _QUOTE) : self.pos + _QUOTE]
+        raise InvalidCertificate(
+            f"{msg} at position {self.pos} of {len(self.text)} near {near!r}"
+        )
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -181,6 +191,8 @@ def _parse_cert(cur: _Cursor) -> Cert:
         cur.take(",")
         k = cur.take_int()
         cur.take(")")
+        if l > DEFAULT_DEGREE_CAP:  # trial division on a huge l takes minutes
+            raise _size_error(Cyclic(l, k))
         if not is_prime(l):
             cur.fail(f"{l} is not prime")
         if k < 1:
@@ -293,10 +305,7 @@ def _eval(c: Cert) -> PermGroup:
     else:
         kids = [] if isinstance(c, Cyclic) else [_eval(k) for k in _children(c)]
         if _node_size(c, *((k.order, k.degree) for k in kids)) is None:
-            raise CapExceeded(
-                f"{serialize_cert(c)} exceeds the size limits: order "
-                f"{DEFAULT_ENUM_CAP}, degree {DEFAULT_DEGREE_CAP}"
-            )
+            raise _size_error(c)
         if isinstance(c, Cyclic):
             g = cyclic_group(c.prime, c.exponent)
         elif isinstance(c, DirectProduct):
@@ -311,6 +320,13 @@ def _eval(c: Cert) -> PermGroup:
         )
     _EVAL_CACHE[c] = g
     return g
+
+
+def _size_error(c: Cert) -> CapExceeded:
+    return CapExceeded(
+        f"{serialize_cert(c)} exceeds the size limits: order "
+        f"{DEFAULT_ENUM_CAP}, degree {DEFAULT_DEGREE_CAP}"
+    )
 
 
 # a power base**exp with exp * floor(log2(base)) above this many bits is
@@ -458,7 +474,7 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
     lat = ct.lattice()
     subs = lat.subgroups
     m = len(subs)
-    packed = [int.from_bytes(np.packbits(s.mask).tobytes(), "big") for s in subs]
+    packed = lat.mask_ints()
     stats = {"subgroups": m, "classes_examined": 0, "pairs_tested": 0}
     memo: dict = {}
 

@@ -8,10 +8,13 @@ from the permutation-level algorithms built on stabilizer chains.
 The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
 normal subgroup of index l, so climbing one index-l layer at a time from the
-trivial subgroup visits everything. The climb builds one mask per non-trivial
-subgroup, skipping the overgroups it already holds. Conjugacy classes are
-fused on positions: conjugation by an element permutes the positions of the
-sorted subgroups, one gather over the stacked masks per element.
+trivial subgroup visits everything. Each layer is climbed as whole arrays in
+blocks of rows: normalisers by one gather per recorded generator, and the
+overgroups named by right-coset labels min(Hx), so that every covering pair
+forms one packed row and the first occurrence of each row is kept.
+Conjugacy classes are fused on positions: conjugation by an element permutes
+the positions of the sorted subgroups, one gather over the stacked masks per
+element.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .group import PermGroup
 from .pc import PcPresentation, _table_defect, multiplication_table
 
 DEFAULT_TABLE_CAP = 1024
+# cells per block of rows in the lattice climb's temporaries
+_BLOCK_CELLS = 1 << 17
 
 
 def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -80,13 +85,16 @@ class Lattice:
     and a position in that order names a subgroup. Their masks and
     normalisers are read-only rows of two stacked matrices. Conjugation by
     an element permutes positions (`_position_map`), and classes are fused
-    on positions (`orbit`). `builds` counts the overgroup masks the climb
-    built: one per non-trivial subgroup.
+    on positions (`orbit`). `builds` counts the packed overgroup rows the
+    climb formed: one per covering pair H < K with |K:H| = l.
     """
 
     def __init__(self, ct: CayleyTable, masks: list, norms: list, info: list, builds: int):
-        """Sort the climb's layers of masks and normalisers, with their
-        (generators, abelian) pairs in `info`, into TSubs and fuse classes.
+        """Sort the climb's subgroups into TSubs and fuse classes.
+
+        `masks` holds one array of packed rows per layer; `norms` holds the
+        packed normaliser rows and `info` the (generators, abelian) pairs,
+        both in the same climb order.
 
         Within a layer every subgroup has the same order, and ascending ids
         are descending packed bytes, so each layer is sorted on its
@@ -96,21 +104,21 @@ class Lattice:
         perm = []  # perm[i] = climb index of the subgroup at position i
         off = 0
         for layer in masks:
-            keys = ~np.packbits(layer, axis=1)
-            perm.append(off + np.argsort(_rows_as_void(keys)))
+            perm.append(off + np.argsort(_rows_as_void(~layer)))
             off += len(layer)
         perm = np.concatenate(perm)
-        self._masks = _stack_rows(masks, perm, n)
-        normalizers = _stack_rows(norms, perm, n)
+        self._keys = np.concatenate(masks)[perm]
+        self._masks = _unpack_rows(self._keys, n)
+        normalizers = _unpack_rows(np.concatenate(norms)[perm], n)
         self._table = ct.table
         self._conj = ct.conj()
         self._inv = ct.inv()
         self._builds = builds
-        self._keys = np.packbits(self._masks, axis=1)
         keys = _rows_as_void(self._keys)
         self._key_order = np.argsort(keys).astype(np.int32)
         self._sorted_keys = keys[self._key_order]
         self._maps = {}
+        self._ints = None
         class_rep, conj_to_rep = self._fuse(ct.gen_ids)
         sizes = self._masks.sum(axis=1).tolist()
         flat = np.nonzero(self._masks)[1].tolist()
@@ -137,6 +145,19 @@ class Lattice:
     @property
     def builds(self) -> int:
         return self._builds
+
+    def mask_ints(self) -> tuple:
+        """Each subgroup's packed mask as one int, by position; built once.
+
+        Subgroup containment and intersection sizes are then single int
+        operations (`&`, `bit_count`)."""
+        if self._ints is None:
+            w = self._keys.shape[1]
+            raw = self._keys.tobytes()
+            self._ints = tuple(
+                int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w)
+            )
+        return self._ints
 
     def _position_map(self, g: int) -> np.ndarray:
         """pm[i] = position of g^-1 H g, for H the subgroup at position i.
@@ -234,15 +255,20 @@ def _rows_as_void(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
-def _stack_rows(layers: list, perm: np.ndarray, n: int) -> np.ndarray:
-    """One read-only matrix of the layers' rows, row i being row perm[i] of
-    their concatenation; perm keeps each row within its layer."""
-    out = np.empty((len(perm), n), dtype=bool)
-    off = 0
-    for layer in layers:
-        k = len(layer)
-        np.take(layer, perm[off : off + k] - off, axis=0, out=out[off : off + k])
-        off += k
+def _row_offsets(m: int, width: int) -> np.ndarray:
+    """Column vector of the flat offsets of the rows of an (m, width) array."""
+    return (np.arange(m) * width)[:, None]
+
+
+def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """out[r, x] = a[r, idx[r, x]] for a contiguous 2-D array a, as one flat
+    gather."""
+    return np.take(a.ravel(), idx + _row_offsets(len(a), a.shape[1]))
+
+
+def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """Read-only bool matrix of packed rows of n bits each."""
+    out = np.unpackbits(packed, axis=1, count=n).view(bool)
     out.setflags(write=False)
     return out
 
@@ -510,11 +536,20 @@ class CayleyTable:
     def lattice(self) -> Lattice:
         """All subgroups, by cyclic extension one index-l layer at a time.
 
-        Each subgroup keeps the generators it was reached with, and its
-        normaliser falls out of the extension test at no extra cost. Each
-        overgroup is built once, from the first subgroup it covers in layer
-        order, so the climb builds one mask per non-trivial subgroup
-        (`Lattice.builds`).
+        A layer is climbed as whole arrays, in blocks of at most
+        _BLOCK_CELLS cells. The normalisers of H in the layer take one
+        gather per recorded generator: g normalises H exactly when it maps
+        H's generators into H. A candidate g outside H with g**l in H that
+        normalises H spans an overgroup H<g> of index l, and every such
+        overgroup arises so. Right-coset labels lab_H[x] = min(Hx) name it:
+        key(g) = min over e = 1..l-1 of lab_H[g**e] is min(H<g> minus H),
+        so the distinct keys of H's candidates are its covering pairs, and
+        the candidates sharing a key are K minus H. One packed row per
+        covering pair is formed (`Lattice.builds`), and the first
+        occurrence of each row in (H, key) order is kept: K is reached from
+        the first subgroup it covers, recording that subgroup's generators
+        plus the key. Its labels are lab_K[x] = min over e < l of
+        lab_H[key**e * x].
         """
         if self._lattice is not None:
             return self._lattice
@@ -523,56 +558,64 @@ class CayleyTable:
         t = self.table
         conj_t = np.ascontiguousarray(self.conj().T)  # conj_t[g] = column g of conj
         powl = self.pow_map(l)
-        layer = np.zeros((1, n), dtype=bool)
-        layer[0, 0] = True
-        info = [((), True)]  # (generators, abelian) per row of layer
+        pows = [self.pow_map(e) for e in range(1, l)]  # x -> x**e, e = 1..l-1
+        rows = max(1, _BLOCK_CELLS // n)
+        # the layer's masks, packed; its generators, abelian flags, labels
+        layer = np.packbits(np.arange(n) == 0)[None, :]
+        gens = np.zeros((1, 0), dtype=np.intp)
+        abelian = np.ones(1, dtype=bool)
+        lab = np.arange(n, dtype=np.int16)[None, :]
         masks, norms, infos = [], [], []
         builds = 0
-        while info:
-            norm = np.empty((len(info), n), dtype=bool)
-            # the next layer, grown by doubling, and its transpose for
-            # gathering the rows that hold given elements
-            nx = np.zeros((2 * len(info), n), dtype=bool)
-            nx_t = np.zeros((n, len(nx)), dtype=bool)
-            nxt = []
-            for i, (gens, abelian) in enumerate(info):
-                mask = layer[i]
-                gen_arr = np.asarray(gens, dtype=np.intp)
-                # g normalises H exactly when it maps H's generators into H
-                np.all(mask[conj_t[gen_arr]], axis=0, out=norm[i])
-                # g outside H with g**l in H normalizing H: adjoining g
-                # gives an index-l overgroup K, and every one arises so.
-                # Every g' in K \ H gives H<g'> = K because |K:H| = l is
-                # prime, so K's elements leave the candidates once K is
-                # known: the overgroups already in the next layer are the
-                # rows holding H's generators, and each new one is built.
-                cand = norm[i] & mask[powl] & ~mask
-                above = nx_t[gen_arr, : len(nxt)].all(axis=0)
-                if above.any():
-                    cand &= ~nx[: len(nxt)][above].any(axis=0)
-                h_ids = np.flatnonzero(mask)[:, None]
-                for g in np.flatnonzero(cand):
-                    if not cand[g]:
-                        continue
-                    if len(nxt) == len(nx):
-                        nx = np.concatenate([nx, np.zeros_like(nx)])
-                        nx_t = np.concatenate([nx_t, np.zeros_like(nx_t)], axis=1)
-                    cols = [g]
-                    for _ in range(l - 2):
-                        cols.append(t[cols[-1], g])
-                    new = nx[len(nxt)]
-                    new |= mask
-                    new[t[h_ids, cols]] = True
-                    nx_t[:, len(nxt)] = new
-                    builds += 1
-                    cand &= ~new
-                    # K = H<g> is abelian when H is and g commutes with
-                    # H's generators
-                    ab = abelian and bool((t[g, gen_arr] == t[gen_arr, g]).all())
-                    nxt.append((gens + (int(g),), ab))
+        while True:
+            owners, keys, packed = [], [], []
+            for lo in range(0, len(layer), rows):
+                block = np.unpackbits(layer[lo : lo + rows], axis=1, count=n).view(bool)
+                norm = np.ones(block.shape, dtype=bool)
+                for j in range(gens.shape[1]):
+                    norm &= _take_per_row(block, conj_t[gens[lo : lo + rows, j]])
+                norms.append(np.packbits(norm, axis=1))
+                # g outside H with g**l in H normalising H, keyed by
+                # min(H<g> minus H)
+                cand = norm & block[:, powl] & ~block
+                lb = lab[lo : lo + rows]
+                key = np.full(block.shape, n, dtype=np.int16)
+                for p in pows:
+                    np.minimum(key, lb[:, p], out=key)
+                key[~cand] = n
+                # the distinct keys of each row, in (row, key) order
+                hit = np.zeros((len(block), n + 1), dtype=bool)
+                hit.ravel()[key + _row_offsets(len(block), n + 1)] = True
+                h, k = np.nonzero(hit[:, :n])
+                # the overgroup of each pair: H and the candidates with its key
+                for a in range(0, len(h), rows):
+                    hs, ks = h[a : a + rows], k[a : a + rows]
+                    over = block[hs] | (key[hs] == ks[:, None].astype(np.int16))
+                    packed.append(np.packbits(over, axis=1))
+                owners.append(h + lo)
+                keys.append(k)
             masks.append(layer)
-            norms.append(norm)
-            infos.extend(info)
-            layer, info = nx[: len(nxt)], nxt
+            infos.extend(zip(map(tuple, gens.tolist()), abelian.tolist()))
+            if not packed:
+                break
+            packed = np.concatenate(packed)
+            builds += len(packed)
+            first = np.sort(np.unique(_rows_as_void(packed), return_index=True)[1])
+            layer = packed[first]
+            h = np.concatenate(owners)[first]
+            k = np.concatenate(keys)[first]
+            hg = gens[h]
+            # K = H<k> is abelian when H is and k commutes with H's generators
+            abelian = abelian[h] & (t[k[:, None], hg] == t[hg, k[:, None]]).all(axis=1)
+            gens = np.column_stack([hg, k])
+            child = np.empty((len(h), n), dtype=np.int16)  # labels of the new layer
+            for lo in range(0, len(h), rows):
+                hs, ks = h[lo : lo + rows], k[lo : lo + rows]
+                lh = lab[hs]
+                out = child[lo : lo + rows]
+                out[...] = lh
+                for p in pows:
+                    np.minimum(out, _take_per_row(lh, t[p[ks]]), out=out)
+            lab = child
         self._lattice = Lattice(self, masks, norms, infos, builds)
         return self._lattice

@@ -224,9 +224,16 @@ LONG_INTEGER = "1" * 5000  # past Python's limit on digits in int()
         ["build", "C(2,20000)"],
         ["build", "C(3,30000000)"],
         ["build", f"C(2,{LONG_INTEGER})"],
+        ["build", "C(2305843009213693951,1)"],
         ["census", "huge-ngens.pc"],
     ],
-    ids=["order-2^20000", "order-3^30000000", "5000-digit-exponent", "ngens-30000000"],
+    ids=[
+        "order-2^20000",
+        "order-3^30000000",
+        "5000-digit-exponent",
+        "prime-2^61-1",
+        "ngens-30000000",
+    ],
 )
 def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
     """Each input once printed a traceback or ran for half a minute; now
@@ -240,6 +247,7 @@ def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+    assert len(proc.stderr) < 200
 
 
 def run_module_cli(args, cwd=None, timeout=60):

@@ -184,6 +184,21 @@ def test_eval_rejects_huge_orders_without_computing_them(text):
     assert len(str(exc.value)) < 120
 
 
+MERSENNE_61 = 2**61 - 1  # prime; trial division would take minutes
+
+
+def test_huge_prime_leaf_fails_the_size_limit_before_the_primality_test(monkeypatch):
+    def no_primality_test(p):
+        raise AssertionError(f"primality of {p} tested")
+
+    monkeypatch.setattr(family, "is_prime", no_primality_test)
+    want = rf"C\({MERSENNE_61},1\) exceeds the size limits: order 1048576, degree 4096"
+    with pytest.raises(CapExceeded, match=want):
+        parse_cert(f"C({MERSENNE_61},1)")
+    with pytest.raises(CapExceeded, match=want):
+        eval_cert(Cyclic(MERSENNE_61, 1))
+
+
 def test_eval_is_cached():
     c = parse_cert("W(C(2,2),C(2,2))")
     assert eval_cert(c) is eval_cert(c)

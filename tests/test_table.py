@@ -183,10 +183,10 @@ def covering_pairs(lat, l):
 
 
 @pytest.mark.parametrize("name", ["o16.pc", "o27.pc", "o32.pc"])
-def test_climb_builds_each_subgroup_once(name):
+def test_climb_forms_one_row_per_covering_pair(name):
     for pres in load_fixture(name):
         lat = CayleyTable.from_pc(pres).lattice()
-        assert lat.builds == len(lat.subgroups) - 1, pres.group_id
+        assert lat.builds == covering_pairs(lat, pres.prime), pres.group_id
 
 
 HEAVY_729 = "D(C(3,1),D(C(3,1),W(C(3,1),C(3,1))))"
@@ -197,11 +197,33 @@ def heavy729():
     return CayleyTable.from_perm_group(eval_cert(parse_cert(HEAVY_729)))
 
 
-def test_heavy_group_builds_each_subgroup_once(heavy729):
+def test_heavy_group_forms_one_row_per_covering_pair(heavy729):
     lat = heavy729.lattice()
-    assert lat.builds == len(lat.subgroups) - 1 == 3819
-    # a lattice fact: the climb used to build one mask per covering pair
-    assert covering_pairs(lat, 3) == 32526
+    assert len(lat.subgroups) == 3820
+    assert lat.builds == covering_pairs(lat, 3) == 32526
+
+
+def assert_recorded_generators(ct):
+    """Each non-trivial subgroup K is reached from the subgroup P that its
+    other recorded generators generate, which is in the lattice with index
+    l in K, by adjoining the least id of K outside P."""
+    subs = ct.lattice().subgroups
+    known = {s.ids for s in subs}
+    for s in subs[1:]:
+        *rest, g = s.gens
+        p = ct.closure_ids(rest)
+        assert p in known and len(p) * ct.prime == s.order, s.gens
+        assert g == min(set(s.ids) - set(p)), s.gens
+
+
+@pytest.mark.parametrize("name", ["o16.pc", "o27.pc", "o32.pc"])
+def test_climb_adjoins_the_least_element_outside_the_parent(name):
+    for pres in load_fixture(name):
+        assert_recorded_generators(CayleyTable.from_pc(pres))
+
+
+def test_heavy_group_adjoins_the_least_element_outside_the_parent(heavy729):
+    assert_recorded_generators(heavy729)
 
 
 def brute_orbit(ct, ids, conjugators):
