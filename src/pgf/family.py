@@ -323,8 +323,12 @@ def _eval(c: Cert) -> PermGroup:
 
 
 def _size_error(c: Cert) -> CapExceeded:
+    # quote at most 2 * _QUOTE characters of the term, as _Cursor.fail does
+    text = serialize_cert(c)
+    if len(text) > 2 * _QUOTE:
+        text = f"{text[: 2 * _QUOTE]}... ({len(text)} characters)"
     return CapExceeded(
-        f"{serialize_cert(c)} exceeds the size limits: order "
+        f"{text} exceeds the size limits: order "
         f"{DEFAULT_ENUM_CAP}, degree {DEFAULT_DEGREE_CAP}"
     )
 

@@ -1,6 +1,6 @@
 """Permutation l-groups backed by deterministic stabilizer chains.
 
-pgf works with groups of prime-power order only, and every chain is built
+pgf works with groups of prime-power order only, and every chain is grown
 by one routine, ``StabilizerChain.adjoin`` (Sims, "Computing the order of a
 solvable permutation group", JSC 9, 1990; Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 4). Before an element r
@@ -10,6 +10,13 @@ l|H|, and one orbit grows by exactly a factor l. No Schreier generator is
 ever sifted. ``PermGroup`` takes l from the order of its first
 non-identity generator; generators that do not generate an l-group raise
 PgfError naming the prime.
+
+The one chain not grown by ``adjoin`` is a direct product's: its factors'
+chains placed one after the other are a base and strong generating set
+(Holt, Eick and O'Brien, ch. 4), and ``PermGroup._direct_product``
+assembles exactly the chain that adjoining the product's generators would
+build, without sifting anything. Sifting composes the raw image arrays of
+inverse transversal representatives, never creating a Perm per level.
 
 Generators and orbit points are processed in fixed orders, so identical
 generator lists always produce the identical chain: same base, same cached
@@ -21,11 +28,20 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .arith import prime_power_root
 from .errors import CapExceeded, PgfError
 from .perm import Perm
 
 DEFAULT_ENUM_CAP = 2**20
+
+
+def _cannot_adjoin(l: int, x: Perm) -> PgfError:
+    return PgfError(
+        f"generators do not generate an l-group for l = {l}: an "
+        f"element of order {x.order()} cannot be adjoined"
+    )
 
 
 class _Level:
@@ -36,8 +52,55 @@ class _Level:
         # strong generators fixing all earlier bases (nested convention:
         # an element stored here is also stored at every shallower level)
         self.gens: list[Perm] = []
-        # orbit point (0-based) -> (rep u with u(base) = point, inverse of u)
-        self.transversal: dict[int, tuple[Perm, Perm]] = {}
+        # orbit point (0-based) -> (rep u with u(base) = point, image array
+        # of u's inverse, which sifting applies with `take`)
+        self.transversal: dict[int, tuple[Perm, np.ndarray]] = {}
+
+
+class _Shift:
+    """Carries permutations of 0..d-1 into 0..n-1, moving point x to
+    x + offset and fixing every point outside offset..offset+d-1.
+
+    Results are memoised on the identity of the object carried: a strong
+    generator is stored at every shallower level, and every level's
+    identity entry holds the one shared identity image array of its
+    degree, so each is carried once. A group that is both factors of a
+    product needs one _Shift per side. Every object carried belongs to a
+    factor chain, or to the shared identities, which outlive the _Shift,
+    so no id is reused while the memo lives.
+    """
+
+    def __init__(self, d: int, offset: int, n: int):
+        self.offset = offset
+        self._below = np.arange(offset, dtype=np.int32)
+        self._above = np.arange(offset + d, n, dtype=np.int32)
+        self._memo: dict = {}
+
+    def img(self, a: np.ndarray) -> np.ndarray:
+        hit = self._memo.get(id(a))
+        if hit is None:
+            hit = np.concatenate((self._below, a + self.offset, self._above))
+            hit.setflags(write=False)
+            self._memo[id(a)] = hit
+        return hit
+
+    def perm(self, p: Perm) -> Perm:
+        hit = self._memo.get(id(p))
+        if hit is None:
+            hit = Perm._from0(self.img(p.img0))
+            self._memo[id(p)] = hit
+        return hit
+
+    def level(self, lvl: "_Level", extra: list) -> "_Level":
+        """lvl carried over, with the strong generators `extra` (already
+        carried) listed after its own."""
+        out = _Level(lvl.base + self.offset)
+        out.gens = [self.perm(s) for s in lvl.gens] + extra
+        out.transversal = {
+            x + self.offset: (self.perm(u), self.img(u_inv))
+            for x, (u, u_inv) in lvl.transversal.items()
+        }
+        return out
 
 
 class StabilizerChain:
@@ -47,6 +110,7 @@ class StabilizerChain:
         self.degree = degree
         self.levels: list[_Level] = []
         self._identity = Perm.identity(degree)
+        self._identity_bytes = self._identity.img0.tobytes()
 
     def order(self) -> int:
         n = 1
@@ -57,25 +121,26 @@ class StabilizerChain:
     def base(self) -> tuple:
         return tuple(lvl.base + 1 for lvl in self.levels)
 
-    def _sift(self, p: Perm) -> tuple[Perm, int]:
-        """Strip p through the levels; returns (residue, level where
-        sifting stopped). Identity residue means membership."""
+    def _sift(self, img: np.ndarray) -> tuple[np.ndarray, int]:
+        """Strip the image array img through the levels; returns (residue
+        image array, level where sifting stopped). An identity residue
+        means membership."""
         for i, lvl in enumerate(self.levels):
-            x = int(p.img0[lvl.base])
+            x = img.item(lvl.base)
             if x == lvl.base:
                 continue
             entry = lvl.transversal.get(x)
             if entry is None:
-                return p, i
-            p = p * entry[1]
-        return p, len(self.levels)
+                return img, i
+            img = entry[1].take(img)
+        return img, len(self.levels)
 
     def contains(self, p: Perm) -> bool:
-        residue, _ = self._sift(p)
-        return residue.is_identity()
+        return self._sift(p.img0)[0].tobytes() == self._identity_bytes
 
-    def adjoin(self, r: Perm, l: int) -> None:
-        """Extend the chain of an l-group by r, with no Schreier generator.
+    def adjoin(self, r: Perm, l: int) -> bool:
+        """Extend the chain of an l-group by r, with no Schreier generator;
+        returns whether the chain grew, that is whether r was not a member.
 
         r's prerequisites, r**l and r^-1 s r for each level-0 strong
         generator s, are adjoined first, depth first on an explicit stack.
@@ -93,49 +158,51 @@ class StabilizerChain:
             raise ValueError("generator degree mismatch")
         max_depth = (self.degree - 1) // (l - 1)
         pending: set = set()
-        stack: list = []  # [element, its inverse, next generator or -1]
+        stack: list = []  # [element, its inverse's images, next generator or -1]
 
-        def push(x: Perm) -> None:
-            if self.contains(x):
-                return
+        def push(img: np.ndarray) -> bool:
+            if self._sift(img)[0].tobytes() == self._identity_bytes:
+                return False
+            x = Perm._from0(img)
             if x in pending or len(stack) >= max_depth:
-                raise PgfError(
-                    f"generators do not generate an l-group for l = {l}: an "
-                    f"element of order {x.order()} cannot be adjoined"
-                )
+                raise _cannot_adjoin(l, x)
             pending.add(x)
-            stack.append([x, x.inverse(), -1])
+            stack.append([x, x.inverse().img0, -1])
+            return True
 
-        push(r)
+        grew = push(r.img0)
         while stack:
             frame = stack[-1]
             x, x_inv, k = frame
             if k < 0:
                 frame[2] = 0
-                push(x**l)
+                push((x**l).img0)
                 continue
             gens = self.levels[0].gens if self.levels else ()
             if k < len(gens):
                 frame[2] = k + 1
-                push(x_inv * gens[k] * x)
+                # x^-1 * s * x, composed left factor first
+                push(x.img0.take(gens[k].img0.take(x_inv)))
                 continue
             stack.pop()
             pending.discard(x)
             self._extend(x, l)
+        return grew
 
     def _extend(self, r: Perm, l: int) -> None:
         """Adjoin r, which normalises the group H and has r**l in H: sift
         r to its stopping level i, record the residue as a strong generator
         at levels 0..i (it fixes the bases of levels 0..i-1; level i is a
         new trailing level when it fixes every base) and close the level-i
-        orbit, which must grow by exactly a factor l. The residue is never already a strong
-        generator, because it lies outside H."""
-        residue, i = self._sift(r)
-        if residue.is_identity():
+        orbit, which must grow by exactly a factor l. The residue is never
+        already a strong generator, because it lies outside H."""
+        img, i = self._sift(r.img0)
+        if img.tobytes() == self._identity_bytes:
             return
+        residue = Perm._from0(img)
         if i == len(self.levels):
             new = _Level(residue.first_moved() - 1)
-            new.transversal[new.base] = (self._identity, self._identity)
+            new.transversal[new.base] = (self._identity, self._identity.img0)
             self.levels.append(new)
         for lvl in self.levels[: i + 1]:
             lvl.gens.append(residue)
@@ -144,18 +211,18 @@ class StabilizerChain:
         before = len(trans)
         fresh = []
         for x in list(trans):
-            y = int(residue.img0[x])
+            y = img.item(x)
             if y not in trans:
                 u = trans[x][0] * residue
-                trans[y] = (u, u.inverse())
+                trans[y] = (u, u.inverse().img0)
                 fresh.append(y)
         for y in fresh:
             u_y = trans[y][0]
             for s in lvl.gens:
-                z = int(s.img0[y])
+                z = s.img0.item(y)
                 if z not in trans:
                     u = u_y * s
-                    trans[z] = (u, u.inverse())
+                    trans[z] = (u, u.inverse().img0)
                     fresh.append(z)
         if len(trans) != l * before:
             raise PgfError(
@@ -211,6 +278,37 @@ class PermGroup:
         g._wrap(generators, chain)
         return g
 
+    @classmethod
+    def _direct_product(cls, a: "PermGroup", b: "PermGroup") -> "PermGroup":
+        """a x b on the disjoint union of the point sets, a's points first.
+
+        The chain is the one PermGroup would build from a's generators
+        followed by b's, assembled from the factors' chains with nothing
+        sifted: adjoining a's generators rebuilds a's chain, and each of
+        b's elements fixes a's bases and commutes with a, so it passes a's
+        levels and rebuilds b's chain below them, shifted by a.degree.
+        Under the nested convention each of a's levels also lists b's
+        level-0 strong generators, after its own. Factors of two primes
+        raise the PgfError that adjoining b's first generator would.
+        """
+        la = prime_power_root(a.order)
+        lb = prime_power_root(b.order)
+        if la is not None and lb is not None and la != lb:
+            raise _cannot_adjoin(la, b.generators[0])
+        n = a.degree + b.degree
+        left = _Shift(a.degree, 0, n)
+        right = _Shift(b.degree, a.degree, n)
+        levels_b = b._chain.levels
+        top_b = [right.perm(s) for s in levels_b[0].gens] if levels_b else []
+        chain = StabilizerChain(n)
+        chain.levels = [left.level(lvl, top_b) for lvl in a._chain.levels] + [
+            right.level(lvl, []) for lvl in levels_b
+        ]
+        gens = tuple(left.perm(p) for p in a.generators) + tuple(
+            right.perm(p) for p in b.generators
+        )
+        return cls._from_chain(gens, chain)
+
     def _wrap(self, generators: tuple, chain: StabilizerChain) -> None:
         self.generators = generators
         self.degree = chain.degree
@@ -218,6 +316,7 @@ class PermGroup:
         self._order = chain.order()
         self._elements: Optional[tuple] = None
         self._index: Optional[dict] = None
+        self._rank: Optional[int] = None  # set once by ops.rank
 
     @property
     def order(self) -> int:

@@ -2,10 +2,12 @@
 
 Everything here works through stabilizer chains and normal closures, never
 through multiplication tables, so results can be cross-checked against the
-table layer. Groups are immutable; each operation returns a fresh PermGroup.
-Every group is an l-group, and every chain is built by the l-group routine
-StabilizerChain.adjoin: a construction whose input mixes primes, such as a
-wreath product of a 2-group by a 3-group, raises PgfError.
+table layer. Groups are immutable; each operation returns a fresh PermGroup,
+and `rank` is computed once per group and cached on it. Every group is an
+l-group. Every chain is grown by the l-group routine StabilizerChain.adjoin,
+except a direct product's, which inherits its factors' chains placed one
+after the other. A construction whose input mixes primes, such as a wreath
+product of a 2-group by a 3-group, raises PgfError.
 
 Conventions: products apply the left factor first, and the commutator is
 [a, b] = a^-1 b^-1 a b.
@@ -49,14 +51,9 @@ def cyclic_group(l: int, k: int) -> PermGroup:
 
 def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     """Direct product acting on the disjoint union of the two point sets;
-    both factors must be l-groups for one prime."""
-    da, db = a.degree, b.degree
-    gens = []
-    for p in a.generators:
-        gens.append(Perm(tuple(p.images) + tuple(range(da + 1, da + db + 1))))
-    for p in b.generators:
-        gens.append(Perm(tuple(range(1, da + 1)) + tuple(x + da for x in p.images)))
-    return PermGroup(gens, degree=da + db, order_hint=a.order * b.order)
+    both factors must be l-groups for one prime. The product inherits its
+    factors' chains, placed one after the other, so nothing is sifted."""
+    return PermGroup._direct_product(a, b)
 
 
 def wreath_regular(inner: PermGroup, outer: PermGroup) -> PermGroup:
@@ -111,9 +108,7 @@ def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     l = group_prime(g) if queue else None
     while queue:
         s = queue.pop()
-        before = chain.order()
-        chain.adjoin(s, l)
-        if chain.order() == before:
+        if not chain.adjoin(s, l):
             continue
         kept.append(s)
         for t_inv, t in conjugators:
@@ -276,10 +271,11 @@ def quotient_group(g: PermGroup, n: PermGroup) -> Quotient:
 
 
 def rank(g: PermGroup) -> int:
-    """Minimal number of generators of an l-group (Frattini quotient size)."""
-    if g.order == 1:
-        return 0
-    return _frattini_rank(g, group_prime(g))
+    """Minimal number of generators of an l-group (Frattini quotient size),
+    computed once per group and cached on it, as g is immutable."""
+    if g._rank is None:
+        g._rank = 0 if g.order == 1 else _frattini_rank(g, group_prime(g))
+    return g._rank
 
 
 def _frattini_rank(g: PermGroup, l: int, extra: Sequence[Perm] = ()) -> int:

@@ -34,6 +34,7 @@ import numpy as np
 from .arith import exact_log, is_prime as _is_prime
 from .errors import PcFileError, PgfError
 from .group import PermGroup
+from .ops import DEFAULT_DEGREE_CAP
 from .perm import Perm
 
 _COLLECT_STEP_CAP = 50_000_000
@@ -62,6 +63,8 @@ class PcPresentation:
         group_id: Optional[tuple] = None,
         provenance: str = "",
     ):
+        if prime > DEFAULT_DEGREE_CAP:  # trial division on a huge prime takes minutes
+            raise ValueError(f"prime exceeds the size limit {DEFAULT_DEGREE_CAP}")
         if not _is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         if ngens < 0:
@@ -387,6 +390,8 @@ def parse_pc_text(text: str, source: str = "<text>") -> list:
                 state["prime"] = int(tok[1])
             except ValueError:
                 fail("PRIME must be an integer")
+            if state["prime"] > DEFAULT_DEGREE_CAP:  # as in PcPresentation
+                fail(f"PRIME exceeds the size limit {DEFAULT_DEGREE_CAP}")
             if not _is_prime(state["prime"]):
                 fail(f"{state['prime']} is not prime")
         elif tok[0] == "NGENS":

@@ -224,15 +224,19 @@ LONG_INTEGER = "1" * 5000  # past Python's limit on digits in int()
         ["build", "C(2,20000)"],
         ["build", "C(3,30000000)"],
         ["build", f"C(2,{LONG_INTEGER})"],
+        ["build", f"C(2,{'9' * 4000})"],
         ["build", "C(2305843009213693951,1)"],
         ["census", "huge-ngens.pc"],
+        ["census", "huge-prime.pc"],
     ],
     ids=[
         "order-2^20000",
         "order-3^30000000",
         "5000-digit-exponent",
+        "4000-digit-exponent",
         "prime-2^61-1",
         "ngens-30000000",
+        "pc-prime-2^61-1",
     ],
 )
 def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
@@ -240,6 +244,9 @@ def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
     each is refused within seconds with one error line."""
     (tmp_path / "huge-ngens.pc").write_text(
         "GROUP 16 1\nPRIME 2\nNGENS 30000000\nEND\n"
+    )
+    (tmp_path / "huge-prime.pc").write_text(
+        "GROUP 2 1\nPRIME 2305843009213693951\nNGENS 1\nEND\n"
     )
     proc = run_module_cli(args, cwd=tmp_path, timeout=20)
     assert proc.returncode == 1

@@ -19,11 +19,14 @@ from oracles import (
     brute_rank,
     closure_of,
 )
+from pgf import ops
 from pgf.errors import CapExceeded, NotNormal, PgfError
 from pgf.family import (
+    DirectProduct,
     certificate_corpus,
     declared_rank,
     eval_cert,
+    parse_cert,
     serialize_cert,
 )
 from pgf.group import PermGroup
@@ -86,6 +89,54 @@ def test_direct_product_structure():
     assert sorted(p.order() for p in g.elements()) == [1, 2, 2, 2, 4, 4, 4, 4]
     ct = CayleyTable.from_perm_group(g)
     assert ct.is_abelian_ids(range(8))
+
+
+def chain_fingerprint(g):
+    """Base, generators and, per level, the base point, strong generators
+    and transversal (point, representative, inverse image array)."""
+    return (
+        g.base(),
+        [p.img0.tobytes() for p in g.generators],
+        [
+            (
+                lvl.base,
+                [s.img0.tobytes() for s in lvl.gens],
+                [
+                    (x, u.img0.tobytes(), u_inv.tobytes())
+                    for x, (u, u_inv) in sorted(lvl.transversal.items())
+                ],
+            )
+            for lvl in g._chain.levels
+        ],
+    )
+
+
+def test_direct_product_chain_is_the_chain_its_generators_build():
+    """Every corpus direct product inherits exactly the chain that sifting
+    its generators builds, including products of one group with itself.
+    Elements are compared up to order 512, where listing them is cheap."""
+    products = [c for c in certificate_corpus() if isinstance(c, DirectProduct)]
+    assert len(products) == 477
+    for text in ("D(C(2,1),C(2,1))", "D(C(3,1),W(C(3,1),C(3,1)))"):
+        assert parse_cert(text) in products
+    for c in products:
+        g = eval_cert(c)
+        ref = PermGroup(g.generators)
+        label = serialize_cert(c)
+        assert chain_fingerprint(g) == chain_fingerprint(ref), label
+        factors = eval_cert(c.left).order * eval_cert(c.right).order
+        assert g.order == ref.order == factors, label
+        if g.order <= 512:
+            assert g.elements() == ref.elements(), label
+
+
+def test_direct_product_with_a_trivial_factor():
+    trivial = PermGroup([], degree=2)
+    c3 = cyclic_group(3, 1)
+    for a, b in ((trivial, c3), (c3, trivial)):
+        g = direct_product(a, b)
+        assert g.order == 3 and g.degree == 5
+        assert chain_fingerprint(g) == chain_fingerprint(PermGroup(g.generators))
 
 
 def test_wreath_c2_c2_is_dihedral():
@@ -219,6 +270,43 @@ def test_rank_takes_the_prime_from_the_group():
     assert rank(trivial) == 0
     assert frattini_subgroup(trivial).order == 1
     assert factor_ranks(lower_central_series(trivial)) == ()
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """The groups ops.normal_closure is called on from here on."""
+    calls = []
+    closure = ops.normal_closure
+
+    def counted(g, seeds):
+        calls.append(g)
+        return closure(g, seeds)
+
+    monkeypatch.setattr(ops, "normal_closure", counted)
+    return calls
+
+
+def test_rank_is_computed_once_per_group(closure_calls):
+    g = wreath_regular(cyclic_group(3, 1), cyclic_group(3, 1))
+    assert rank(g) == 2
+    assert rank(g) == 2
+    assert closure_calls == [g]
+
+
+def test_rank_additivity_claim_reuses_the_ranks_evaluation_computed(closure_calls):
+    """Criterion 1 ranks every wreath and both factors; eval_cert has
+    already ranked each, so the claim runs no normal closure, and its
+    detail line is unchanged."""
+    from pgf.verify import _claim_rank_additivity
+
+    for c in certificate_corpus():
+        eval_cert(c)
+    closure_calls.clear()
+    assert _claim_rank_additivity(None) == (
+        "PASS",
+        "rank additive on all 98 wreath certificates",
+    )
+    assert closure_calls == []
 
 
 def test_lower_exp_p_series_c4():

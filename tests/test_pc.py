@@ -255,6 +255,17 @@ def test_parse_rejects_huge_ngens_without_forming_the_power(prime):
     assert err.value.line == 3
 
 
+def test_huge_prime_fails_the_size_limit_before_the_primality_test():
+    # trial division on 2**61 - 1 would run for minutes
+    t0 = time.perf_counter()
+    with pytest.raises(PcFileError, match="PRIME exceeds the size limit 4096") as err:
+        parse_pc_text("GROUP 2 1\nPRIME 2305843009213693951\nNGENS 1\nEND\n")
+    assert err.value.line == 2
+    with pytest.raises(ValueError, match="prime exceeds the size limit 4096"):
+        PcPresentation(2305843009213693951, 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_parse_rejects_duplicate_ids_and_missing_end():
     with pytest.raises(PcFileError):
         parse_pc_text(C4_TEXT + C4_TEXT)
