@@ -238,6 +238,13 @@ def _classify_task(pres: PcPresentation) -> tuple:
         return ("fail", pres.group_id, f"{type(exc).__name__}: {exc} (in {where})")
 
 
+def _available_parallelism() -> int:
+    """The CPUs this process may run on, where the platform says so."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_tasks(todo: Sequence, jobs: int) -> Iterator[tuple]:
     """Yield each outcome as soon as it is ready, so callers can cache it
     before the next group finishes. A worker that dies breaks the pool;
@@ -245,7 +252,8 @@ def _map_tasks(todo: Sequence, jobs: int) -> Iterator[tuple]:
     if jobs <= 1 or len(todo) <= 1:
         yield from map(_classify_task, todo)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool may start every worker at once, so never more than the groups
+    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
         futures = {pool.submit(_classify_task, p): p.group_id for p in todo}
         try:
             for fut in as_completed(futures):
@@ -294,7 +302,7 @@ def run_census(
 
     todo = [p for p in presentations if p.group_id not in cached]
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = _available_parallelism()
 
     fresh: dict = {}
     failures: list = []

@@ -39,6 +39,16 @@ examples:
 """
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgf",
@@ -78,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_census.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="worker processes (default: available parallelism)",

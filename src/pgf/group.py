@@ -121,6 +121,18 @@ class StabilizerChain:
     def base(self) -> tuple:
         return tuple(lvl.base + 1 for lvl in self.levels)
 
+    def copy(self) -> "StabilizerChain":
+        """An independent chain of the same group, to extend without
+        changing this one; the stored permutations and image arrays are
+        immutable and shared."""
+        out = StabilizerChain(self.degree)
+        for lvl in self.levels:
+            new = _Level(lvl.base)
+            new.gens = list(lvl.gens)
+            new.transversal = dict(lvl.transversal)
+            out.levels.append(new)
+        return out
+
     def _sift(self, img: np.ndarray) -> tuple[np.ndarray, int]:
         """Strip the image array img through the levels; returns (residue
         image array, level where sifting stopped). An identity residue
@@ -337,6 +349,9 @@ class PermGroup:
     def elements(self):
         """All elements, sorted by image tuple (identity first), cached.
 
+        The elements are the products of one transversal representative
+        per level, built as the rows of one read-only int32 matrix with
+        one gather per level; each Perm is a row view of that matrix.
         Raises CapExceeded when the order is larger than DEFAULT_ENUM_CAP.
         """
         if self._order > DEFAULT_ENUM_CAP:
@@ -345,12 +360,14 @@ class PermGroup:
                 f"{DEFAULT_ENUM_CAP}"
             )
         if self._elements is None:
-            acc = [self.identity]
+            acc = self.identity.img0[None, :]
             for lvl in reversed(self._chain.levels):
-                reps = [lvl.transversal[x][0] for x in sorted(lvl.transversal)]
-                acc = [a * u for a in acc for u in reps]
-            acc.sort(key=lambda p: p.images)
-            self._elements = tuple(acc)
+                reps = np.stack([u.img0 for u, _ in lvl.transversal.values()])
+                # row (j, i) is acc[i] * reps[j], left factor first
+                acc = reps[:, acc].reshape(-1, self.degree)
+            acc = acc[np.lexsort(acc.T[::-1])]
+            acc.setflags(write=False)
+            self._elements = tuple(Perm._from0(row) for row in acc)
         return self._elements
 
     def element_index(self) -> dict:

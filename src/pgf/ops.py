@@ -3,10 +3,15 @@
 Everything here works through stabilizer chains and normal closures, never
 through multiplication tables, so results can be cross-checked against the
 table layer. Groups are immutable; each operation returns a fresh PermGroup,
-and `rank` is computed once per group and cached on it. Every group is an
-l-group. Every chain is grown by the l-group routine StabilizerChain.adjoin,
-except a direct product's, which inherits its factors' chains placed one
-after the other. A construction whose input mixes primes, such as a wreath
+and `rank` is computed once per group and cached on it. Rank, series-factor
+ranks and the Frattini subgroup all read Phi(T)N for N normal in T with T/N
+abelian: N's chain, copied and extended by the l-th powers of T's
+generators. Factor ranks take consecutive series terms and run no normal
+closure; `rank` and `frattini_subgroup` take T = G and N = G', as
+Phi(G) = G'G^l, and run one, for G'. Every group is an l-group. Every
+chain is grown by the l-group routine StabilizerChain.adjoin, except a
+direct product's, which inherits its factors' chains placed one after the
+other. A construction whose input mixes primes, such as a wreath
 product of a 2-group by a 3-group, raises PgfError.
 
 Conventions: products apply the left factor first, and the commutator is
@@ -126,22 +131,33 @@ def commutator_subgroup(g: PermGroup) -> PermGroup:
     return normal_closure(g, seeds)
 
 
-def _frattini_seeds(g: PermGroup, l: int) -> list:
-    """l-th powers and pairwise commutators of g's generators; in an
-    l-group their normal closure is the Frattini subgroup Phi(g)."""
-    seeds = []
-    gens = g.generators
-    for i, a in enumerate(gens):
-        seeds.append(a**l)
-        for b in gens[i + 1 :]:
-            seeds.append(commutator(a, b))
-    return seeds
-
-
 def frattini_subgroup(g: PermGroup) -> PermGroup:
-    """Frattini subgroup of an l-group: closure of powers and commutators."""
-    seeds = _frattini_seeds(g, group_prime(g)) if g.order > 1 else []
-    return normal_closure(g, seeds)
+    """Frattini subgroup of an l-group, Phi(g) = g'g^l: the commutator
+    subgroup extended by the l-th powers of g's generators."""
+    if g.order == 1:
+        return PermGroup((), degree=g.degree)
+    return _frattini_preimage(g, commutator_subgroup(g))
+
+
+def _frattini_preimage(top: PermGroup, bot: PermGroup) -> PermGroup:
+    """Phi(top)bot, for bot normal in top with top/bot abelian.
+
+    In an l-group Phi(top/bot) = Phi(top)bot/bot, and an abelian quotient's
+    Frattini subgroup is generated by the l-th powers of its generators, so
+    Phi(top)bot is bot extended by t**l for each generator t of top. Its
+    chain is a copy of bot's, grown by adjoin; no normal closure runs.
+    """
+    l = group_prime(top)
+    chain = bot._chain.copy()
+    powers = [t**l for t in top.generators]
+    grown = tuple(p for p in powers if chain.adjoin(p, l))
+    return PermGroup._from_chain(bot.generators + grown, chain)
+
+
+def _factor_rank(top: PermGroup, bot: PermGroup) -> int:
+    """Rank of the abelian quotient top/bot: log_l |top : Phi(top)bot|."""
+    sub = _frattini_preimage(top, bot)
+    return exact_log(top.order // sub.order, group_prime(top))
 
 
 # ----- series ----------------------------------------------------------------
@@ -191,15 +207,15 @@ def lower_central_series(g: PermGroup) -> SeriesResult:
 
 
 def factor_ranks(ser: SeriesResult) -> tuple:
-    """Rank of each factor G_i/G_{i+1}, with no quotient group built: in an
-    l-group Phi(G_i/N) = Phi(G_i)N/N for N normal in G_i, so the rank is
-    log_l |G_i : Phi(G_i)G_{i+1}|, one normal closure per factor."""
-    if ser.groups[0].order == 1:
-        return ()
-    l = group_prime(ser.groups[0])
+    """Rank of each factor G_i/G_{i+1}, with no quotient group built.
+
+    Both series built here have abelian factors, as [G_i, G_i] lies in
+    G_{i+1}, so each rank is the Frattini index log_l |G_i : Phi(G_i)G_{i+1}|
+    and Phi(G_i)G_{i+1} is G_{i+1} extended by the l-th powers of G_i's
+    generators: G_{i+1}'s chain is copied and extended, and no normal
+    closure runs."""
     return tuple(
-        _frattini_rank(top, l, bot.generators)
-        for top, bot in zip(ser.groups, ser.groups[1:])
+        _factor_rank(top, bot) for top, bot in zip(ser.groups, ser.groups[1:])
     )
 
 
@@ -271,17 +287,8 @@ def quotient_group(g: PermGroup, n: PermGroup) -> Quotient:
 
 
 def rank(g: PermGroup) -> int:
-    """Minimal number of generators of an l-group (Frattini quotient size),
+    """Minimal number of generators of an l-group, the rank of g/g',
     computed once per group and cached on it, as g is immutable."""
     if g._rank is None:
-        g._rank = 0 if g.order == 1 else _frattini_rank(g, group_prime(g))
+        g._rank = 0 if g.order == 1 else _factor_rank(g, commutator_subgroup(g))
     return g._rank
-
-
-def _frattini_rank(g: PermGroup, l: int, extra: Sequence[Perm] = ()) -> int:
-    """log_l |g : <Frattini seeds, extra>^g|, the rank of g/<extra>^g."""
-    sub = normal_closure(g, _frattini_seeds(g, l) + list(extra))
-    try:
-        return exact_log(g.order // sub.order, l)
-    except ValueError as exc:
-        raise PgfError("Frattini quotient is not a power of the prime") from exc

@@ -96,7 +96,10 @@ def plans_bound(g: PermGroup) -> Tuple[int, int]:
     which no reading of the series bound intends; the value is then the
     rank itself. Each r_i is read as a Frattini index, with no quotient
     group built: Phi(G_i/G_{i+1}) = Phi(G_i)G_{i+1}/G_{i+1} in an l-group,
-    so r_i = log_l |G_i : Phi(G_i)G_{i+1}|.
+    so r_i = log_l |G_i : Phi(G_i)G_{i+1}|. The factor is abelian, so
+    Phi(G_i)G_{i+1} is G_{i+1} extended by the l-th powers of G_i's
+    generators, grown on a copy of G_{i+1}'s chain; the series' own normal
+    closures are the only ones run.
     """
     if g.order == 1:
         raise PgfError("series bound needs a nontrivial group")

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import shutil
+from concurrent.futures import Future
 
 import pytest
 from importlib import resources
@@ -131,6 +132,61 @@ def test_run_census_parallel_matches_serial():
     _, serial = run_census(fixture_path("o8.pc"), jobs=1)
     _, parallel = run_census(fixture_path("o8.pc"), jobs=2)
     assert zeroed(serial) == zeroed(parallel)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The pool sizes the census asks for; each task runs in this process
+    instead, so no worker is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_never_outnumbers_the_groups(pool_sizes):
+    _, serial = run_census(fixture_path("o8.pc"), jobs=1)
+    assert pool_sizes == []
+    _, records = run_census(fixture_path("o8.pc"), jobs=5000)
+    assert pool_sizes == [5]
+    assert zeroed(records) == zeroed(serial)
+
+
+def test_default_jobs_is_the_available_parallelism(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    run_census(fixture_path("o8.pc"))
+    assert pool_sizes == [3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_census(fixture_path("o8.pc"))
+    assert pool_sizes == [3, 4]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_census_jobs_below_one_is_a_usage_error(jobs, pool_sizes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["census", fixture_path("o8.pc"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert pool_sizes == []
 
 
 def test_run_census_rejects_mixed_orders(tmp_path):

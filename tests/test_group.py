@@ -8,6 +8,7 @@ prime power raise PgfError naming the prime taken from the first generator.
 
 import random
 
+import numpy as np
 import pytest
 
 from pgf.arith import prime_power_root
@@ -245,3 +246,46 @@ def test_l_chain_rejects_generators_outside_l_groups():
     ]
     with pytest.raises(PgfError, match="l-group for l = 2"):
         PermGroup(s6_involutions)
+
+
+def product_fold_elements(g):
+    """The former elements(): fold one Perm product at a time over the
+    levels, last level first, then sort by image tuple."""
+    acc = [g.identity]
+    for lvl in reversed(g._chain.levels):
+        reps = [lvl.transversal[x][0] for x in sorted(lvl.transversal)]
+        acc = [a * u for a in acc for u in reps]
+    acc.sort(key=lambda p: p.images)
+    return acc
+
+
+def test_elements_match_the_product_fold_byte_for_byte():
+    """On every corpus group of order at most 4096, the matrix-built element
+    list equals the product fold: same images in the same order and dtype.
+    Each group is rewrapped so that its cached element list is dropped."""
+    from pgf.family import certificate_corpus, eval_cert, serialize_cert
+
+    checked = 0
+    for c in certificate_corpus():
+        g = eval_cert(c)
+        if g.order > 4096:
+            continue
+        fresh = PermGroup._from_chain(g.generators, g._chain)
+        got = fresh.elements()
+        want = product_fold_elements(fresh)
+        assert len(got) == len(want) == g.order, serialize_cert(c)
+        assert all(p.img0.dtype == np.int32 for p in got)
+        assert b"".join(p.img0.tobytes() for p in got) == b"".join(
+            p.img0.tobytes() for p in want
+        ), serialize_cert(c)
+        assert not got[-1].img0.flags.writeable
+        checked += 1
+    assert checked == 413
+
+
+def test_chain_copy_extends_without_touching_the_original():
+    c = PermGroup([Perm.from_cycles(4, [(1, 2), (3, 4)])])
+    chain = c._chain.copy()
+    assert chain.adjoin(Perm.from_cycles(4, [(1, 3), (2, 4)]), 2)
+    assert (chain.order(), c._chain.order()) == (4, 2)
+    assert c._chain.base() == (1,) and len(c._chain.levels[0].gens) == 1

@@ -20,6 +20,7 @@ from oracles import (
     closure_of,
 )
 from pgf import ops
+from pgf.arith import exact_log
 from pgf.errors import CapExceeded, NotNormal, PgfError
 from pgf.family import (
     DirectProduct,
@@ -44,7 +45,7 @@ from pgf.ops import (
     rank,
     wreath_regular,
 )
-from pgf.perm import Perm
+from pgf.perm import Perm, commutator
 from pgf.table import CayleyTable
 from pgf.verify import naive_closure
 
@@ -270,6 +271,52 @@ def test_rank_takes_the_prime_from_the_group():
     assert rank(trivial) == 0
     assert frattini_subgroup(trivial).order == 1
     assert factor_ranks(lower_central_series(trivial)) == ()
+
+
+def closure_frattini(top, bot_gens=()):
+    """The former route, kept as an oracle: the normal closure in top of
+    top's l-th powers, its pairwise commutators and bot_gens."""
+    l = ops.group_prime(top)
+    gens = top.generators
+    seeds = [a**l for a in gens] + list(bot_gens)
+    seeds += [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
+    return normal_closure(top, seeds)
+
+
+def closure_factor_rank(top, bot):
+    sub = closure_frattini(top, bot.generators)
+    return exact_log(top.order // sub.order, ops.group_prime(top))
+
+
+def test_frattini_by_chain_extension_matches_the_closure_route():
+    """On every corpus group, the factor ranks of both series, the rank and
+    the Frattini subgroup read from an extended chain agree with the normal
+    closure of powers and commutators, and with the brute-force Frattini
+    subgroup up to order 64."""
+    corpus = certificate_corpus()
+    assert len(corpus) == 587
+    brute = 0
+    for c in corpus:
+        g = eval_cert(c)
+        label = serialize_cert(c)
+        for ser in (lower_central_series(g), derived_series(g)):
+            ref = tuple(
+                closure_factor_rank(top, bot)
+                for top, bot in zip(ser.groups, ser.groups[1:])
+            )
+            assert factor_ranks(ser) == ref, label
+        phi = frattini_subgroup(g)
+        ref = closure_frattini(g)
+        assert phi.order == ref.order, label
+        assert all(phi.contains(s) for s in ref.generators), label
+        fresh = PermGroup._from_chain(g.generators, g._chain)
+        assert rank(fresh) == exact_log(g.order // ref.order, ops.group_prime(g))
+        assert rank(fresh) == declared_rank(c), label
+        if g.order <= 64:
+            want = brute_frattini(g.elements(), ops.group_prime(g), g.degree)
+            assert set(phi.elements()) == want, label
+            brute += 1
+    assert brute == 124
 
 
 @pytest.fixture
