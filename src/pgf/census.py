@@ -1,8 +1,8 @@
 """Batch classification of power-commutator datasets.
 
-`run_census` ingests one pc file (all groups of a single order and prime),
-classifies every group (rank, derived length, semiabelian flag plus the
-derived-length screen) and returns summary counts next to the records.
+`classify_bucket` classifies groups of one order and prime (rank, derived
+length, semiabelian flag plus the derived-length screen) for `run_census`,
+which ingests one pc file, and for the dataset claims of `pgf verify`.
 Each record is appended to a JSON-lines cache file as soon as its group
 is classified, together with a SHA-256 of the group's presentation, so an
 interrupted long run resumes by skipping finished groups, and a record
@@ -272,13 +272,8 @@ def run_census(
     cache_dir: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> Tuple[CensusSummary, List[CensusRecord]]:
-    """Classify every group in a pc file, resuming from the cache if given.
-
-    `cache_dir` falls back to the PGF_CACHE environment variable; with
-    neither set the run is purely in-memory. `jobs` defaults to the
-    machine's available parallelism.
-    """
-    t0 = time.perf_counter()
+    """Classify every group in a pc file, which must hold groups of one
+    order and one prime, with `classify_bucket`."""
     presentations = parse_pc_file(path)
     if not presentations:
         raise PcFileError("dataset has no groups", path=path)
@@ -288,9 +283,28 @@ def run_census(
         raise PcFileError(f"dataset mixes orders {orders}", path=path)
     if len(primes) > 1:
         raise PcFileError(f"dataset mixes primes {primes}", path=path)
-    order, prime = orders[0], primes[0]
+    return classify_bucket(presentations, cache_dir=cache_dir, jobs=jobs)
+
+
+def classify_bucket(
+    presentations: Sequence[PcPresentation],
+    cache_dir: Optional[str] = None,
+    jobs: Optional[int] = None,
+) -> Tuple[CensusSummary, List[CensusRecord]]:
+    """Classify presentations of one order and one prime, from one file or
+    several, resuming from the cache if given, and return summary counts
+    next to the records. Group ids must be distinct.
+
+    `cache_dir` falls back to the PGF_CACHE environment variable; with
+    neither set the run is purely in-memory. `jobs` defaults to the
+    machine's available parallelism.
+    """
+    t0 = time.perf_counter()
     # a cached record is served only for the presentation and file it came from
     keys = {p.group_id: _cache_key(p) for p in presentations}
+    if len(keys) < len(presentations):
+        raise PgfError("a group id occurs more than once among the presentations")
+    order, prime = presentations[0].order, presentations[0].prime
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV)

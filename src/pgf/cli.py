@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -160,17 +159,17 @@ def _load_target(target: str):
     from .pc import parse_pc_file
     from .table import CayleyTable
 
-    if "#" in target:
+    if "#" in target:  # never part of a certificate
         path, _, index_text = target.rpartition("#")
-        if os.path.isfile(path):
-            try:
-                index = int(index_text)
-            except ValueError:
-                raise PgfError(f"bad group index {index_text!r} in {target!r}")
-            matches = [p for p in parse_pc_file(path) if p.group_id[1] == index]
-            if not matches:
-                raise PgfError(f"no group with index {index} in {path}")
-            return CayleyTable.from_pc(matches[0]), f"{path}#{index}"
+        presentations = parse_pc_file(path)
+        try:
+            index = int(index_text)
+        except ValueError:
+            raise PgfError(f"bad group index {index_text!r} in {target!r}")
+        matches = [p for p in presentations if p.group_id[1] == index]
+        if not matches:
+            raise PgfError(f"no group with index {index} in {path}")
+        return CayleyTable.from_pc(matches[0]), f"{path}#{index}"
     from .family import eval_cert, parse_cert, serialize_cert
 
     cert = parse_cert(target)

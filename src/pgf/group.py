@@ -18,6 +18,9 @@ assembles exactly the chain that adjoining the product's generators would
 build, without sifting anything. Sifting composes the raw image arrays of
 inverse transversal representatives, never creating a Perm per level.
 
+The sorted rows of one int32 matrix are the elements, numbered by position;
+``PermGroup.columns`` finds products among them with searchsorted.
+
 Generators and orbit points are processed in fixed orders, so identical
 generator lists always produce the identical chain: same base, same cached
 order, same membership answers. Groups and chains are immutable once built
@@ -26,7 +29,7 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +38,13 @@ from .errors import CapExceeded, PgfError
 from .perm import Perm
 
 DEFAULT_ENUM_CAP = 2**20
+
+
+def _rows_as_void(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array as one opaque item each, which sort and
+    compare as byte strings."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def _cannot_adjoin(l: int, x: Perm) -> PgfError:
@@ -326,8 +336,8 @@ class PermGroup:
         self.degree = chain.degree
         self._chain = chain
         self._order = chain.order()
+        self._matrix: Optional[np.ndarray] = None
         self._elements: Optional[tuple] = None
-        self._index: Optional[dict] = None
         self._rank: Optional[int] = None  # set once by ops.rank
 
     @property
@@ -346,20 +356,20 @@ class PermGroup:
     def base(self) -> tuple:
         return self._chain.base()
 
-    def elements(self):
-        """All elements, sorted by image tuple (identity first), cached.
+    def _element_matrix(self) -> np.ndarray:
+        """The elements' image arrays as the rows of one read-only int32
+        matrix, sorted by image tuple (identity first), cached.
 
-        The elements are the products of one transversal representative
-        per level, built as the rows of one read-only int32 matrix with
-        one gather per level; each Perm is a row view of that matrix.
-        Raises CapExceeded when the order is larger than DEFAULT_ENUM_CAP.
+        The rows are the products of one transversal representative per
+        level, built with one gather per level. Raises CapExceeded when
+        the order is larger than DEFAULT_ENUM_CAP.
         """
         if self._order > DEFAULT_ENUM_CAP:
             raise CapExceeded(
                 f"group order {self._order} exceeds enumeration cap "
                 f"{DEFAULT_ENUM_CAP}"
             )
-        if self._elements is None:
+        if self._matrix is None:
             acc = self.identity.img0[None, :]
             for lvl in reversed(self._chain.levels):
                 reps = np.stack([u.img0 for u, _ in lvl.transversal.values()])
@@ -367,14 +377,35 @@ class PermGroup:
                 acc = reps[:, acc].reshape(-1, self.degree)
             acc = acc[np.lexsort(acc.T[::-1])]
             acc.setflags(write=False)
-            self._elements = tuple(Perm._from0(row) for row in acc)
+            self._matrix = acc
+        return self._matrix
+
+    def elements(self):
+        """All elements, sorted by image tuple (identity first), cached;
+        each Perm is a row view of the element matrix, and its position
+        is its element id."""
+        if self._elements is None:
+            self._elements = tuple(Perm._from0(row) for row in self._element_matrix())
         return self._elements
 
-    def element_index(self) -> dict:
-        """Map element -> position in elements(); identity gets index 0."""
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.elements())}
-        return self._index
+    def columns(self, perms: Sequence[Perm]) -> np.ndarray:
+        """cols[j, x] = id of elements()[x] * perms[j], as int32.
+
+        The element rows, viewed as big-endian byte strings, sort as the
+        image tuples do, so each perm's product rows are found with one
+        searchsorted. Raises PgfError when a product is not an element.
+        """
+        mat = self._element_matrix()
+        keys = _rows_as_void(mat.astype(">i4"))
+        cols = np.empty((len(perms), len(mat)), dtype=np.int32)
+        for j, p in enumerate(perms):
+            # row x is elements()[x] * p, left factor first
+            found = _rows_as_void(p.img0[mat].astype(">i4"))
+            at = np.minimum(np.searchsorted(keys, found), len(mat) - 1)
+            if not (keys[at] == found).all():
+                raise PgfError("a product of elements lies outside the group")
+            cols[j] = at
+        return cols
 
     def __repr__(self) -> str:
         return (

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .arith import exact_log, is_prime, prime_power_root
 from .errors import CapExceeded, NotNormal, PgfError
 from .group import PermGroup, StabilizerChain
@@ -64,8 +66,9 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
 def wreath_regular(inner: PermGroup, outer: PermGroup) -> PermGroup:
     """Regular wreath product inner wr outer.
 
-    The outer group permutes |outer| blocks by its right regular action;
-    each block carries a copy of inner's point set. Generators are inner's
+    The outer group permutes |outer| blocks by its right regular action,
+    read off its generators' columns (`PermGroup.columns`); each block
+    carries a copy of inner's point set. Generators are inner's
     generators acting on the block of the identity coset plus outer's
     generators permuting whole blocks, which together generate the full
     product of order |inner| ** |outer| * |outer|. Both factors must be
@@ -77,21 +80,13 @@ def wreath_regular(inner: PermGroup, outer: PermGroup) -> PermGroup:
         raise CapExceeded(
             f"wreath degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}"
         )
-    blocks = outer.elements()
-    index = outer.element_index()
-    gens = []
-    for p in inner.generators:
-        img = list(range(1, degree + 1))
-        for j in range(1, d + 1):
-            img[j - 1] = p(j)
-        gens.append(Perm(img))
-    for t in outer.generators:
-        img = [0] * degree
-        for b, x in enumerate(blocks):
-            tb = index[x * t]
-            for j in range(1, d + 1):
-                img[b * d + j - 1] = tb * d + j
-        gens.append(Perm(img))
+    # inner's generators on the first block, fixing every other point
+    rest = np.arange(d, degree, dtype=np.int32)
+    gens = [Perm._from0(np.concatenate((p.img0, rest))) for p in inner.generators]
+    # outer's generators move block b to block col[b], point by point
+    points = np.arange(d, dtype=np.int32)
+    for col in outer.columns(outer.generators):
+        gens.append(Perm._from0((col[:, None] * d + points).ravel()))
     return PermGroup(gens, degree=degree, order_hint=inner.order**m * m)
 
 

@@ -214,10 +214,6 @@ class PcPresentation:
         out.reverse()
         return tuple(out)
 
-    def gen_ids(self) -> tuple:
-        """Indices of the generators g1..gn, as in `idx`."""
-        return tuple(self.prime ** (self.ngens - 1 - i) for i in range(self.ngens))
-
     def gen_columns(self) -> np.ndarray:
         """Right-multiplication maps: cols[j][x] = idx(element(x) * g_j)."""
         N = self.order
@@ -233,30 +229,6 @@ class PcPresentation:
         return f"PcPresentation(prime={self.prime}, ngens={self.ngens}{gid})"
 
 
-def multiplication_table(pres: PcPresentation) -> np.ndarray:
-    """Full collection table: table[a, b] = idx(element(a) * element(b)).
-
-    Columns are built by dynamic programming over normal forms: if b ends in
-    g_t then column(b) = column(g_t) applied after column(b without g_t).
-    """
-    N = pres.order
-    p = pres.prime
-    n = pres.ngens
-    table = np.empty((N, N), dtype=np.int32)
-    table[:, 0] = np.arange(N, dtype=np.int32)
-    if N == 1:
-        return table
-    cols = pres.gen_columns()
-    for y in range(1, N):
-        tmp, pos, step = y, n - 1, 1
-        while tmp % p == 0:
-            tmp //= p
-            pos -= 1
-            step *= p
-        table[:, y] = cols[pos][table[:, y - step]]
-    return table
-
-
 def _table_defect(table: np.ndarray, gen_ids: Sequence[int]) -> Optional[str]:
     """Why a collection table is not a group, or None when it is one.
 
@@ -264,9 +236,10 @@ def _table_defect(table: np.ndarray, gen_ids: Sequence[int]) -> Optional[str]:
     a permutation, and Light's associativity test over the generators:
     (x*g)*y == x*(g*y) for every generator g and all x, y (Clifford and
     Preston, The Algebraic Theory of Semigroups I, 1961). The elements
-    satisfying that identity are closed under products, and
-    `multiplication_table` builds every element as a left-normed product of
-    generators, so passing for the generators proves full associativity.
+    satisfying that identity are closed under products, and the table
+    filler reaches every id z other than 0 as table[y, g] of an earlier y
+    and a generator g, so every element is a product of generators and
+    passing for the generators proves full associativity.
     """
     n = table.shape[0]
     ar = np.arange(n, dtype=table.dtype)
@@ -482,8 +455,15 @@ def parse_pc_text(text: str, source: str = "<text>") -> list:
 
 
 def parse_pc_file(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a pc file; a file that cannot be read or is not UTF-8 text
+    raises PcFileError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise PcFileError(f"cannot read: {exc.strerror or exc}", path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise PcFileError(f"not UTF-8 text at byte {exc.start}", path=path) from exc
     return parse_pc_text(text, source=os.path.basename(path))
 
 

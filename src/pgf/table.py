@@ -1,9 +1,12 @@
 """Dense multiplication tables and subgroup lattices for small groups.
 
 A CayleyTable reindexes a group of order n as ids 0..n-1 with the identity
-at id 0 and table[a, b] = id of element(a) * element(b). All invariants here
-are computed directly from the table, which makes them an independent route
-from the permutation-level algorithms built on stabilizer chains.
+at id 0 and table[a, b] = id of element(a) * element(b). Both constructors
+hand the right-multiplication columns of the generators to one filler: a
+permutation group's columns are read off its sorted element matrix, a
+presentation's are collected. All invariants here are computed directly
+from the table, which makes them an independent route from the
+permutation-level algorithms built on stabilizer chains.
 
 The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
@@ -26,8 +29,8 @@ import numpy as np
 
 from .arith import exact_log, prime_power_root
 from .errors import CapExceeded, PgfError
-from .group import PermGroup
-from .pc import PcPresentation, _table_defect, multiplication_table
+from .group import PermGroup, _rows_as_void
+from .pc import PcPresentation, _table_defect
 
 DEFAULT_TABLE_CAP = 1024
 # cells per block of rows in the lattice climb's temporaries
@@ -248,13 +251,6 @@ class Lattice:
         return tuple(s for s in self.subgroups if s.normal and s.abelian)
 
 
-def _rows_as_void(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D uint8 array as one opaque item each, which sort
-    and compare as byte strings."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
 def _row_offsets(m: int, width: int) -> np.ndarray:
     """Column vector of the flat offsets of the rows of an (m, width) array."""
     return (np.arange(m) * width)[:, None]
@@ -271,6 +267,32 @@ def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     out = np.unpackbits(packed, axis=1, count=n).view(bool)
     out.setflags(write=False)
     return out
+
+
+def _fill(cols: np.ndarray) -> Optional[np.ndarray]:
+    """The table whose generator columns are cols[j, x] = id of x * g_j,
+    id 0 the identity, or None when the generators do not reach every id.
+
+    Dynamic programming over the right Cayley graph: id z, first reached as
+    cols[j][y], gets column(z) = cols[j][column(y)]. Id 0 comes first and
+    gives g_j the column cols[j], so every other id is table[y, g_j] of an
+    earlier y.
+    """
+    n = cols.shape[1]
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    steps = list(zip(cols.tolist(), cols))  # lists for lookups, arrays for gathers
+    done = [True] + [False] * (n - 1)
+    frontier = [0]
+    while frontier:
+        y = frontier.pop()
+        for ids, col in steps:
+            z = ids[y]
+            if not done[z]:
+                table[:, z] = col[table[:, y]]
+                done[z] = True
+                frontier.append(z)
+    return table if all(done) else None
 
 
 class CayleyTable:
@@ -310,50 +332,33 @@ class CayleyTable:
         """Tabulate a permutation group of order at most DEFAULT_TABLE_CAP.
 
         Element ids follow the sorted enumeration of the group (identity is
-        id 0). Columns are filled by dynamic programming over the right
-        Cayley graph: if y = x * gen then column(y) = column(gen)[column(x)].
+        id 0), and the generators' columns are read off the element matrix.
         """
         if g.order > DEFAULT_TABLE_CAP:
             raise CapExceeded(f"order {g.order} exceeds table cap {DEFAULT_TABLE_CAP}")
-        els = g.elements()
-        index = g.element_index()
-        n = len(els)
-        gen_ids = tuple(index[p] for p in g.generators)
-        gen_cols = {}
-        for j, p in zip(gen_ids, g.generators):
-            col = np.empty(n, dtype=np.int32)
-            for x in range(n):
-                col[x] = index[els[x] * p]
-            gen_cols[j] = col
-        table = np.empty((n, n), dtype=np.int32)
-        table[:, 0] = np.arange(n, dtype=np.int32)
-        done = {0}
-        frontier = [0]
-        while frontier:
-            y = frontier.pop()
-            for j, col in gen_cols.items():
-                z = col[y]
-                if z not in done:
-                    table[:, z] = col[table[:, y]]
-                    done.add(z)
-                    frontier.append(z)
-        if len(done) != n:
+        cols = g.columns(g.generators)
+        table = _fill(cols)
+        if table is None:
             raise PgfError("generator columns do not reach the whole group")
-        return cls(table, els, gen_ids)
+        return cls(table, g.elements(), tuple(cols[:, 0].tolist()))
 
     @classmethod
     def from_pc(cls, pres: PcPresentation):
         """Tabulate a collected presentation of order at most
-        DEFAULT_TABLE_CAP via its collection table.
+        DEFAULT_TABLE_CAP from the collection columns of its generators.
 
         Raises PgfError, naming the group and the defect, when collection
         does not define a group (an inconsistent presentation).
         """
         if pres.order > DEFAULT_TABLE_CAP:
             raise CapExceeded(f"order {pres.order} exceeds table cap {DEFAULT_TABLE_CAP}")
-        table = multiplication_table(pres)
-        gen_ids = pres.gen_ids()
-        defect = _table_defect(table, gen_ids)
+        cols = pres.gen_columns()
+        table = _fill(cols)
+        gen_ids = tuple(cols[:, 0].tolist())
+        if table is None:
+            defect = "the generators do not reach every element"
+        else:
+            defect = _table_defect(table, gen_ids)
         if defect is not None:
             raise PgfError(
                 f"group {pres.group_id}: inconsistent presentation: {defect}"
@@ -514,14 +519,14 @@ class CayleyTable:
             lambda idx: self.closure_ids(self._comm_ids(all_ids, idx))
         )
 
-    def lower_exp_orders(self, l: Optional[int] = None) -> tuple:
-        """Orders along the lower exponent-l central series.
+    def lower_exp_orders(self) -> tuple:
+        """Orders along the lower exponent-l central series, for l the
+        table's prime.
 
         Step: F_{t+1} = <f**l, [g, f] : f in F_t, g in G>. The first step
         equals the Frattini subgroup for l-groups.
         """
-        if l is None:
-            l = self._require_prime()
+        l = self._require_prime()
         all_ids = np.arange(self.n, dtype=np.int64)
 
         def step(idx):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -113,52 +112,26 @@ def _claim_dl_le_rank(ctx) -> tuple:
     return "PASS", f"derived length <= rank on all {len(corpus)} corpus groups"
 
 
-def _classify_bucket(ctx, data_dir, presentations, whole_files) -> tuple:
-    """Classify one dataset bucket, through the resumable census when the
-    bucket is one file of `data_dir` that holds nothing else (a name in
-    `whole_files`), else group by group. Returns (records, failures)."""
-    from .census import classify_presentation, run_census
-
-    names = {p.provenance for p in presentations}
-    if len(names) == 1 and names <= whole_files:
-        path = os.path.join(data_dir, names.pop())
-        summary, records = run_census(path, cache_dir=ctx.cache_dir)
-        return records, list(summary.failures)
-    records, failures = [], []
-    for pres in presentations:
-        try:
-            records.append(classify_presentation(pres))
-        except Exception as exc:
-            failures.append(
-                {"order": pres.group_id[0], "index": pres.group_id[1], "error": str(exc)}
-            )
-    return records, failures
-
-
 def _count_claim(ctx, targets) -> tuple:
     """Shared body for the dataset count claims: targets is a list of
-    (prime, order, expected_total, expected_non_semiabelian)."""
+    (prime, order, expected_total, expected_non_semiabelian). Each bucket
+    runs through the resumable census, so `ctx.cache_dir` applies."""
+    from .census import classify_bucket
     from .datasets import default_data_dir, scan_data_dir
 
-    data_dir = ctx.data_dir or default_data_dir()
-    buckets = scan_data_dir(data_dir)
-    # provenance is a file name inside data_dir
-    owners = Counter(
-        name for bucket in buckets.values() for name in {p.provenance for p in bucket}
-    )
-    whole_files = {name for name, n in owners.items() if n == 1}
+    buckets = scan_data_dir(ctx.data_dir or default_data_dir())
     absent, ran, bad = [], [], []
     for prime, order, want_total, want_non in targets:
         presentations = buckets.get((prime, order), [])
         if not presentations:
             absent.append(f"{prime}^{exact_log(order, prime)}")
             continue
-        records, failures = _classify_bucket(ctx, data_dir, presentations, whole_files)
+        summary, records = classify_bucket(presentations, cache_dir=ctx.cache_dir)
         ctx.records.extend(records)
         non = sum(1 for r in records if not r.semiabelian)
         ran.append(f"order {order}: {non} of {len(records)} non-semiabelian")
-        if failures:
-            bad.append(f"order {order}: {len(failures)} groups failed to classify")
+        if summary.failures:
+            bad.append(f"order {order}: {len(summary.failures)} groups failed to classify")
         if len(records) != want_total or non != want_non:
             bad.append(
                 f"order {order}: expected {want_non} of {want_total}, "

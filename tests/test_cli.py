@@ -228,6 +228,10 @@ LONG_INTEGER = "1" * 5000  # past Python's limit on digits in int()
         ["build", "C(2305843009213693951,1)"],
         ["census", "huge-ngens.pc"],
         ["census", "huge-prime.pc"],
+        ["census", "missing.pc"],
+        ["census", "directory.pc"],
+        ["census", "latin1.pc"],
+        ["semiabelian", "missing.pc#3"],
     ],
     ids=[
         "order-2^20000",
@@ -237,6 +241,10 @@ LONG_INTEGER = "1" * 5000  # past Python's limit on digits in int()
         "prime-2^61-1",
         "ngens-30000000",
         "pc-prime-2^61-1",
+        "missing-file",
+        "directory",
+        "byte-0xff",
+        "missing-file-index",
     ],
 )
 def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
@@ -248,6 +256,8 @@ def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
     (tmp_path / "huge-prime.pc").write_text(
         "GROUP 2 1\nPRIME 2305843009213693951\nNGENS 1\nEND\n"
     )
+    (tmp_path / "directory.pc").mkdir()
+    (tmp_path / "latin1.pc").write_bytes(b"# caf\xe9\xff\nGROUP 2 1\nPRIME 2\nNGENS 1\nEND\n")
     proc = run_module_cli(args, cwd=tmp_path, timeout=20)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -255,6 +265,24 @@ def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["census", "missing.pc"], "cannot read: No such file or directory"),
+        (["census", "directory.pc"], "cannot read: Is a directory"),
+        (["census", "latin1.pc"], "not UTF-8 text at byte 5"),
+        (["semiabelian", "missing.pc#3"], "cannot read: No such file or directory"),
+    ],
+)
+def test_unreadable_dataset_error_names_the_path(args, reason, tmp_path, monkeypatch, capsys):
+    (tmp_path / "directory.pc").mkdir()
+    (tmp_path / "latin1.pc").write_bytes(b"# caf\xe9\xff\nGROUP 2 1\nPRIME 2\nNGENS 1\nEND\n")
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(args) == 1
+    path = args[1].split("#")[0]
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
 def run_module_cli(args, cwd=None, timeout=60):

@@ -151,7 +151,7 @@ def test_elements_sorted_unique_and_capped():
     with pytest.raises(CapExceeded, match="exceeds enumeration cap 1048576"):
         big.elements()
     with pytest.raises(CapExceeded):
-        big.element_index()
+        big.columns(big.generators)
 
 
 def test_rebuild_is_deterministic():

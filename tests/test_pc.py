@@ -13,7 +13,6 @@ import pytest
 from pgf.errors import PcFileError, PgfError
 from pgf.pc import (
     PcPresentation,
-    multiplication_table,
     parse_pc_text,
     pc_to_perm,
     serialize_pc,
@@ -131,7 +130,7 @@ def test_elements_lex_order_identity_first():
 def test_multiplication_table_matches_elementwise_products():
     for text in (C4_TEXT, D4_TEXT, Q8_TEXT, HEISENBERG27_TEXT):
         pres = parse_one(text)
-        table = multiplication_table(pres)
+        table = CayleyTable.from_pc(pres).table
         els = list(pres.elements())
         for a in range(pres.order):
             for b in range(pres.order):

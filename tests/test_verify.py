@@ -1,16 +1,19 @@
 """The dataset count claims (criteria 3 and 8) on a temporary data directory.
 
 The bundled order-16 catalogue stands in for a dataset: 14 groups, none
-of them non-semiabelian. A bucket that is one whole file of the data
-directory runs through the resumable census, so `--cache` applies.
+of them non-semiabelian. Every bucket runs through the resumable census,
+whether it is one file, split over several or shares a file with another
+order, so `--cache` applies.
 """
 
 import os
 import shutil
 
+import pytest
 from importlib import resources
 
 from pgf import census, verify
+from pgf.errors import PgfError
 from pgf.census import cache_file_path
 
 O16 = (2, 16, 14, 0)
@@ -57,6 +60,11 @@ def test_count_claim_skips_an_absent_bucket(tmp_path):
     )
 
 
+def cache_lines(cache, prime, order):
+    with open(cache_file_path(cache, prime, order)) as fh:
+        return fh.read().splitlines()
+
+
 def test_count_claim_joins_a_bucket_split_over_two_files(tmp_path, monkeypatch):
     data = tmp_path / "data"
     data.mkdir()
@@ -65,21 +73,36 @@ def test_count_claim_joins_a_bucket_split_over_two_files(tmp_path, monkeypatch):
     cut = len(blocks) // 2
     (data / "a.pc").write_text("END\n".join(blocks[:cut]) + "END\n")
     (data / "b.pc").write_text("END\n".join(blocks[cut:]))
-    monkeypatch.setattr(census, "run_census", None)  # group by group only
-    status, detail, records = count(data, [O16])
+    cache = str(tmp_path / "cache")
+    status, detail, records = count(data, [O16], cache)
     assert (status, detail) == ("PASS", "order 16: 0 of 14 non-semiabelian")
     assert {r.provenance for r in records} == {"a.pc", "b.pc"}
+    assert len(cache_lines(cache, 2, 16)) == 14
+    monkeypatch.setattr(census, "classify_presentation", None)  # served only
+    assert count(data, [O16], cache)[2] == records
 
 
-def test_count_claim_classifies_a_file_of_two_orders_group_by_group(tmp_path):
+def test_count_claim_classifies_a_file_of_two_orders_through_the_cache(
+    tmp_path, monkeypatch
+):
     data = tmp_path / "data"
     data.mkdir()
     mixed = "".join(open(fixture_path(n), encoding="utf-8").read() for n in ("o8.pc", "o16.pc"))
     (data / "mixed.pc").write_text(mixed)
-    cache = tmp_path / "cache"
-    status, detail, _ = count(data, [O16, (2, 8, 5, 0)], str(cache))
+    cache = str(tmp_path / "cache")
+    status, detail, records = count(data, [O16, (2, 8, 5, 0)], cache)
     assert status == "PASS", detail
-    assert not cache.exists()  # the census route needs a file of one order
+    assert len(cache_lines(cache, 2, 16)) == 14
+    assert len(cache_lines(cache, 2, 8)) == 5
+    monkeypatch.setattr(census, "classify_presentation", None)  # served only
+    assert count(data, [O16, (2, 8, 5, 0)], cache)[2] == records
+
+
+def test_count_claim_refuses_a_group_id_in_two_files(tmp_path):
+    data = data_dir_with(tmp_path, "o16.pc")
+    shutil.copy(fixture_path("o16.pc"), data / "again.pc")
+    with pytest.raises(PgfError, match="a group id occurs more than once"):
+        count(data, [O16])
 
 
 def test_count_claim_caches_and_serves_on_rerun(tmp_path, monkeypatch):
