@@ -24,7 +24,6 @@ _EXPORTS = {
     "cyclic_group": ".ops",
     "direct_product": ".ops",
     "wreath_regular": ".ops",
-    "group_prime": ".ops",
     "normal_closure": ".ops",
     "commutator_subgroup": ".ops",
     "frattini_subgroup": ".ops",

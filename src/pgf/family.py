@@ -535,6 +535,7 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
         )
 
     ok, chain = decide(m - 1)
+    del solve  # breaks the solve-decide cycle, which would hold the lattice
     if ok:
         return SemiabelianVerdict(True, chain)
     return SemiabelianVerdict(False, None, dict(stats))

@@ -15,8 +15,11 @@ The one chain not grown by ``adjoin`` is a direct product's: its factors'
 chains placed one after the other are a base and strong generating set
 (Holt, Eick and O'Brien, ch. 4), and ``PermGroup._direct_product``
 assembles exactly the chain that adjoining the product's generators would
-build, without sifting anything. Sifting composes the raw image arrays of
-inverse transversal representatives, never creating a Perm per level.
+build, without sifting anything. Below ``PermGroup`` an element is a
+read-only 0-based int32 image array: levels store strong generators and
+representatives with their inverses as such arrays, composed with
+``take``, and ``Perm`` is only the API's element type. Each group records
+its prime once, from its order.
 
 The sorted rows of one int32 matrix are the elements, numbered by position;
 ``PermGroup.columns`` finds products among them with searchsorted.
@@ -35,7 +38,7 @@ import numpy as np
 
 from .arith import prime_power_root
 from .errors import CapExceeded, PgfError
-from .perm import Perm
+from .perm import Perm, invert
 
 DEFAULT_ENUM_CAP = 2**20
 
@@ -61,22 +64,23 @@ class _Level:
         self.base = base  # 0-based point
         # strong generators fixing all earlier bases (nested convention:
         # an element stored here is also stored at every shallower level)
-        self.gens: list[Perm] = []
-        # orbit point (0-based) -> (rep u with u(base) = point, image array
-        # of u's inverse, which sifting applies with `take`)
-        self.transversal: dict[int, tuple[Perm, np.ndarray]] = {}
+        self.gens: list[np.ndarray] = []
+        # orbit point (0-based) -> (image array of the rep u with
+        # u(base) = point, image array of u's inverse)
+        self.transversal: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class _Shift:
-    """Carries permutations of 0..d-1 into 0..n-1, moving point x to
+    """Carries image arrays of 0..d-1 into 0..n-1, moving point x to
     x + offset and fixing every point outside offset..offset+d-1.
 
-    Results are memoised on the identity of the object carried: a strong
+    Results are memoised on the identity of the array carried: a strong
     generator is stored at every shallower level, and every level's
     identity entry holds the one shared identity image array of its
-    degree, so each is carried once. A group that is both factors of a
-    product needs one _Shift per side. Every object carried belongs to a
-    factor chain, or to the shared identities, which outlive the _Shift,
+    degree, as both representative and inverse, so each is carried once.
+    A group that is both factors of a product needs one _Shift per side.
+    Every array carried belongs to a factor chain or a factor's
+    generators, or is a shared identity, all of which outlive the _Shift,
     so no id is reused while the memo lives.
     """
 
@@ -94,20 +98,13 @@ class _Shift:
             self._memo[id(a)] = hit
         return hit
 
-    def perm(self, p: Perm) -> Perm:
-        hit = self._memo.get(id(p))
-        if hit is None:
-            hit = Perm._from0(self.img(p.img0))
-            self._memo[id(p)] = hit
-        return hit
-
     def level(self, lvl: "_Level", extra: list) -> "_Level":
         """lvl carried over, with the strong generators `extra` (already
         carried) listed after its own."""
         out = _Level(lvl.base + self.offset)
-        out.gens = [self.perm(s) for s in lvl.gens] + extra
+        out.gens = [self.img(s) for s in lvl.gens] + extra
         out.transversal = {
-            x + self.offset: (self.perm(u), self.img(u_inv))
+            x + self.offset: (self.img(u), self.img(u_inv))
             for x, (u, u_inv) in lvl.transversal.items()
         }
         return out
@@ -119,8 +116,8 @@ class StabilizerChain:
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
-        self._identity = Perm.identity(degree)
-        self._identity_bytes = self._identity.img0.tobytes()
+        self._identity = Perm.identity(degree).img0  # shared per degree
+        self._identity_bytes = self._identity.tobytes()
 
     def order(self) -> int:
         n = 1
@@ -133,8 +130,8 @@ class StabilizerChain:
 
     def copy(self) -> "StabilizerChain":
         """An independent chain of the same group, to extend without
-        changing this one; the stored permutations and image arrays are
-        immutable and shared."""
+        changing this one; the stored image arrays are immutable and
+        shared."""
         out = StabilizerChain(self.degree)
         for lvl in self.levels:
             new = _Level(lvl.base)
@@ -156,6 +153,16 @@ class StabilizerChain:
                 return img, i
             img = entry[1].take(img)
         return img, len(self.levels)
+
+    def _canonical(self, img: np.ndarray) -> np.ndarray:
+        """The element of the right coset H*img with the lexicographically
+        least base images (Holt, Eick and O'Brien, ch. 4): at each level,
+        u_d * img = img.take(u_d) for the orbit point d of least image."""
+        for lvl in self.levels:
+            d = min(lvl.transversal, key=img.item)
+            if d != lvl.base:
+                img = img.take(lvl.transversal[d][0])
+        return img
 
     def contains(self, p: Perm) -> bool:
         return self._sift(p.img0)[0].tobytes() == self._identity_bytes
@@ -180,16 +187,16 @@ class StabilizerChain:
             raise ValueError("generator degree mismatch")
         max_depth = (self.degree - 1) // (l - 1)
         pending: set = set()
-        stack: list = []  # [element, its inverse's images, next generator or -1]
+        stack: list = []  # [element, its inverse, next generator or -1]
 
         def push(img: np.ndarray) -> bool:
             if self._sift(img)[0].tobytes() == self._identity_bytes:
                 return False
-            x = Perm._from0(img)
-            if x in pending or len(stack) >= max_depth:
-                raise _cannot_adjoin(l, x)
-            pending.add(x)
-            stack.append([x, x.inverse().img0, -1])
+            key = img.tobytes()
+            if key in pending or len(stack) >= max_depth:
+                raise _cannot_adjoin(l, Perm._from0(img))
+            pending.add(key)
+            stack.append([img, invert(img), -1])
             return True
 
         grew = push(r.img0)
@@ -198,53 +205,60 @@ class StabilizerChain:
             x, x_inv, k = frame
             if k < 0:
                 frame[2] = 0
-                push((x**l).img0)
+                power = x
+                for _ in range(l - 1):
+                    power = power.take(x)
+                push(power)
                 continue
             gens = self.levels[0].gens if self.levels else ()
             if k < len(gens):
                 frame[2] = k + 1
                 # x^-1 * s * x, composed left factor first
-                push(x.img0.take(gens[k].img0.take(x_inv)))
+                push(x.take(gens[k].take(x_inv)))
                 continue
             stack.pop()
-            pending.discard(x)
+            pending.discard(x.tobytes())
             self._extend(x, l)
         return grew
 
-    def _extend(self, r: Perm, l: int) -> None:
+    def _extend(self, r: np.ndarray, l: int) -> None:
         """Adjoin r, which normalises the group H and has r**l in H: sift
         r to its stopping level i, record the residue as a strong generator
         at levels 0..i (it fixes the bases of levels 0..i-1; level i is a
         new trailing level when it fixes every base) and close the level-i
         orbit, which must grow by exactly a factor l. The residue is never
         already a strong generator, because it lies outside H."""
-        img, i = self._sift(r.img0)
+        img, i = self._sift(r)
         if img.tobytes() == self._identity_bytes:
             return
-        residue = Perm._from0(img)
+        img.setflags(write=False)
         if i == len(self.levels):
-            new = _Level(residue.first_moved() - 1)
-            new.transversal[new.base] = (self._identity, self._identity.img0)
+            new = _Level(int(np.flatnonzero(img != self._identity)[0]))
+            new.transversal[new.base] = (self._identity, self._identity)
             self.levels.append(new)
         for lvl in self.levels[: i + 1]:
-            lvl.gens.append(residue)
+            lvl.gens.append(img)
         lvl = self.levels[i]
         trans = lvl.transversal
         before = len(trans)
         fresh = []
+        # the rep of a new point is an old rep times a strong generator,
+        # u * s, which is s.take(u)
         for x in list(trans):
             y = img.item(x)
             if y not in trans:
-                u = trans[x][0] * residue
-                trans[y] = (u, u.inverse().img0)
+                u = img.take(trans[x][0])
+                u.setflags(write=False)
+                trans[y] = (u, invert(u))
                 fresh.append(y)
         for y in fresh:
             u_y = trans[y][0]
             for s in lvl.gens:
-                z = s.img0.item(y)
+                z = s.item(y)
                 if z not in trans:
-                    u = u_y * s
-                    trans[z] = (u, u.inverse().img0)
+                    u = s.take(u_y)
+                    u.setflags(write=False)
+                    trans[z] = (u, invert(u))
                     fresh.append(z)
         if len(trans) != l * before:
             raise PgfError(
@@ -313,21 +327,19 @@ class PermGroup:
         level-0 strong generators, after its own. Factors of two primes
         raise the PgfError that adjoining b's first generator would.
         """
-        la = prime_power_root(a.order)
-        lb = prime_power_root(b.order)
-        if la is not None and lb is not None and la != lb:
-            raise _cannot_adjoin(la, b.generators[0])
+        if a.prime is not None and b.prime is not None and a.prime != b.prime:
+            raise _cannot_adjoin(a.prime, b.generators[0])
         n = a.degree + b.degree
         left = _Shift(a.degree, 0, n)
         right = _Shift(b.degree, a.degree, n)
         levels_b = b._chain.levels
-        top_b = [right.perm(s) for s in levels_b[0].gens] if levels_b else []
+        top_b = [right.img(s) for s in levels_b[0].gens] if levels_b else []
         chain = StabilizerChain(n)
         chain.levels = [left.level(lvl, top_b) for lvl in a._chain.levels] + [
             right.level(lvl, []) for lvl in levels_b
         ]
-        gens = tuple(left.perm(p) for p in a.generators) + tuple(
-            right.perm(p) for p in b.generators
+        gens = tuple(Perm._from0(left.img(p.img0)) for p in a.generators) + tuple(
+            Perm._from0(right.img(p.img0)) for p in b.generators
         )
         return cls._from_chain(gens, chain)
 
@@ -336,6 +348,7 @@ class PermGroup:
         self.degree = chain.degree
         self._chain = chain
         self._order = chain.order()
+        self.prime = prime_power_root(self._order)  # None for the trivial group
         self._matrix: Optional[np.ndarray] = None
         self._elements: Optional[tuple] = None
         self._rank: Optional[int] = None  # set once by ops.rank
@@ -346,7 +359,7 @@ class PermGroup:
 
     @property
     def identity(self) -> Perm:
-        return self._chain._identity
+        return Perm.identity(self.degree)
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
@@ -370,9 +383,9 @@ class PermGroup:
                 f"{DEFAULT_ENUM_CAP}"
             )
         if self._matrix is None:
-            acc = self.identity.img0[None, :]
+            acc = self._chain._identity[None, :]
             for lvl in reversed(self._chain.levels):
-                reps = np.stack([u.img0 for u, _ in lvl.transversal.values()])
+                reps = np.stack([u for u, _ in lvl.transversal.values()])
                 # row (j, i) is acc[i] * reps[j], left factor first
                 acc = reps[:, acc].reshape(-1, self.degree)
             acc = acc[np.lexsort(acc.T[::-1])]

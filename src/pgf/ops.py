@@ -8,11 +8,13 @@ ranks and the Frattini subgroup all read Phi(T)N for N normal in T with T/N
 abelian: N's chain, copied and extended by the l-th powers of T's
 generators. Factor ranks take consecutive series terms and run no normal
 closure; `rank` and `frattini_subgroup` take T = G and N = G', as
-Phi(G) = G'G^l, and run one, for G'. Every group is an l-group. Every
-chain is grown by the l-group routine StabilizerChain.adjoin, except a
-direct product's, which inherits its factors' chains placed one after the
-other. A construction whose input mixes primes, such as a wreath
-product of a 2-group by a 3-group, raises PgfError.
+Phi(G) = G'G^l, and run one, for G'. Every group is an l-group and
+carries its prime l as `PermGroup.prime`. Every chain is grown by the
+l-group routine StabilizerChain.adjoin, except a direct product's, which
+inherits its factors' chains placed one after the other. A construction
+whose input mixes primes, such as a wreath product of a 2-group by a
+3-group, raises PgfError. A quotient by N names each coset by its
+canonical element on N's chain, one dict lookup per coset product.
 
 Conventions: products apply the left factor first, and the commutator is
 [a, b] = a^-1 b^-1 a b.
@@ -25,21 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arith import exact_log, is_prime, prime_power_root
+from .arith import exact_log, is_prime
 from .errors import CapExceeded, NotNormal, PgfError
 from .group import PermGroup, StabilizerChain
 from .perm import Perm, commutator
 
 # the largest degree of a constructed group; a quotient's degree is its index
 DEFAULT_DEGREE_CAP = 4096
-
-
-def group_prime(g: PermGroup) -> int:
-    """The prime l for a group of order l**k (k >= 1)."""
-    l = prime_power_root(g.order)
-    if l is None:
-        raise PgfError(f"order {g.order} is not a prime power")
-    return l
 
 
 # ----- constructions ---------------------------------------------------------
@@ -105,10 +99,9 @@ def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     conjugators = [(t.inverse(), t) for t in g.generators]
     kept = []
     queue = [p for p in seeds if not p.is_identity()]
-    l = group_prime(g) if queue else None
     while queue:
         s = queue.pop()
-        if not chain.adjoin(s, l):
+        if not chain.adjoin(s, g.prime):
             continue
         kept.append(s)
         for t_inv, t in conjugators:
@@ -142,7 +135,7 @@ def _frattini_preimage(top: PermGroup, bot: PermGroup) -> PermGroup:
     Phi(top)bot is bot extended by t**l for each generator t of top. Its
     chain is a copy of bot's, grown by adjoin; no normal closure runs.
     """
-    l = group_prime(top)
+    l = top.prime
     chain = bot._chain.copy()
     powers = [t**l for t in top.generators]
     grown = tuple(p for p in powers if chain.adjoin(p, l))
@@ -152,7 +145,7 @@ def _frattini_preimage(top: PermGroup, bot: PermGroup) -> PermGroup:
 def _factor_rank(top: PermGroup, bot: PermGroup) -> int:
     """Rank of the abelian quotient top/bot: log_l |top : Phi(top)bot|."""
     sub = _frattini_preimage(top, bot)
-    return exact_log(top.order // sub.order, group_prime(top))
+    return exact_log(top.order // sub.order, top.prime)
 
 
 # ----- series ----------------------------------------------------------------
@@ -232,7 +225,8 @@ class Quotient:
 
 
 def quotient_group(g: PermGroup, n: PermGroup) -> Quotient:
-    """Quotient of g by a normal subgroup, as the action on right cosets."""
+    """Quotient of g by a normal subgroup, as the action on right cosets,
+    each coset found by its canonical element on n's chain."""
     for s in n.generators:
         if not g.contains(s):
             raise PgfError("subgroup is not contained in the group")
@@ -247,34 +241,26 @@ def quotient_group(g: PermGroup, n: PermGroup) -> Quotient:
     if q > DEFAULT_DEGREE_CAP:
         raise CapExceeded(f"quotient index {q} exceeds cap {DEFAULT_DEGREE_CAP}")
 
+    def key(p: Perm) -> bytes:
+        return n._chain._canonical(p.img0).tobytes()
+
     reps = [g.identity]
-
-    def identify(p: Perm) -> int:
-        for j, r in enumerate(reps):
-            if n.contains(p * r.inverse()):
-                return j
-        reps.append(p)
-        return len(reps) - 1
-
-    i = 0
-    while i < len(reps):
+    cosets = {key(g.identity): 0}  # canonical element -> position in reps
+    for r in reps:  # also visits the reps appended on the way
         for t in g.generators:
-            identify(reps[i] * t)
-        i += 1
+            p = r * t
+            if cosets.setdefault(key(p), len(reps)) == len(reps):
+                reps.append(p)
     if len(reps) != q:
         raise PgfError("coset enumeration did not reach the full index")
 
     frozen = tuple(reps)
 
-    def lookup(p: Perm) -> int:
-        for j, r in enumerate(frozen):
-            if n.contains(p * r.inverse()):
-                return j
-        raise PgfError("element is not in the group being quotiented")
-
     def project(p: Perm) -> Perm:
-        img = [lookup(r * p) + 1 for r in frozen]
-        return Perm(img)
+        try:
+            return Perm([cosets[key(r * p)] + 1 for r in frozen])
+        except KeyError:
+            raise PgfError("element is not in the group being quotiented") from None
 
     qgens = [project(t) for t in g.generators]
     qgroup = PermGroup(qgens, degree=q, order_hint=q)

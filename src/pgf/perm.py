@@ -26,6 +26,14 @@ def _arange(n: int) -> np.ndarray:
     return arr
 
 
+def invert(img: np.ndarray) -> np.ndarray:
+    """The read-only image array of the inverse of the image array img."""
+    inv = np.empty_like(img)
+    inv[img] = _arange(img.size)
+    inv.setflags(write=False)
+    return inv
+
+
 class Perm:
     __slots__ = ("_img", "_hash")
 
@@ -106,9 +114,7 @@ class Perm:
         return Perm._from0(other._img.take(self._img))
 
     def inverse(self) -> "Perm":
-        inv = np.empty_like(self._img)
-        inv[self._img] = _arange(self._img.size)
-        return Perm._from0(inv)
+        return Perm._from0(invert(self._img))
 
     def __pow__(self, k: int) -> "Perm":
         """k-th power by repeated squaring; negative k inverts first."""
@@ -127,11 +133,6 @@ class Perm:
 
     def is_identity(self) -> bool:
         return self._img.tobytes() == _arange(self._img.size).tobytes()
-
-    def first_moved(self):
-        """Smallest 1-based moved point, or None for the identity."""
-        diff = np.nonzero(self._img != _arange(self._img.size))[0]
-        return int(diff[0]) + 1 if diff.size else None
 
     def cycles(self) -> list:
         """Disjoint cycles (1-based), fixed points omitted, each cycle

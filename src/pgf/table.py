@@ -301,7 +301,6 @@ class CayleyTable:
     __slots__ = (
         "table",
         "n",
-        "elems",
         "gen_ids",
         "prime",
         "_inv",
@@ -312,10 +311,9 @@ class CayleyTable:
         "_lattice",
     )
 
-    def __init__(self, table: np.ndarray, elems: tuple, gen_ids: tuple):
+    def __init__(self, table: np.ndarray, gen_ids: tuple):
         self.table = np.ascontiguousarray(table, dtype=np.int32)
         self.n = table.shape[0]
-        self.elems = elems
         self.gen_ids = tuple(gen_ids)
         self.prime = prime_power_root(self.n)
         self._inv = None
@@ -340,7 +338,7 @@ class CayleyTable:
         table = _fill(cols)
         if table is None:
             raise PgfError("generator columns do not reach the whole group")
-        return cls(table, g.elements(), tuple(cols[:, 0].tolist()))
+        return cls(table, tuple(cols[:, 0].tolist()))
 
     @classmethod
     def from_pc(cls, pres: PcPresentation):
@@ -363,7 +361,7 @@ class CayleyTable:
             raise PgfError(
                 f"group {pres.group_id}: inconsistent presentation: {defect}"
             )
-        return cls(table, tuple(pres.elements()), gen_ids)
+        return cls(table, gen_ids)
 
     # ----- elementary maps --------------------------------------------------
 

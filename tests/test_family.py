@@ -145,6 +145,8 @@ QUOTIENT_CASES = [
     ("Q(D(C(3,2),C(3,1));g1^3)", 9, 2),
     ("Q(Q(C(2,3);g1^4);g1^2)", 2, 1),
     ("Q(W(C(2,1),C(2,1));[g1,g2],g1^2)", 4, 2),
+    # a quotient of index 2048, half of DEFAULT_DEGREE_CAP
+    ("Q(D(C(2,6),C(2,6));g1^32)", 2048, 2),
 ]
 
 
@@ -369,7 +371,7 @@ def test_semiabelian_quotient_closure_spot_check():
         if not normals:
             continue
         sub = normals[int(rng.integers(len(normals)))]
-        n = PermGroup([ct.elems[i] for i in sub.ids], degree=g.degree)
+        n = PermGroup([g.elements()[i] for i in sub.ids], degree=g.degree)
         q = quotient_group(g, n)
         assert is_semiabelian(q.group).flag
         checked += 1

@@ -253,7 +253,7 @@ def product_fold_elements(g):
     levels, last level first, then sort by image tuple."""
     acc = [g.identity]
     for lvl in reversed(g._chain.levels):
-        reps = [lvl.transversal[x][0] for x in sorted(lvl.transversal)]
+        reps = [Perm._from0(lvl.transversal[x][0]) for x in sorted(lvl.transversal)]
         acc = [a * u for a in acc for u in reps]
     acc.sort(key=lambda p: p.images)
     return acc
@@ -289,3 +289,35 @@ def test_chain_copy_extends_without_touching_the_original():
     assert chain.adjoin(Perm.from_cycles(4, [(1, 3), (2, 4)]), 2)
     assert (chain.order(), c._chain.order()) == (4, 2)
     assert c._chain.base() == (1,) and len(c._chain.levels[0].gens) == 1
+
+
+def test_chain_levels_hold_read_only_image_arrays():
+    """On every corpus group, each level's strong generators and
+    transversal entries are read-only int32 image arrays of the chain's
+    degree; each strong generator fixes the earlier base points, each
+    representative sends the base point to its orbit point and composes
+    with its stored inverse to the identity; and the group's prime is the
+    prime root of its order."""
+    from pgf.family import certificate_corpus, eval_cert, serialize_cert
+
+    corpus = certificate_corpus()
+    assert len(corpus) == 587
+    for c in corpus:
+        g = eval_cert(c)
+        label = serialize_cert(c)
+        assert g.prime == prime_power_root(g.order), label
+        chain = g._chain
+        identity = np.arange(chain.degree)
+        arrays = []
+        for i, lvl in enumerate(chain.levels):
+            earlier = [m.base for m in chain.levels[:i]]
+            for s in lvl.gens:
+                assert (s[earlier] == earlier).all(), label
+            for x, (u, u_inv) in lvl.transversal.items():
+                assert u[lvl.base] == x, label
+                assert (u.take(u_inv) == identity).all(), label
+                arrays += [u, u_inv]
+            arrays += lvl.gens
+        for a in arrays:
+            assert type(a) is np.ndarray and a.dtype == np.int32, label
+            assert a.shape == (chain.degree,) and not a.flags.writeable, label

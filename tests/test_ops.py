@@ -19,11 +19,12 @@ from oracles import (
     brute_rank,
     closure_of,
 )
-from pgf import ops
+from pgf import family, ops
 from pgf.arith import exact_log
 from pgf.errors import CapExceeded, NotNormal, PgfError
 from pgf.family import (
     DirectProduct,
+    FrattiniQuotient,
     certificate_corpus,
     declared_rank,
     eval_cert,
@@ -101,9 +102,9 @@ def chain_fingerprint(g):
         [
             (
                 lvl.base,
-                [s.img0.tobytes() for s in lvl.gens],
+                [s.tobytes() for s in lvl.gens],
                 [
-                    (x, u.img0.tobytes(), u_inv.tobytes())
+                    (x, u.tobytes(), u_inv.tobytes())
                     for x, (u, u_inv) in sorted(lvl.transversal.items())
                 ],
             )
@@ -276,7 +277,7 @@ def test_rank_takes_the_prime_from_the_group():
 def closure_frattini(top, bot_gens=()):
     """The former route, kept as an oracle: the normal closure in top of
     top's l-th powers, its pairwise commutators and bot_gens."""
-    l = ops.group_prime(top)
+    l = top.prime
     gens = top.generators
     seeds = [a**l for a in gens] + list(bot_gens)
     seeds += [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
@@ -285,7 +286,7 @@ def closure_frattini(top, bot_gens=()):
 
 def closure_factor_rank(top, bot):
     sub = closure_frattini(top, bot.generators)
-    return exact_log(top.order // sub.order, ops.group_prime(top))
+    return exact_log(top.order // sub.order, top.prime)
 
 
 def test_frattini_by_chain_extension_matches_the_closure_route():
@@ -310,10 +311,10 @@ def test_frattini_by_chain_extension_matches_the_closure_route():
         assert phi.order == ref.order, label
         assert all(phi.contains(s) for s in ref.generators), label
         fresh = PermGroup._from_chain(g.generators, g._chain)
-        assert rank(fresh) == exact_log(g.order // ref.order, ops.group_prime(g))
+        assert rank(fresh) == exact_log(g.order // ref.order, g.prime)
         assert rank(fresh) == declared_rank(c), label
         if g.order <= 64:
-            want = brute_frattini(g.elements(), ops.group_prime(g), g.degree)
+            want = brute_frattini(g.elements(), g.prime, g.degree)
             assert set(phi.elements()) == want, label
             brute += 1
     assert brute == 124
@@ -442,13 +443,63 @@ def test_quotient_rank_law_over_d4_normals():
     for sub in ct.lattice().subgroups:
         if not sub.normal:
             continue
-        n = PermGroup([ct.elems[i] for i in sub.ids], degree=4)
+        n = PermGroup([d4.elements()[i] for i in sub.ids], degree=4)
         q = quotient_group(d4, n)
         preserved = rank(q.group) == rank(d4) if q.group.order > 1 else False
         inside = set(n.elements()) <= frat
         if q.group.order == 1:
             continue  # the full group quotients to the trivial group
         assert preserved == inside, sub.ids
+
+
+def linear_scan_quotient(g, n):
+    """The former coset enumeration, kept as an oracle: each coset is found
+    by scanning the cosets found so far, with one membership sift per step.
+    Returns the coset representatives and the generators' projections."""
+    reps = [g.identity]
+
+    def identify(p):
+        for j, r in enumerate(reps):
+            if n.contains(p * r.inverse()):
+                return j
+        reps.append(p)
+        return len(reps) - 1
+
+    i = 0
+    while i < len(reps):
+        for t in g.generators:
+            identify(reps[i] * t)
+        i += 1
+    return reps, [Perm([identify(r * t) + 1 for r in reps]) for t in g.generators]
+
+
+def test_quotient_cosets_match_the_linear_scan(monkeypatch):
+    """Cosets keyed by canonical elements are found in the order of the
+    linear scan, with the same representatives and the same projections,
+    on the 8 corpus quotients and on a quotient of index 128."""
+    pairs = []
+
+    def recorded(g, n):
+        pairs.append((g, n))
+        return quotient_group(g, n)
+
+    monkeypatch.setattr(family, "quotient_group", recorded)
+    monkeypatch.setattr(family, "_EVAL_CACHE", {})
+    for c in certificate_corpus():
+        if isinstance(c, FrattiniQuotient):
+            eval_cert(c)
+    assert len(pairs) == 8
+    g = eval_cert(parse_cert("D(C(2,5),C(2,3))"))
+    pairs.append((g, normal_closure(g, [g.generators[0] ** 16])))
+    assert g.order // pairs[-1][1].order == 128
+    for g, n in pairs:
+        q = quotient_group(g, n)
+        reps, projected = linear_scan_quotient(g, n)
+        assert q.reps == tuple(reps)
+        assert [q.project(t) for t in g.generators] == projected
+        assert q.group.generators == tuple(p for p in projected if not p.is_identity())
+    with pytest.raises(PgfError, match="not in the group being quotiented"):
+        q.project(Perm.from_cycles(g.degree, [(1, g.degree)]))
 
 
 def test_quotient_requires_normal():
@@ -466,7 +517,7 @@ def test_center_matches_oracle():
         wreath_regular(cyclic_group(3, 1), cyclic_group(3, 1)),
     ):
         ct = CayleyTable.from_perm_group(g)
-        center = {ct.elems[i] for i in ct.center_ids()}
+        center = {g.elements()[i] for i in ct.center_ids()}
         assert center == brute_center(g.elements())
 
 

@@ -44,16 +44,19 @@ def fixture_pres(name, index):
     raise LookupError
 
 
-def elems_of_ids(ct, ids):
-    return frozenset(ct.elems[i] for i in ids)
+def elems_of_ids(els, ids):
+    """The elements with the given ids, for a table whose ids are
+    positions in the element list els."""
+    return frozenset(els[i] for i in ids)
 
 
 def test_table_indexing_and_identity():
-    ct = CayleyTable.from_perm_group(d4_group())
+    g = d4_group()
+    ct = CayleyTable.from_perm_group(g)
     assert ct.n == 8
     assert (ct.table[0] == np.arange(8)).all()
     assert (ct.table[:, 0] == np.arange(8)).all()
-    els = ct.elems
+    els = g.elements()
     for i in range(8):
         for j in range(8):
             assert els[ct.table[i, j]] == els[i] * els[j]
@@ -63,9 +66,10 @@ def test_table_indexing_and_identity():
 
 
 def test_conj_map_matches_definition():
-    ct = CayleyTable.from_perm_group(d4_group())
+    g = d4_group()
+    ct = CayleyTable.from_perm_group(g)
     conj = ct.conj()
-    els = ct.elems
+    els = g.elements()
     for g in range(8):
         for x in range(8):
             expect = els[g].inverse() * els[x] * els[g]
@@ -90,22 +94,22 @@ def test_cap_enforced():
 def test_closure_matches_oracle():
     g = d4_group()
     ct = CayleyTable.from_perm_group(g)
-    els = ct.elems
+    els = g.elements()
     # every single-generator closure
     for i in range(8):
-        got = elems_of_ids(ct, ct.closure_ids((i,)))
+        got = elems_of_ids(els, ct.closure_ids((i,)))
         from oracles import closure_of
 
         assert got == closure_of([els[i]], 4)
 
 
 def test_center_and_orders():
-    ct = CayleyTable.from_perm_group(d4_group())
-    zs = elems_of_ids(ct, ct.center_ids())
-    assert zs == brute_center(ct.elems)
-    assert sorted(ct.element_orders().tolist()) == sorted(
-        p.order() for p in ct.elems
-    )
+    g = d4_group()
+    ct = CayleyTable.from_perm_group(g)
+    els = g.elements()
+    zs = elems_of_ids(els, ct.center_ids())
+    assert zs == brute_center(els)
+    assert sorted(ct.element_orders().tolist()) == sorted(p.order() for p in els)
 
 
 FIXTURE_CASES = [
@@ -147,21 +151,24 @@ def test_all_subgroups_match_subset_oracle(name, index):
     g = pc_to_perm(pres)
     ct = CayleyTable.from_perm_group(g)
     lat = ct.lattice()
-    ours = {elems_of_ids(ct, s.ids) for s in lat.subgroups}
+    ours = {elems_of_ids(g.elements(), s.ids) for s in lat.subgroups}
     # a subgroup of order l**k needs at most k generators
     k = round(math.log(g.order, pres.prime))
     ref = brute_subgroups(g.elements(), g.degree, max_gens=k)
     assert ours == ref
-    assert_climb_facts(ct)
+    assert_climb_facts(g)
 
 
-def assert_climb_facts(ct):
-    """Each subgroup's recorded generators generate it, and its recorded
-    normaliser is {x : x^-1 H x = H}, computed on the permutations."""
+def assert_climb_facts(g):
+    """On g's table, each subgroup's recorded generators generate it, and
+    its recorded normaliser is {x : x^-1 H x = H}, computed on the
+    permutations."""
+    ct = CayleyTable.from_perm_group(g)
+    els = g.elements()
     for s in ct.lattice().subgroups:
         assert ct.closure_ids(s.gens) == s.ids
-        h = elems_of_ids(ct, s.ids)
-        brute = [{x.inverse() * y * x for y in h} == h for x in ct.elems]
+        h = elems_of_ids(els, s.ids)
+        brute = [{x.inverse() * y * x for y in h} == h for x in els]
         assert s.normalizer.tolist() == brute
         assert s.abelian == is_abelian_elems(h)
 
@@ -303,11 +310,12 @@ def test_heavy_group_lattice_and_witness(heavy729):
 @pytest.mark.parametrize("name", ["o16.pc", "o27.pc"])
 def test_climb_generators_and_normalisers_whole_catalogue(name):
     for pres in load_fixture(name):
-        assert_climb_facts(CayleyTable.from_perm_group(pc_to_perm(pres)))
+        assert_climb_facts(pc_to_perm(pres))
 
 
 def test_d4_lattice_shape():
-    ct = CayleyTable.from_perm_group(d4_group())
+    g = d4_group()
+    ct = CayleyTable.from_perm_group(g)
     lat = ct.lattice()
     assert len(lat.subgroups) == 10
     # three maximal subgroups, all of index 2
@@ -322,10 +330,10 @@ def test_d4_lattice_shape():
     assert len(na) == 5
     ref = {
         s
-        for s in brute_normal_subgroups(ct.elems, 4)
+        for s in brute_normal_subgroups(g.elements(), 4)
         if is_abelian_elems(s)
     }
-    assert {elems_of_ids(ct, s.ids) for s in na} == ref
+    assert {elems_of_ids(g.elements(), s.ids) for s in na} == ref
 
 
 def test_q8_normal_abelian_is_five():

@@ -239,7 +239,7 @@ def extension_tables(source: str, p: int):
             n = ct.n
             table = extension_table(ct.table, beta, z, p)
             gen_ids = tuple(ct.gen_ids) + (n,)  # N's generators plus t
-            yield CayleyTable(table, tuple(range(p * n)), gen_ids)
+            yield CayleyTable(table, gen_ids)
 
 
 # ----- pc presentation export ---------------------------------------------------
