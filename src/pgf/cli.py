@@ -169,6 +169,9 @@ def _load_target(target: str):
         matches = [p for p in presentations if p.group_id[1] == index]
         if not matches:
             raise PgfError(f"no group with index {index} in {path}")
+        if len(matches) > 1:
+            ids = ", ".join(str(p.group_id) for p in matches)
+            raise PgfError(f"index {index} names several groups in {path}: {ids}")
         return CayleyTable.from_pc(matches[0]), f"{path}#{index}"
     from .family import eval_cert, parse_cert, serialize_cert
 

@@ -91,8 +91,9 @@ def _children(c: Cert) -> tuple:
 def cert_prime(c: Cert) -> int:
     """The common prime of all leaves; mixed primes invalidate the term."""
     primes = set()
-
-    def walk(t):
+    stack = [c]  # children pushed in reverse, so leaves are checked left to right
+    while stack:
+        t = stack.pop()
         if isinstance(t, Cyclic):
             if t.prime > DEFAULT_DEGREE_CAP:  # trial division on a huge l takes minutes
                 raise _size_error(t)
@@ -102,14 +103,11 @@ def cert_prime(c: Cert) -> int:
                 raise InvalidCertificate("cyclic exponent must be >= 1")
             primes.add(t.prime)
         elif isinstance(t, (DirectProduct, Wreath)):
-            for k in _children(t):
-                walk(k)
+            stack.extend(reversed(_children(t)))
         elif isinstance(t, FrattiniQuotient):
-            walk(t.child)
+            stack.append(t.child)
         else:
             raise InvalidCertificate(f"not a certificate term: {t!r}")
-
-    walk(c)
     if len(primes) != 1:
         raise InvalidCertificate(
             f"certificate mixes primes {sorted(primes)}: {serialize_cert(c)}"

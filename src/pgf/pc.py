@@ -1,4 +1,4 @@
-"""Power-commutator presentations with prime exponent, and collection.
+"""Power-commutator presentations with prime exponent, and their tables.
 
 A presentation on generators g1..gn over the prime p consists of
 
@@ -7,8 +7,9 @@ A presentation on generators g1..gn over the prime p consists of
   w a word in generators with index > j,
 
 with omitted relations meaning trivial right-hand sides. Elements are
-exponent vectors (e1..en), 0 <= ei < p, standing for g1^e1 ... gn^en.
-Multiplication is collection from the left with an explicit letter stack.
+exponent vectors (e1..en), 0 <= ei < p, standing for g1^e1 ... gn^en,
+numbered in lex order. The generators' right-multiplication columns are
+filled by recursion on these normal forms, using only the relations.
 
 File format, '#' starts a comment:
 
@@ -32,16 +33,14 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .arith import exact_log, is_prime as _is_prime
-from .errors import PcFileError, PgfError
+from .errors import PcFileError
 from .group import PermGroup
 from .ops import DEFAULT_DEGREE_CAP
 from .perm import Perm
 
-_COLLECT_STEP_CAP = 50_000_000
-
 
 class PcPresentation:
-    """Immutable collected presentation of a group of order prime**ngens."""
+    """Immutable pc presentation of a group of order prime**ngens."""
 
     __slots__ = (
         "prime",
@@ -81,7 +80,7 @@ class PcPresentation:
         self.group_id = group_id
         self.provenance = provenance
         self._validate()
-        # letter expansions (0-based generator indices) for the collector
+        # relation words as letters (0-based generator indices)
         self._pow_letters = tuple(
             self._letters(w) if w else () for w in self.powers
         )
@@ -127,75 +126,6 @@ class PcPresentation:
     def order(self) -> int:
         return self.prime**self.ngens
 
-    def identity(self) -> tuple:
-        return (0,) * self.ngens
-
-    def check_element(self, vec: Sequence[int]) -> tuple:
-        v = tuple(int(x) for x in vec)
-        if len(v) != self.ngens or any(not 0 <= x < self.prime for x in v):
-            raise ValueError(f"{vec} is not an exponent vector for this group")
-        return v
-
-    def _collect(self, u: list, letters: Sequence[int]) -> list:
-        p = self.prime
-        n = self.ngens
-        stack = list(letters)
-        stack.reverse()
-        steps = 0
-        while stack:
-            steps += 1
-            if steps > _COLLECT_STEP_CAP:
-                raise PgfError("collection did not terminate within the step cap")
-            i = stack.pop()
-            t = -1
-            for j in range(n - 1, i, -1):
-                if u[j]:
-                    t = j
-                    break
-            if t < 0:
-                u[i] += 1
-                if u[i] == p:
-                    u[i] = 0
-                    w = self._pow_letters[i]
-                    if w:
-                        stack.extend(reversed(w))
-            else:
-                # u ends in g_t; swap it past g_i:  g_t g_i = g_i g_t [g_t, g_i]
-                u[t] -= 1
-                c = self._comm_letters.get((t, i), ())
-                if c:
-                    stack.extend(reversed(c))
-                stack.append(t)
-                stack.append(i)
-        return u
-
-    def multiply(self, a: Sequence[int], b: Sequence[int]) -> tuple:
-        u = list(self.check_element(a))
-        letters = self._letters(self.check_element(b))
-        return tuple(self._collect(u, letters))
-
-    def power(self, a: Sequence[int], k: int) -> tuple:
-        if k < 0:
-            return self.power(self.inverse(a), -k)
-        out = self.identity()
-        for _ in range(k):
-            out = self.multiply(out, a)
-        return out
-
-    def inverse(self, a: Sequence[int]) -> tuple:
-        # fix coordinates left to right; right factors in <g_i..g_n> cannot
-        # disturb the coordinates below i
-        b = self.identity()
-        for i in range(self.ngens):
-            k = self.multiply(a, b)[i]
-            if k:
-                unit = [0] * self.ngens
-                unit[i] = self.prime - k
-                b = self.multiply(b, tuple(unit))
-        if self.multiply(a, b) != self.identity():
-            raise PgfError("inverse computation failed; presentation broken")
-        return b
-
     def elements(self) -> Iterator[tuple]:
         """All exponent vectors in lex order; the identity comes first."""
         return itertools.product(range(self.prime), repeat=self.ngens)
@@ -206,22 +136,47 @@ class PcPresentation:
             out = out * self.prime + int(x)
         return out
 
-    def vec(self, idx: int) -> tuple:
-        out = []
-        for _ in range(self.ngens):
-            idx, r = divmod(idx, self.prime)
-            out.append(r)
-        out.reverse()
-        return tuple(out)
-
     def gen_columns(self) -> np.ndarray:
-        """Right-multiplication maps: cols[j][x] = idx(element(x) * g_j)."""
-        N = self.order
-        cols = np.empty((self.ngens, N), dtype=np.int32)
-        for j in range(self.ngens):
-            for x, vec in enumerate(self.elements()):
-                u = self._collect(list(vec), (j,))
-                cols[j, x] = self.idx(u)
+        """Right-multiplication maps: cols[j][x] = idx(element(x) * g_j).
+
+        Filled by recursion on normal forms from the relations alone, last
+        generator first. With w_j = idx(g_j), the ids of column j are taken
+        in ascending order of the generator t their normal form ends in and
+        its exponent e, one gather per (t, e):
+
+        * t < j, or t == j and e < p - 1: x * g_j is the normal form x + w_j;
+        * t == j and e == p - 1: x * g_j = prefix * g_j^p, the power word's
+          columns applied to the prefix x - (p - 1) * w_j;
+        * t > j: x = y * g_t, so x * g_j = (y * g_j) * g_t * [g_t, g_j], with
+          y * g_j an earlier entry of column j.
+
+        Every step reads only finished columns of later generators and
+        earlier entries of its own, so the recursion ends. When the
+        presentation is consistent these are the true multiplication maps;
+        in any case the relations hold among the columns, so a table filled
+        from them that is a group proves the presentation consistent.
+        """
+        p, n = self.prime, self.ngens
+        cols = np.empty((n, self.order), dtype=np.int32)
+
+        def apply(z, letters):
+            for k in letters:
+                z = cols[k][z]
+            return z
+
+        for j in range(n - 1, -1, -1):
+            col, wj = cols[j], p ** (n - 1 - j)
+            col[0] = wj
+            for t in range(n):
+                wt = p ** (n - 1 - t)
+                for e in range(1, p):
+                    x = (np.arange(p**t) * p + e) * wt  # ids ending in g_t^e
+                    if t < j or (t == j and e < p - 1):
+                        col[x] = x + wj
+                    elif t == j:
+                        col[x] = apply(x - (p - 1) * wj, self._pow_letters[j])
+                    else:
+                        col[x] = apply(cols[t][col[x - wt]], self._comm_letters.get((t, j), ()))
         return cols
 
     def __repr__(self) -> str:
@@ -230,7 +185,8 @@ class PcPresentation:
 
 
 def _table_defect(table: np.ndarray, gen_ids: Sequence[int]) -> Optional[str]:
-    """Why a collection table is not a group, or None when it is one.
+    """Why a table filled from generator columns is not a group, or None
+    when it is one.
 
     Checks the identity row and column, that every row and every column is
     a permutation, and Light's associativity test over the generators:

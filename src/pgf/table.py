@@ -4,9 +4,10 @@ A CayleyTable reindexes a group of order n as ids 0..n-1 with the identity
 at id 0 and table[a, b] = id of element(a) * element(b). Both constructors
 hand the right-multiplication columns of the generators to one filler: a
 permutation group's columns are read off its sorted element matrix, a
-presentation's are collected. All invariants here are computed directly
-from the table, which makes them an independent route from the
-permutation-level algorithms built on stabilizer chains.
+presentation's are filled by recursion on its normal forms. All
+invariants here are computed directly from the table, which makes them an
+independent route from the permutation-level algorithms built on
+stabilizer chains.
 
 The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
@@ -342,11 +343,11 @@ class CayleyTable:
 
     @classmethod
     def from_pc(cls, pres: PcPresentation):
-        """Tabulate a collected presentation of order at most
-        DEFAULT_TABLE_CAP from the collection columns of its generators.
+        """Tabulate a pc presentation of order at most DEFAULT_TABLE_CAP
+        from its generators' columns (PcPresentation.gen_columns).
 
-        Raises PgfError, naming the group and the defect, when collection
-        does not define a group (an inconsistent presentation).
+        Raises PgfError, naming the group and the defect, when the table
+        filled from them is not a group (an inconsistent presentation).
         """
         if pres.order > DEFAULT_TABLE_CAP:
             raise CapExceeded(f"order {pres.order} exceeds table cap {DEFAULT_TABLE_CAP}")

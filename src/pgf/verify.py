@@ -1,7 +1,7 @@
 """Independent reference computations and the claim verification gate.
 
 The reference functions deliberately avoid the production code paths they
-check (stabilizer chains, collected presentations), so agreement between
+check (stabilizer chains, tabulated presentations), so agreement between
 the two routes is meaningful evidence rather than a tautology.
 
 `run_claims` executes the eight headline claims and returns one result per

@@ -3,9 +3,11 @@
 Everything here works on explicit element sets obtained by naive closure,
 with no stabilizer chains, no collection and no Cayley tables, so these
 values are independent of every production code path they are compared to.
-The one exception, the presentation oracle, multiplies with the collector
-one product at a time and checks every triple, bypassing the table builder
-and its consistency check. Only usable for small orders; that is the point.
+The one exception, the presentation oracle, multiplies by collection from
+the left, one product at a time, and checks every triple. The production
+route fills generator columns by recursion on normal forms and never
+collects, so the two share no arithmetic. Only usable for small orders;
+that is the point.
 """
 
 import math
@@ -13,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from pgf.errors import PgfError
 from pgf.perm import Perm, commutator
 from pgf.verify import naive_closure
 
@@ -150,13 +153,66 @@ def order_histogram(elems):
     return tuple(sorted(hist.items()))
 
 
+_COLLECT_STEP_CAP = 50_000_000
+
+
+def collect(pres, u, letters):
+    """Collection from the left with an explicit letter stack: the exponent
+    vector u (a list, changed in place) times the letters, as a normal form."""
+    p = pres.prime
+    n = pres.ngens
+    stack = list(letters)
+    stack.reverse()
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > _COLLECT_STEP_CAP:
+            raise PgfError("collection did not terminate within the step cap")
+        i = stack.pop()
+        t = -1
+        for j in range(n - 1, i, -1):
+            if u[j]:
+                t = j
+                break
+        if t < 0:
+            u[i] += 1
+            if u[i] == p:
+                u[i] = 0
+                w = pres._pow_letters[i]
+                if w:
+                    stack.extend(reversed(w))
+        else:
+            # u ends in g_t; swap it past g_i:  g_t g_i = g_i g_t [g_t, g_i]
+            u[t] -= 1
+            c = pres._comm_letters.get((t, i), ())
+            if c:
+                stack.extend(reversed(c))
+            stack.append(t)
+            stack.append(i)
+    return u
+
+
+def pc_multiply(pres, a, b):
+    """The normal form of a * b, collected."""
+    return tuple(collect(pres, list(a), pres._letters(b)))
+
+
+def collected_columns(pres):
+    """cols[j][x] = idx(element(x) * g_j), each entry collected."""
+    cols = np.empty((pres.ngens, pres.order), dtype=np.int32)
+    for j in range(pres.ngens):
+        for x, vec in enumerate(pres.elements()):
+            cols[j, x] = pres.idx(collect(pres, list(vec), (j,)))
+    return cols
+
+
 def brute_pc_is_group(pres):
     """Whether collection in `pres` defines a group, by checking the group
     axioms on every product and every triple of elements. Products come
     from the collector element by element, never from the table builder."""
     els = list(pres.elements())
     n = len(els)
-    t = np.array([[pres.idx(pres.multiply(a, b)) for b in els] for a in els])
+    t = np.array([[pres.idx(pc_multiply(pres, a, b)) for b in els] for a in els])
     ids = np.arange(n)
     if (t[0] != ids).any() or (t[:, 0] != ids).any():
         return False

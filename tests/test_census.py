@@ -255,7 +255,8 @@ def test_cache_written_and_full_resume_is_byte_identical(tmp_path):
 def test_interrupted_run_resumes_to_identical_report(tmp_path):
     d_full = str(tmp_path / "full")
     _, r_full = run_census(fixture_path("o8.pc"), cache_dir=d_full, jobs=1)
-    full_lines = open(cache_file_path(d_full, 2, 8)).read().splitlines()
+    with open(cache_file_path(d_full, 2, 8)) as fh:
+        full_lines = fh.read().splitlines()
 
     d_part = str(tmp_path / "part")
     os.makedirs(d_part)

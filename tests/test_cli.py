@@ -90,6 +90,19 @@ def test_semiabelian_bad_index_exits_1(capsys):
     assert "99" in err and "o8.pc" in err
 
 
+def test_semiabelian_index_shared_by_several_orders_exits_1(tmp_path, capsys):
+    path = tmp_path / "mixed.pc"
+    with open(fixture_path("o8.pc")) as o8, open(fixture_path("o16.pc")) as o16:
+        path.write_text(o8.read() + o16.read())
+    assert dispatch(["semiabelian", f"{path}#3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "index 3 names several groups" in captured.err
+    assert "(8, 3), (16, 3)" in captured.err
+    assert dispatch(["semiabelian", f"{path}#14"]) == 0  # only order 16 has a #14
+    assert "#14: semiabelian=" in capsys.readouterr().out
+
+
 def test_census_csv_output(tmp_path, capsys):
     rc = dispatch(
         [

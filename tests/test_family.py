@@ -6,6 +6,7 @@ derived-length screen was found by seeded random search inside an iterated
 wreath tower and its generators are pinned below.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -33,6 +34,7 @@ from pgf.group import PermGroup
 from pgf.ops import cyclic_group, derived_length, rank, wreath_regular
 from pgf.pc import pc_to_perm
 from pgf.perm import Perm
+from pgf.ramification import compare_bounds
 from pgf.table import CayleyTable
 
 # order 128, rank 2, derived length 3; found by seeded search over pairs of
@@ -126,6 +128,29 @@ def test_eval_rejects_mixed_primes():
         eval_cert(parse_cert("D(C(2,1),C(3,1))"))
     with pytest.raises(InvalidCertificate):
         eval_cert(parse_cert("W(C(3,1),C(2,2))"))
+
+
+def test_cert_prime_checks_leaves_left_to_right():
+    term = DirectProduct(Wreath(Cyclic(2, 1), Cyclic(4, 1)), FrattiniQuotient(Cyclic(6, 1), ()))
+    with pytest.raises(InvalidCertificate, match="^4 is not prime$"):
+        family.cert_prime(term)
+
+
+def test_certificate_route_leaves_no_cyclic_garbage():
+    text = "Q(D(C(2,2),C(2,1));g1^2)"
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cert = parse_cert(text)
+        eval_cert(cert)
+        compare_bounds(cert)
+        del cert
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_eval_quotient_selector_must_lie_in_frattini():

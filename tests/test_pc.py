@@ -1,8 +1,9 @@
-"""Collected power-commutator presentations.
+"""Power-commutator presentations.
 
-Expected products below are collected by hand from the relations; the
-multiplication table checks compare against direct elementwise products, and
-the permutation image is cross-checked with the naive closure reference.
+Expected products below are collected by hand from the relations and read
+off the table that the census builds; the table and the generator columns
+are compared with the collector in the test oracles, and the permutation
+image is cross-checked with the naive closure reference.
 """
 
 import time
@@ -10,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from pgf.datasets import load_all_fixtures
 from pgf.errors import PcFileError, PgfError
 from pgf.pc import (
     PcPresentation,
@@ -20,7 +22,7 @@ from pgf.pc import (
 from pgf.table import CayleyTable
 from pgf.verify import naive_closure
 
-from oracles import brute_pc_is_group
+from oracles import brute_pc_is_group, collected_columns, pc_multiply
 
 C4_TEXT = """
 # cyclic of order 4
@@ -77,54 +79,72 @@ def parse_one(text):
     return groups[0]
 
 
+class Tabulated:
+    """Products, inverses and powers of exponent vectors, read off
+    CayleyTable.from_pc, the census route."""
+
+    def __init__(self, text):
+        self.pres = parse_one(text)
+        self.ct = CayleyTable.from_pc(self.pres)
+        self.els = list(self.pres.elements())
+
+    def mul(self, a, b):
+        return self.els[self.ct.table[self.pres.idx(a), self.pres.idx(b)]]
+
+    def inv(self, a):
+        return self.els[self.ct.inv()[self.pres.idx(a)]]
+
+    def pow(self, a, k):
+        return self.els[self.ct.pow_map(k)[self.pres.idx(a)]]
+
+
 def test_cyclic_four_square_of_g1_is_g2():
-    pres = parse_one(C4_TEXT)
-    assert pres.prime == 2 and pres.ngens == 2
-    assert pres.multiply((1, 0), (1, 0)) == (0, 1)
-    assert pres.multiply((1, 1), (1, 0)) == (0, 0)  # g1^3 * g1
-    assert pres.power((1, 0), 4) == (0, 0)
-    assert pres.inverse((1, 0)) == (1, 1)  # g1^-1 = g1^3 = g1 g2
+    g = Tabulated(C4_TEXT)
+    assert g.pres.prime == 2 and g.pres.ngens == 2
+    assert g.mul((1, 0), (1, 0)) == (0, 1)
+    assert g.mul((1, 1), (1, 0)) == (0, 0)  # g1^3 * g1
+    assert g.pow((1, 0), 4) == (0, 0)
+    assert g.inv((1, 0)) == (1, 1)  # g1^-1 = g1^3 = g1 g2
 
 
 def test_d4_collection_facts():
-    pres = parse_one(D4_TEXT)
+    g = Tabulated(D4_TEXT)
     # g2 g1 = g1 g2 g3
-    assert pres.multiply((0, 1, 0), (1, 0, 0)) == (1, 1, 1)
+    assert g.mul((0, 1, 0), (1, 0, 0)) == (1, 1, 1)
     # g1 g2 stays collected
-    assert pres.multiply((1, 0, 0), (0, 1, 0)) == (1, 1, 0)
+    assert g.mul((1, 0, 0), (0, 1, 0)) == (1, 1, 0)
     # g2^2 = g3, so (g2 g3) g2 = g2^2 g3 = g3^2 = 1
-    assert pres.multiply((0, 1, 1), (0, 1, 0)) == (0, 0, 0)
+    assert g.mul((0, 1, 1), (0, 1, 0)) == (0, 0, 0)
     # g1^2 collapses by its trivial power relation
-    assert pres.multiply((1, 0, 0), (1, 0, 0)) == (0, 0, 0)
+    assert g.mul((1, 0, 0), (1, 0, 0)) == (0, 0, 0)
 
 
 def test_q8_collection_facts():
-    pres = parse_one(Q8_TEXT)
-    assert pres.multiply((1, 0, 0), (1, 0, 0)) == (0, 0, 1)  # g1^2 = g3
-    assert pres.inverse((1, 0, 0)) == (1, 0, 1)  # g1^-1 = g1 g3
-    for vec in pres.elements():
-        assert pres.multiply(vec, pres.inverse(vec)) == pres.identity()
-        assert pres.multiply(pres.inverse(vec), vec) == pres.identity()
+    g = Tabulated(Q8_TEXT)
+    assert g.mul((1, 0, 0), (1, 0, 0)) == (0, 0, 1)  # g1^2 = g3
+    assert g.inv((1, 0, 0)) == (1, 0, 1)  # g1^-1 = g1 g3
+    for vec in g.els:
+        assert g.mul(vec, g.inv(vec)) == (0, 0, 0)
+        assert g.mul(g.inv(vec), vec) == (0, 0, 0)
 
 
 def test_heisenberg_inverse_and_orders():
-    pres = parse_one(HEISENBERG27_TEXT)
-    assert pres.order == 27
-    for vec in pres.elements():
-        assert pres.multiply(vec, pres.inverse(vec)) == pres.identity()
+    g = Tabulated(HEISENBERG27_TEXT)
+    assert g.pres.order == 27
+    for vec in g.els:
+        assert g.mul(vec, g.inv(vec)) == (0, 0, 0)
         # exponent 3: every cube is trivial
-        assert pres.power(vec, 3) == pres.identity()
+        assert g.pow(vec, 3) == (0, 0, 0)
     # [g2,g1] = g3: g2 g1 = g1 g2 g3
-    assert pres.multiply((0, 1, 0), (1, 0, 0)) == (1, 1, 1)
+    assert g.mul((0, 1, 0), (1, 0, 0)) == (1, 1, 1)
 
 
 def test_elements_lex_order_identity_first():
     pres = parse_one(C4_TEXT)
     els = list(pres.elements())
     assert els == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert els[0] == pres.identity()
     for i, v in enumerate(els):
-        assert pres.idx(v) == i and pres.vec(i) == v
+        assert pres.idx(v) == i
 
 
 def test_multiplication_table_matches_elementwise_products():
@@ -134,7 +154,16 @@ def test_multiplication_table_matches_elementwise_products():
         els = list(pres.elements())
         for a in range(pres.order):
             for b in range(pres.order):
-                assert table[a, b] == pres.idx(pres.multiply(els[a], els[b]))
+                assert table[a, b] == pres.idx(pc_multiply(pres, els[a], els[b]))
+
+
+def test_columns_match_collection_on_every_fixture():
+    fixtures = load_all_fixtures()
+    assert len(fixtures) == 96
+    for pres in fixtures + [PcPresentation(2, 0), PcPresentation(5, 1)]:
+        cols = pres.gen_columns()
+        assert cols.dtype == np.int32
+        assert cols.tobytes() == collected_columns(pres).tobytes(), pres
 
 
 def tabulates(pres) -> bool:
@@ -185,6 +214,8 @@ def test_consistency_agrees_with_brute_force_oracle():
         pres = random_presentation(rng)
         ok = tabulates(pres)
         assert ok == brute_pc_is_group(pres), pres
+        if ok:
+            assert pres.gen_columns().tobytes() == collected_columns(pres).tobytes(), pres
         verdicts.append(ok)
     # the sample exercises both outcomes
     assert 0 < sum(verdicts) < len(verdicts)

@@ -73,7 +73,7 @@ def dict_table(g):
 
 
 def normal_form_table(pres):
-    """The collection table by dynamic programming over normal forms: if
+    """The presentation's table by dynamic programming over normal forms: if
     b ends in g_t then column(b) = column(g_t) after column(b without g_t)."""
     N, p, n = pres.order, pres.prime, pres.ngens
     table = np.empty((N, N), dtype=np.int32)

@@ -68,7 +68,8 @@ def cache_lines(cache, prime, order):
 def test_count_claim_joins_a_bucket_split_over_two_files(tmp_path, monkeypatch):
     data = tmp_path / "data"
     data.mkdir()
-    text = open(fixture_path("o16.pc"), encoding="utf-8").read()
+    with open(fixture_path("o16.pc"), encoding="utf-8") as fh:
+        text = fh.read()
     blocks = text.split("END\n")
     cut = len(blocks) // 2
     (data / "a.pc").write_text("END\n".join(blocks[:cut]) + "END\n")
@@ -87,7 +88,10 @@ def test_count_claim_classifies_a_file_of_two_orders_through_the_cache(
 ):
     data = tmp_path / "data"
     data.mkdir()
-    mixed = "".join(open(fixture_path(n), encoding="utf-8").read() for n in ("o8.pc", "o16.pc"))
+    mixed = ""
+    for name in ("o8.pc", "o16.pc"):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            mixed += fh.read()
     (data / "mixed.pc").write_text(mixed)
     cache = str(tmp_path / "cache")
     status, detail, records = count(data, [O16, (2, 8, 5, 0)], cache)
