@@ -50,6 +50,12 @@ from .table import CayleyTable
 SCREEN_NOT_MEMBER = "definitely_not_member"
 SCREEN_INCONCLUSIVE = "inconclusive"
 
+# deepest bracket nesting a certificate may have. Evaluation recurses once
+# or twice per level; under Python's default recursion limit a quotient
+# chain still evaluated at about 400 levels in a fresh CLI process and 460
+# under pytest, and crashed at 500, so this leaves room for deeper callers
+MAX_NESTING = 200
+
 
 # ----- certificate terms -------------------------------------------------------
 
@@ -89,11 +95,14 @@ def _children(c: Cert) -> tuple:
 
 
 def cert_prime(c: Cert) -> int:
-    """The common prime of all leaves; mixed primes invalidate the term."""
+    """The common prime of all leaves; mixed primes invalidate the term, as
+    does nesting deeper than MAX_NESTING, checked before anything recurses."""
     primes = set()
-    stack = [c]  # children pushed in reverse, so leaves are checked left to right
+    stack = [(c, 1)]  # children pushed in reverse, so leaves are checked left to right
     while stack:
-        t = stack.pop()
+        t, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise InvalidCertificate(f"certificate nests deeper than {MAX_NESTING}")
         if isinstance(t, Cyclic):
             if t.prime > DEFAULT_DEGREE_CAP:  # trial division on a huge l takes minutes
                 raise _size_error(t)
@@ -103,9 +112,9 @@ def cert_prime(c: Cert) -> int:
                 raise InvalidCertificate("cyclic exponent must be >= 1")
             primes.add(t.prime)
         elif isinstance(t, (DirectProduct, Wreath)):
-            stack.extend(reversed(_children(t)))
+            stack.extend((k, depth + 1) for k in reversed(_children(t)))
         elif isinstance(t, FrattiniQuotient):
-            stack.append(t.child)
+            stack.append((t.child, depth + 1))
         else:
             raise InvalidCertificate(f"not a certificate term: {t!r}")
     if len(primes) != 1:
@@ -134,6 +143,7 @@ class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # brackets open at pos
 
     def fail(self, msg: str):
         # quote at most _QUOTE characters on each side of the position, so
@@ -151,6 +161,12 @@ class _Cursor:
     def take(self, ch: str) -> None:
         if self.peek() != ch:
             self.fail(f"expected {ch!r}")
+        if ch in "([":
+            if self.depth == MAX_NESTING:
+                self.fail(f"nesting deeper than {MAX_NESTING}")
+            self.depth += 1
+        elif ch in ")]":
+            self.depth -= 1
         self.pos += 1
 
     def take_int(self) -> int:

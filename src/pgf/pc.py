@@ -13,7 +13,7 @@ filled by recursion on these normal forms, using only the relations.
 
 File format, '#' starts a comment:
 
-    GROUP <order> <index>
+    GROUP <order> <index>      (both at least 1)
     PRIME <p>
     NGENS <n>
     POWER <i> = <word>
@@ -298,6 +298,8 @@ def parse_pc_text(text: str, source: str = "<text>") -> list:
                 order, index = int(tok[1]), int(tok[2])
             except ValueError:
                 fail("GROUP order and index must be integers")
+            if order < 1 or index < 1:
+                fail(f"GROUP order and index must be at least 1, got {order} {index}")
             if (order, index) in seen_ids:
                 fail(f"duplicate group id ({order}, {index})")
             state = {
@@ -431,7 +433,7 @@ def _word_str(vec: Optional[tuple]) -> str:
 
 def serialize_pc(pres: PcPresentation) -> str:
     """Canonical text block; parse(serialize(p)) reproduces p exactly."""
-    order, index = pres.group_id if pres.group_id else (pres.order, 0)
+    order, index = pres.group_id if pres.group_id else (pres.order, 1)
     lines = [f"GROUP {order} {index}", f"PRIME {pres.prime}", f"NGENS {pres.ngens}"]
     for i, w in enumerate(pres.powers, start=1):
         if w is not None:

@@ -73,6 +73,8 @@ class Perm:
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Perm":
         """Build from disjoint cycles of 1-based points, e.g. [(1, 3), (2, 4)]."""
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
         img = np.arange(degree, dtype=np.int32)
         used = set()
         for cyc in cycles:

@@ -103,6 +103,22 @@ def test_semiabelian_index_shared_by_several_orders_exits_1(tmp_path, capsys):
     assert "#14: semiabelian=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "args, group_line",
+    [(["census", "neg.pc"], "GROUP 2 -1"), (["semiabelian", "zero.pc#0"], "GROUP 2 0")],
+)
+def test_group_id_below_one_is_a_parse_error(args, group_line, tmp_path, monkeypatch, capsys):
+    name = args[1].split("#")[0]
+    (tmp_path / name).write_text(f"# comment\n{group_line}\nPRIME 2\nNGENS 1\nEND\n")
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {name}:2: GROUP order and index must be at least 1, got {group_line[6:]}\n"
+    )
+
+
 def test_census_csv_output(tmp_path, capsys):
     rc = dispatch(
         [
@@ -245,6 +261,10 @@ LONG_INTEGER = "1" * 5000  # past Python's limit on digits in int()
         ["census", "directory.pc"],
         ["census", "latin1.pc"],
         ["semiabelian", "missing.pc#3"],
+        ["build", "Q(" * 1200 + "C(2,1)" + ";g1)" * 1200],
+        ["build", "Q(" * 600 + "C(2,2)" + ";g1^2)" * 600],
+        ["ramification", "Q(" * 600 + "C(2,2)" + ";g1^2)" * 600],
+        ["semiabelian", "Q(" * 600 + "C(2,2)" + ";g1^2)" * 600],
     ],
     ids=[
         "order-2^20000",
@@ -258,6 +278,10 @@ LONG_INTEGER = "1" * 5000  # past Python's limit on digits in int()
         "directory",
         "byte-0xff",
         "missing-file-index",
+        "nesting-1200",
+        "valid-chain-600",
+        "valid-chain-600-ramification",
+        "valid-chain-600-semiabelian",
     ],
 )
 def test_oversized_input_is_an_error_not_a_crash(args, tmp_path):

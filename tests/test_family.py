@@ -136,6 +136,24 @@ def test_cert_prime_checks_leaves_left_to_right():
         family.cert_prime(term)
 
 
+def quotient_chain(levels):
+    """Q(...Q(C(2,2);g1^2)...;g1^2): order 2 at every depth, nested levels + 1 deep."""
+    return "Q(" * levels + "C(2,2)" + ";g1^2)" * levels
+
+
+def test_chain_at_the_nesting_limit_builds_and_one_deeper_is_refused():
+    at_limit = parse_cert(quotient_chain(family.MAX_NESTING - 1))
+    assert eval_cert(at_limit).order == 2
+    assert serialize_cert(at_limit) in compare_bounds(at_limit)
+    assert is_semiabelian(eval_cert(at_limit)).flag
+    with pytest.raises(InvalidCertificate, match=f"nesting deeper than {family.MAX_NESTING} at position"):
+        parse_cert(quotient_chain(family.MAX_NESTING))
+    # a term built in code is refused by eval_cert before it recurses
+    deeper = FrattiniQuotient(at_limit, at_limit.words)
+    with pytest.raises(InvalidCertificate, match=f"nests deeper than {family.MAX_NESTING}"):
+        eval_cert(deeper)
+
+
 def test_certificate_route_leaves_no_cyclic_garbage():
     text = "Q(D(C(2,2),C(2,1));g1^2)"
     gc.collect()

@@ -6,9 +6,10 @@ the brute-force oracles on the permutation images for the hand-written
 files, and a stronger table-based profile (adding subgroup lattice
 statistics and power-map fiber sizes) for every file including the
 generated order-32 and order-81 catalogues. Both are weaker than an
-isomorphism test but catch duplicated or collapsed fixtures; full
-isomorphism separation of the generated catalogues is established once,
-at generation time, by tools/generate_small_groups.py.
+isomorphism test but catch duplicated or collapsed fixtures. Full
+isomorphism separation of the generated catalogues is checked in
+tests/test_tools.py: the generator's invariant key, equal on isomorphic
+groups, is pairwise distinct over each of them.
 """
 
 from collections import Counter

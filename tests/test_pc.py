@@ -303,6 +303,13 @@ def test_parse_rejects_duplicate_ids_and_missing_end():
         parse_pc_text("GROUP 2 1\nPRIME 2\nNGENS 1\n")
 
 
+@pytest.mark.parametrize("order, index", [(2, 0), (2, -1), (0, 1), (-2, 1)])
+def test_parse_rejects_group_id_below_one(order, index):
+    with pytest.raises(PcFileError, match="must be at least 1") as err:
+        parse_pc_text(f"# id below 1\nGROUP {order} {index}\nPRIME 2\nNGENS 1\nEND\n")
+    assert err.value.line == 2
+
+
 def test_parse_reports_line_numbers():
     bad = "GROUP 4 1\nPRIME 2\nNGENS 2\nPOWER 0 = g2^1\nEND\n"
     with pytest.raises(PcFileError) as err:
@@ -320,6 +327,8 @@ def test_serialize_round_trip():
         assert again.powers == pres.powers
         assert again.comms == pres.comms
         assert serialize_pc(again) == out  # normalization is idempotent
+    # a presentation without an id is written as index 1, which parses
+    assert parse_one(serialize_pc(PcPresentation(2, 1))).group_id == (2, 1)
 
 
 def test_mixed_blocks_parse_in_order():

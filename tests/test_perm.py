@@ -54,6 +54,11 @@ def test_from_cycles_rejects_bad_input():
         Perm.from_cycles(3, [(2, 2)])  # repeated point
 
 
+def test_from_cycles_rejects_degree_zero():
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        Perm.from_cycles(0, [])
+
+
 def test_constructor_validates_images():
     with pytest.raises(ValueError):
         Perm((1, 1, 3))

@@ -1,17 +1,29 @@
 #!/usr/bin/env python3
 """Generate the complete group catalogues of order 32 and 81 as .pc files.
 
-Method: every group G of order p**(k+1) has a maximal subgroup N, which is
-normal of index p, so G = <N, t> where conjugation by t induces an
-automorphism b of N with b**p equal to conjugation by z = t**p and
-b(z) = z. Sweeping every automorphism b of every group N in the order-p**k
-catalogue and every compatible tail z therefore constructs every
-isomorphism type of order p**(k+1), with plenty of repetition; explicit
-isomorphism tests collapse the repeats.
+Method: every group G of order p**(n+1) has a central subgroup Z = <z> of
+order p, since the centre of a p-group is nontrivial, and G/Z is some
+group P of order p**n in the bundled catalogue one order down. Lifting
+P's pc generators g1..gn to G and appending z as generator n+1 turns each
+relation of P into the same relation times a power of z (z is central, so
+the power can be moved to the end). Hence G has a consistent pc
+presentation of the form P's relations plus a tail z^a on every power
+relation and z^b on every commutator relation, with z central of order p.
+Trying every tail vector on every presentation of the smaller catalogue
+(`central_extensions`) and keeping the consistent ones therefore reaches
+every isomorphism type of order p**(n+1), with repetition.
 
-Safety nets: the deduplicated counts must equal the classical catalogue
-sizes (51 groups of order 32, 15 of order 81); every exported presentation
-is consistency-checked and verified isomorphic to the table it encodes.
+Deduplication: candidates are bucketed by `fingerprint`, a tuple of
+isomorphism invariants, and the first candidate per key is kept. Equal
+groups have equal keys, so the number of distinct keys is at most the
+number of isomorphism types. The classical counts (51 groups of order 32,
+15 of order 81) are asserted: when they are reached, each key names
+exactly one type and no two types were merged. A key too weak to separate
+some pair of types fails that assertion rather than dropping a group.
+
+Safety net on export: the written text is parsed back, every block is
+tabulated (which rejects an inconsistent presentation) and its key must
+equal the key of the class it was written for.
 
 Run from the repository root after installing the package:
 
@@ -20,6 +32,7 @@ Run from the repository root after installing the package:
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import time
@@ -29,7 +42,8 @@ import numpy as np
 
 from pgf.arith import exact_log
 from pgf.datasets import load_fixture
-from pgf.pc import PcPresentation, serialize_pc
+from pgf.errors import PgfError
+from pgf.pc import PcPresentation, parse_pc_text, serialize_pc
 from pgf.table import CayleyTable
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pgf", "data")
@@ -41,136 +55,22 @@ TARGETS = (
 )
 
 
-# ----- generic helpers on tables ------------------------------------------------
-
-
-def minimal_generators(ct: CayleyTable) -> list:
-    """A minimal generating set, chosen greedily above the Frattini layers."""
-    frat = ct.frattini_ids()
-    r = ct.rank()
-    gens: list[int] = []
-    covered = set(frat)
-    for _ in range(r):
-        x = next(i for i in range(ct.n) if i not in covered)
-        gens.append(x)
-        covered = set(ct.closure_ids(tuple(frat) + tuple(gens)))
-    assert len(covered) == ct.n, "minimal generators failed to generate"
-    return gens
-
-
-def word_expressions(ct: CayleyTable, gens: list) -> tuple:
-    """BFS parents so every element is (parent element) * (one generator).
-
-    Returns (order, parent, genslot) arrays; element 0 is the root.
-    """
-    n = ct.n
-    parent = np.full(n, -1, dtype=np.int64)
-    slot = np.full(n, -1, dtype=np.int64)
-    order = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for s, g in enumerate(gens):
-            y = int(ct.table[x, g])
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                slot[y] = s
-                order.append(y)
-    assert len(order) == n
-    return order, parent, slot
-
-
-def extend_map(
-    target: np.ndarray, order, parent, slot, images: list
-) -> np.ndarray:
-    """Extend generator images to a full map following the BFS expressions."""
-    phi = np.zeros(len(order), dtype=np.int64)
-    for x in order[1:]:
-        phi[x] = target[phi[parent[x]], images[slot[x]]]
-    return phi
-
-
-def automorphisms(ct: CayleyTable) -> list:
-    """All automorphisms of the tabulated group, as id permutation arrays."""
-    n = ct.n
-    t = ct.table
-    orders = ct.element_orders()
-    gens = minimal_generators(ct)
-    word_data = word_expressions(ct, gens)
-    frat = tuple(ct.frattini_ids())
-    out = []
-
-    def dfs(k, images, covered):
-        if k == len(gens):
-            phi = extend_map(t, *word_data, images)
-            if (phi[t] == t[np.ix_(phi, phi)]).all() and len(set(phi.tolist())) == n:
-                out.append(phi.astype(np.int32))
-            return
-        want = orders[gens[k]]
-        for y in range(1, n):
-            if orders[y] != want or y in covered:
-                continue
-            dfs(k + 1, images + [y], set(ct.closure_ids(frat + tuple(images) + (y,))))
-        return
-
-    dfs(0, [], set(ct.closure_ids(frat)))
-    return out
-
-
-def isomorphic(ct_a: CayleyTable, ct_b: CayleyTable) -> bool:
-    """Explicit isomorphism search between two tables of equal order."""
-    if ct_a.n != ct_b.n:
-        return False
-    ta, tb = ct_a.table, ct_b.table
-    orders_a, orders_b = ct_a.element_orders(), ct_b.element_orders()
-    gens = minimal_generators(ct_a)
-    word_data = word_expressions(ct_a, gens)
-    frat_b = tuple(ct_b.frattini_ids())
-    if len(frat_b) != len(ct_a.frattini_ids()):
-        return False
-
-    def dfs(k, images, covered):
-        if k == len(gens):
-            phi = extend_map(tb, *word_data, images)
-            return bool(
-                (phi[ta] == tb[np.ix_(phi, phi)]).all()
-                and len(set(phi.tolist())) == ct_a.n
-            )
-        want = orders_a[gens[k]]
-        for y in range(1, ct_b.n):
-            if orders_b[y] != want or y in covered:
-                continue
-            if dfs(
-                k + 1,
-                images + [y],
-                set(ct_b.closure_ids(frat_b + tuple(images) + (y,))),
-            ):
-                return True
-        return False
-
-    return dfs(0, [], set(ct_b.closure_ids(frat_b)))
-
-
 def fingerprint(ct: CayleyTable) -> tuple:
-    """Cheap isomorphism invariants used to bucket candidates."""
+    """Isomorphism invariants; distinct keys mean non-isomorphic groups."""
     orders = ct.element_orders()
     conj = ct.conj()
-    class_sizes = sorted(
-        len(np.unique(conj[:, x])) for x in range(ct.n)
-    )
+    class_sizes = sorted(len(np.unique(conj[:, x])) for x in range(ct.n))
     p = ct.prime
     powers = ct.pow_map(p)
-    pair_hist = sorted(
-        (int(orders[x]), int(orders[powers[x]])) for x in range(ct.n)
-    )
+    pair_hist = sorted((int(orders[x]), int(orders[powers[x]])) for x in range(ct.n))
     center = ct.center_ids()
     derived = ct.derived_ids(range(ct.n))
     # fiber sizes of the p-th power map separate pairs that agree on
     # everything else (seen at order 32)
     fibers = sorted(Counter(Counter(powers.tolist()).values()).items())
+    # subgroup counts by (order, normal, abelian) separate the two pairs
+    # of order-32 groups that agree on all of the above
+    subgroups = Counter((s.order, s.normal, s.abelian) for s in ct.lattice().subgroups)
     return (
         ct.n,
         tuple(sorted(Counter(orders.tolist()).items())),
@@ -185,142 +85,26 @@ def fingerprint(ct: CayleyTable) -> tuple:
         ct.derived_length(),
         ct.lcs_orders(),
         ct.lower_exp_orders(),
+        tuple(sorted(subgroups.items())),
     )
 
 
-# ----- cyclic extensions --------------------------------------------------------
-
-
-def extension_table(tn: np.ndarray, beta: np.ndarray, z: int, p: int) -> np.ndarray:
-    """Multiplication table of <N, t> with x^t = beta(x) and t**p = z.
-
-    Element id i*n + a stands for a * t**i; the product rule is
-    (a t**i)(b t**j) = a * beta**i(b) * z**carry * t**((i+j) mod p).
-    """
-    n = tn.shape[0]
-    big = np.empty((p * n, p * n), dtype=np.int32)
-    bpow = [np.arange(n, dtype=np.int32)]
-    for _ in range(p - 1):
-        bpow.append(beta[bpow[-1]])
-    for i in range(p):
-        for j in range(p):
-            block = tn[:, bpow[i]]
-            if i + j >= p:
-                block = tn[block, z]
-            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = (
-                block + ((i + j) % p) * n
-            )
-    return big
-
-
-def candidate_extensions(ct: CayleyTable, p: int):
-    """Yield every (beta, z) with beta**p = conjugation by z and beta(z) = z."""
-    t = ct.table
-    inv = ct.inv()
-    # inn[z, x] = z * x * z**-1
-    inn = t[t, inv[:, None]]
-    by_map = {}
-    for z in range(ct.n):
-        by_map.setdefault(inn[z].tobytes(), []).append(z)
-    for beta in automorphisms(ct):
-        bp = beta
-        for _ in range(p - 1):
-            bp = beta[bp]
-        for z in by_map.get(bp.astype(np.int32).tobytes(), ()):
-            if beta[z] == z:
-                yield beta, z
-
-
-def extension_tables(source: str, p: int):
-    """All candidate tables of order p * |N| over the named catalogue."""
-    for pres in load_fixture(source):
-        ct = CayleyTable.from_pc(pres)
-        for beta, z in candidate_extensions(ct, p):
-            n = ct.n
-            table = extension_table(ct.table, beta, z, p)
-            gen_ids = tuple(ct.gen_ids) + (n,)  # N's generators plus t
-            yield CayleyTable(table, gen_ids)
-
-
-# ----- pc presentation export ---------------------------------------------------
-
-
-def chief_series_masks(ct: CayleyTable) -> list:
-    """Masks of a chief series 1 < T_1 < ... < T_k = G, one index-p step each,
-    every member normal in G. Exists because chief factors of a group of
-    prime-power order are central."""
-    p = ct.prime
-    lat = ct.lattice()
-    chain = [np.zeros(ct.n, dtype=bool)]
-    chain[0][0] = True
-    while int(chain[-1].sum()) < ct.n:
-        cur = chain[-1]
-        want = int(cur.sum()) * p
-        step = next(
-            s
-            for s in lat.subgroups
-            if s.normal and s.order == want and not (cur & ~s.mask).any()
+def central_extensions(pres: PcPresentation):
+    """Yield P's relations with a central generator z of order p appended
+    and every tail z^a on the power and commutator relations, the zero
+    tail (P x C_p) first, in itertools.product order."""
+    p, n = pres.prime, pres.ngens
+    pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
+    zero = (0,) * n
+    powers = [w or zero for w in pres.powers]
+    comms = [pres.comms.get(pair, zero) for pair in pairs]
+    for tail in itertools.product(range(p), repeat=n + len(pairs)):
+        yield PcPresentation(
+            p,
+            n + 1,
+            [w + (a,) for w, a in zip(powers, tail)],
+            {pair: w + (b,) for pair, w, b in zip(pairs, comms, tail[n:])},
         )
-        chain.append(step.mask)
-    return chain
-
-
-def pc_from_table(ct: CayleyTable, group_id: tuple) -> PcPresentation:
-    """Derive a power-commutator presentation along a chief series."""
-    p = ct.prime
-    k = exact_log(ct.n, p)
-    chain = chief_series_masks(ct)  # chain[j] has order p**j
-    t = ct.table
-    inv = ct.inv()
-    # generator i (1-based, top first) lies in chain[k-i+1] minus chain[k-i]
-    gens = []
-    for i in range(1, k + 1):
-        diff = chain[k - i + 1] & ~chain[k - i]
-        gens.append(int(np.nonzero(diff)[0][0]))
-
-    def gen_power(i, e):
-        out = 0
-        for _ in range(e):
-            out = int(t[out, gens[i]])
-        return out
-
-    def vec(x):
-        digits = []
-        for i in range(k):
-            sub = chain[k - i - 1]
-            for e in range(p):
-                y = int(t[inv[gen_power(i, e)], x])
-                if sub[y]:
-                    digits.append(e)
-                    x = y
-                    break
-            else:
-                raise AssertionError("digit peeling failed")
-        assert x == 0
-        return tuple(digits)
-
-    powers = []
-    for i in range(k):
-        w = vec(gen_power(i, p))
-        assert all(e == 0 for e in w[: i + 1]), "power tail below its level"
-        powers.append(w if any(w) else None)
-    comms = {}
-    for j in range(2, k + 1):
-        for i in range(1, j):
-            gj, gi = gens[j - 1], gens[i - 1]
-            c = int(t[inv[t[gi, gj]], t[gj, gi]])  # [gj, gi]
-            w = vec(c)
-            assert all(e == 0 for e in w[:j]), "commutator tail below its level"
-            if any(w):
-                comms[(j, i)] = w
-    return PcPresentation(
-        p,
-        k,
-        powers,
-        comms,
-        group_id=group_id,
-        provenance="cyclic extension enumeration",
-    )
 
 
 def describe(ct: CayleyTable) -> str:
@@ -344,71 +128,65 @@ def describe(ct: CayleyTable) -> str:
     )
 
 
-# ----- driver -------------------------------------------------------------------
-
-
-def classify(source: str, p: int, expected: int):
-    print(f"[{source}] enumerating extensions ...", flush=True)
+def classify(source: str, p: int, expected: int) -> list:
+    """(key, presentation) of one representative per isomorphism type of
+    the central extensions of the groups in `source`, sorted by key."""
+    print(f"[{source}] enumerating central extensions ...", flush=True)
     t0 = time.perf_counter()
-    classes = []  # (fingerprint, CayleyTable)
-    buckets: dict = {}
-    seen = 0
-    for ct in extension_tables(source, p):
-        seen += 1
-        fp = fingerprint(ct)
-        hit = False
-        for idx in buckets.get(fp, ()):
-            if isomorphic(classes[idx][1], ct):
-                hit = True
-                break
-        if not hit:
-            buckets.setdefault(fp, []).append(len(classes))
-            classes.append((fp, ct))
+    classes: dict = {}
+    tried = consistent = 0
+    for base in load_fixture(source):
+        for pres in central_extensions(base):
+            tried += 1
+            try:
+                ct = CayleyTable.from_pc(pres)
+            except PgfError:  # inconsistent tails
+                continue
+            consistent += 1
+            classes.setdefault(fingerprint(ct), pres)
     dt = time.perf_counter() - t0
     print(
-        f"[{source}] {seen} candidate tables -> {len(classes)} classes "
-        f"in {dt:.1f}s"
+        f"[{source}] {tried} tail vectors, {consistent} consistent -> "
+        f"{len(classes)} classes in {dt:.1f}s"
     )
-    assert len(classes) == expected, (
-        f"expected {expected} isomorphism classes, found {len(classes)}"
-    )
-    classes.sort(key=lambda pair: pair[0])
-    return [ct for _, ct in classes]
+    if len(classes) != expected:  # a raise, so that python -O keeps the gate
+        raise RuntimeError(f"expected {expected} isomorphism classes, found {len(classes)}")
+    return sorted(classes.items())
 
 
-def export(tables: list, order: int, p: int) -> str:
+def export(classes: list, order: int, p: int) -> str:
     lines = [
-        f"# Groups of order {order}, prime {p} (all {len(tables)}).",
-        f"# Derived by cyclic extension over the bundled order-{order // p}",
-        "# catalogue (tools/generate_small_groups.py): every maximal subgroup",
-        "# is normal of index p, so sweeping automorphism/tail pairs over the",
-        "# smaller catalogue reaches every isomorphism type; explicit",
-        "# isomorphism tests collapse duplicates and the classical class",
-        "# count is asserted. Each block is consistency-checked and verified",
-        "# isomorphic to the table it was derived from.",
+        f"# Groups of order {order}, prime {p} (all {len(classes)}).",
+        f"# Derived by central extension of the bundled order-{order // p}",
+        "# catalogue (tools/generate_small_groups.py): every group has a",
+        "# central subgroup of order p, so trying every relation tail over",
+        "# the smaller catalogue reaches every isomorphism type; one group",
+        "# is kept per invariant key and the classical class count is",
+        "# asserted, so the keys separate the types. Each block is",
+        "# consistency-checked and its key rechecked after writing.",
     ]
-    for idx, ct in enumerate(tables, start=1):
-        pres = pc_from_table(ct, (order, idx))
-        # from_pc raises on an inconsistent presentation
-        assert isomorphic(ct, CayleyTable.from_pc(pres)), (
-            f"({order},{idx}): presentation does not match its table"
-        )
+    for idx, (_, pres) in enumerate(classes, start=1):
+        pres = PcPresentation(p, pres.ngens, pres.powers, pres.comms, group_id=(order, idx))
         block = serialize_pc(pres).splitlines()
-        block[0] = f"{block[0]}    # {describe(ct)}"
+        block[0] = f"{block[0]}    # {describe(CayleyTable.from_pc(pres))}"
         lines.append("")
         lines.extend(block)
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    for (key, _), pres in zip(classes, parse_pc_text(text), strict=True):
+        if fingerprint(CayleyTable.from_pc(pres)) != key:
+            raise RuntimeError(f"{pres.group_id}: written presentation does not match its class")
+    return text
 
 
 def main() -> int:
     for source, p, expected, out_name in TARGETS:
-        tables = classify(source, p, expected)
-        order = tables[0].n
-        text = export(tables, order, p)
+        classes = classify(source, p, expected)
+        order = classes[0][1].order
+        text = export(classes, order, p)
         path = os.path.normpath(os.path.join(OUT_DIR, out_name))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"[{out_name}] wrote {len(tables)} groups to {path}")
+        print(f"[{out_name}] wrote {len(classes)} groups to {path}")
     return 0
 
 
