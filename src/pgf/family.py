@@ -96,11 +96,34 @@ def _children(c: Cert) -> tuple:
 
 def cert_prime(c: Cert) -> int:
     """The common prime of all leaves; mixed primes invalidate the term, as
-    does nesting deeper than MAX_NESTING, checked before anything recurses."""
+    do a word generator index below 1 and nesting deeper than MAX_NESTING,
+    checked before anything recurses.
+
+    Nesting counts brackets as the parser does: each term's "(" and each
+    commutator's "[" in a quotient's words. A product nested directly in a
+    product, which only a term built in code holds, counts as one more.
+    """
     primes = set()
-    stack = [(c, 1)]  # children pushed in reverse, so leaves are checked left to right
+    # (node, depth): a term with the depth of its own "(", a word with the
+    # number of brackets around it. Children are pushed in reverse, so
+    # leaves are checked left to right.
+    stack = [(c, 1)]
     while stack:
         t, depth = stack.pop()
+        if isinstance(t, tuple):  # a word, see _parse_word
+            if t[0] == "comm":
+                depth += 1
+                kids = [(w, depth) for w in t[1:]]
+            elif t[0] == "prod":
+                kids = [(w, depth + 1 if w[0] == "prod" else depth) for w in t[1]]
+            elif t[1] < 1:  # as the parser requires; g0 would read gens[-1]
+                raise InvalidCertificate(f"generator index must be >= 1, not {t[1]}")
+            else:
+                kids = []
+            if depth > MAX_NESTING:
+                raise InvalidCertificate(f"certificate nests deeper than {MAX_NESTING}")
+            stack.extend(reversed(kids))
+            continue
         if depth > MAX_NESTING:
             raise InvalidCertificate(f"certificate nests deeper than {MAX_NESTING}")
         if isinstance(t, Cyclic):
@@ -114,6 +137,7 @@ def cert_prime(c: Cert) -> int:
         elif isinstance(t, (DirectProduct, Wreath)):
             stack.extend((k, depth + 1) for k in reversed(_children(t)))
         elif isinstance(t, FrattiniQuotient):
+            stack.extend((w, depth) for w in reversed(t.words))
             stack.append((t.child, depth + 1))
         else:
             raise InvalidCertificate(f"not a certificate term: {t!r}")
@@ -493,6 +517,7 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
     subs = lat.subgroups
     m = len(subs)
     packed = lat.mask_ints()
+    orders = lat.orders.tolist()
     stats = {"subgroups": m, "classes_examined": 0, "pairs_tested": 0}
     memo: dict = {}
 
@@ -503,29 +528,26 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
             return True, ()
         if s.abelian:
             return True, ((s.ids, (0,)),)
-        s_int = packed[r]
-        members = [j for j in range(m) if packed[j] & s_int == packed[j]]
-        # A is normal in S when S lies inside A's normaliser
-        a_cands = [
-            j
-            for j in members
-            if subs[j].abelian
-            and 1 < subs[j].order < s.order
-            and subs[j].normalizer[s.mask].all()
-        ]
-        a_cands.sort(key=lambda j: (-subs[j].order, subs[j].ids))
+        # positions of the subgroups inside S, S last: no element outside S
+        members = np.flatnonzero(~lat.masks[: r + 1, ~s.mask].any(axis=1))
+        # A is normal in S when S lies inside A's normaliser; largest
+        # first, then by position, which orders equal orders by ids
+        o = lat.orders[members]
+        a_cands = members[lat.abelian[members] & (1 < o) & (o < s.order)]
+        a_cands = a_cands[lat.normalizers[np.ix_(a_cands, np.flatnonzero(s.mask))].all(axis=1)]
+        a_cands = a_cands[np.argsort(-lat.orders[a_cands], kind="stable")].tolist()
         # one representative per S-class of proper subgroups: the first
         # member of each orbit in (order, ids) order. For S = G these are
         # the fused classes, whose first member is their class_rep.
         if r == m - 1:
-            h_reps = [j for j in range(m - 1) if subs[j].class_rep == j]
+            h_reps = np.flatnonzero(lat.class_rep[:-1] == np.arange(m - 1)).tolist()
         else:
             h_reps = lat.orbit_reps(members[:-1], s.gens)
         for a in a_cands:
             pa = packed[a]
-            oa = subs[a].order
+            oa = orders[a]
             for h in h_reps:
-                if oa * subs[h].order != s.order * (pa & packed[h]).bit_count():
+                if oa * orders[h] != s.order * (pa & packed[h]).bit_count():
                     continue
                 stats["pairs_tested"] += 1
                 ok, sub_chain = decide(h)

@@ -7,7 +7,10 @@ permutation group's columns are read off its sorted element matrix, a
 presentation's are filled by recursion on its normal forms. All
 invariants here are computed directly from the table, which makes them an
 independent route from the permutation-level algorithms built on
-stabilizer chains.
+stabilizer chains. The whole-group invariants (Frattini subgroup, rank,
+derived length, the lower central and lower exponent-l central series) are
+normal closures of seeds formed from generators only, never from all
+pairs of elements.
 
 The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
@@ -16,15 +19,18 @@ trivial subgroup visits everything. Each layer is climbed as whole arrays in
 blocks of rows: normalisers by one gather per recorded generator, and the
 overgroups named by right-coset labels min(Hx), so that every covering pair
 forms one packed row and the first occurrence of each row is kept.
-Conjugacy classes are fused on positions: conjugation by an element permutes
-the positions of the sorted subgroups, one gather over the stacked masks per
-element.
+The lattice keeps its subgroups as arrays by position and hands out
+read-only TSub views of them. Conjugation by an element permutes the
+positions of the sorted subgroups, one gather over the stacked masks per
+element, and conjugacy classes are the orbits of the generators' position
+maps, labelled by min-label propagation; a conjugator is walked only for
+the classes whose conjugators are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,109 +48,178 @@ def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
     """Membership mask of the subgroup generated by the seed element ids.
 
     Breadth-first closure under right multiplication by the seeds. Row 0 of
-    the table must be the identity, which every subgroup contains.
+    the table must be the identity, which every subgroup contains. Each
+    frontier is deduplicated on a mask, not by `np.unique`, whose first
+    call imports `numpy.ma` under numpy 2.
     """
-    member = np.zeros(table.shape[0], dtype=bool)
+    n = table.shape[0]
+    member = np.zeros(n, dtype=bool)
     member[0] = True
-    if seed.size == 0:
-        return member
-    member[seed] = True
-    frontier = seed[seed != 0]
-    while frontier.size:
-        prods = np.unique(table[np.ix_(frontier, seed)])
-        fresh = prods[~member[prods]]
-        member[fresh] = True
-        frontier = fresh
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size and seed.size:
+        fresh = np.zeros(n, dtype=bool)
+        fresh[table[np.ix_(frontier, seed)]] = True
+        fresh &= ~member
+        member |= fresh
+        frontier = np.flatnonzero(fresh)
     return member
 
 
-@dataclass(frozen=True, eq=False)
 class TSub:
-    """A subgroup of the ambient table, as sorted element ids plus flags.
+    """A subgroup of the ambient table: a read-only view of one position of
+    its lattice's arrays.
 
     `gens` generate the subgroup: the lattice climb records its parent's
-    generators plus the adjoined element. `normalizer` is the membership
-    mask of its normaliser in the whole group. Both masks are read-only
-    rows of the lattice's stacked matrices.
+    generators plus the adjoined element. `mask` and `normalizer` are the
+    membership masks of the subgroup and of its normaliser in the whole
+    group, read-only rows of the lattice's stacked matrices. `ids`, the
+    sorted element ids, is read off the mask once. `class_rep` is the
+    position of the class representative and `conj_to_rep` an element id c
+    with rep^c == this subgroup, walked once per class on first read.
     """
 
-    ids: tuple
-    mask: np.ndarray = field(repr=False)
-    order: int
-    abelian: bool
-    gens: tuple
-    normalizer: np.ndarray = field(repr=False)
-    class_rep: int  # index into Lattice.subgroups of the class representative
-    conj_to_rep: int  # element id c with rep^c == this subgroup
+    __slots__ = ("_lat", "_pos", "_ids")
+
+    def __init__(self, lat: "Lattice", pos: int):
+        self._lat = lat
+        self._pos = pos
+        self._ids = None
+
+    def __repr__(self) -> str:
+        return f"TSub(order={self.order}, gens={self.gens})"
+
+    @property
+    def ids(self) -> tuple:
+        if self._ids is None:
+            self._ids = tuple(np.flatnonzero(self.mask).tolist())
+        return self._ids
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self._lat.masks[self._pos]
+
+    @property
+    def order(self) -> int:
+        return int(self._lat.orders[self._pos])
+
+    @property
+    def abelian(self) -> bool:
+        return bool(self._lat.abelian[self._pos])
+
+    @property
+    def gens(self) -> tuple:
+        lat = self._lat
+        return tuple(lat._gens[self._pos, : lat._depth[self._pos]].tolist())
+
+    @property
+    def normalizer(self) -> np.ndarray:
+        return self._lat.normalizers[self._pos]
 
     @property
     def normal(self) -> bool:
         return bool(self.normalizer.all())
 
+    @property
+    def class_rep(self) -> int:
+        return int(self._lat.class_rep[self._pos])
+
+    @property
+    def conj_to_rep(self) -> int:
+        return self._lat._conj_to_rep(self._pos)
+
+
+class _Subgroups(Sequence):
+    """A lattice's subgroups as TSub views by position, each made on first
+    access and kept by this sequence, not by the lattice."""
+
+    __slots__ = ("_lat", "_views")
+
+    def __init__(self, lat: "Lattice"):
+        self._lat = lat
+        self._views = [None] * len(lat.orders)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self[i] for i in range(len(self._views))[key])
+        view = self._views[key]
+        if view is None:
+            view = self._views[key] = TSub(self._lat, key % len(self._views))
+        return view
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self._views)))
+
 
 class Lattice:
-    """All subgroups of a prime-power CayleyTable, with conjugacy fusion.
+    """All subgroups of a prime-power CayleyTable, with conjugacy classes.
 
     Subgroups are sorted by (order, ids), so the whole group comes last,
-    and a position in that order names a subgroup. Their masks and
-    normalisers are read-only rows of two stacked matrices. Conjugation by
-    an element permutes positions (`_position_map`), and classes are fused
-    on positions (`orbit`). `builds` counts the packed overgroup rows the
-    climb formed: one per covering pair H < K with |K:H| = l.
+    and a position in that order names a subgroup. The lattice keeps them
+    as arrays by position: `masks` and `normalizers` (read-only bool
+    matrices, one row per subgroup), `orders`, `abelian`, and `class_rep`,
+    the least position of each conjugacy class. `subgroups` gives TSub
+    views of these; a view holds the lattice and the lattice holds no view,
+    so the two form no reference cycle, and reference counting frees the
+    lattice once no table, view or other name refers to it.
+
+    Conjugation by an element permutes positions (`_position_map`).
+    Classes are the orbits of the generators' position maps, labelled by
+    min-label propagation; the conjugators a class's orbit walk (`orbit`)
+    records are walked when first read. `builds` counts the packed
+    overgroup rows the climb formed: one per covering pair H < K with
+    |K:H| = l.
     """
 
-    def __init__(self, ct: CayleyTable, masks: list, norms: list, info: list, builds: int):
-        """Sort the climb's subgroups into TSubs and fuse classes.
+    def __init__(
+        self, ct: CayleyTable, masks: list, norms: list, gens: list, abelian: list, builds: int
+    ):
+        """Sort the climb's subgroups into position order and label classes.
 
-        `masks` holds one array of packed rows per layer; `norms` holds the
-        packed normaliser rows and `info` the (generators, abelian) pairs,
-        both in the same climb order.
-
-        Within a layer every subgroup has the same order, and ascending ids
-        are descending packed bytes, so each layer is sorted on its
-        complemented packed rows.
+        Per layer k of the climb, in climb order: `masks[k]` holds the
+        packed rows, `gens[k]` the (rows, k) generator matrix and
+        `abelian[k]` the flags; `norms` holds the packed normaliser rows of
+        all layers. Within a layer every subgroup has the same order, and
+        ascending ids are descending packed bytes, so each layer is sorted
+        on its complemented packed rows.
         """
         n = ct.n
+        sizes = [len(layer) for layer in masks]
         perm = []  # perm[i] = climb index of the subgroup at position i
+        padded = np.zeros((sum(sizes), len(masks) - 1), dtype=np.int32)
         off = 0
-        for layer in masks:
+        for k, layer in enumerate(masks):
             perm.append(off + np.argsort(_rows_as_void(~layer)))
+            padded[off : off + len(layer), :k] = gens[k]
             off += len(layer)
         perm = np.concatenate(perm)
         self._keys = np.concatenate(masks)[perm]
-        self._masks = _unpack_rows(self._keys, n)
-        normalizers = _unpack_rows(np.concatenate(norms)[perm], n)
+        self.masks = _unpack_rows(self._keys, n)
+        self.normalizers = _unpack_rows(np.concatenate(norms)[perm], n)
+        self.orders = _frozen(
+            np.repeat([int(np.unpackbits(layer[0]).sum()) for layer in masks], sizes)
+        )
+        self.abelian = _frozen(np.concatenate(abelian)[perm])
+        self._gens = padded[perm]
+        self._depth = np.repeat(np.arange(len(masks)), sizes)  # generators per position
+        self._builds = builds
         self._table = ct.table
         self._conj = ct.conj()
         self._inv = ct.inv()
-        self._builds = builds
+        self._gen_ids = ct.gen_ids
         keys = _rows_as_void(self._keys)
         self._key_order = np.argsort(keys).astype(np.int32)
         self._sorted_keys = keys[self._key_order]
         self._maps = {}
         self._ints = None
-        class_rep, conj_to_rep = self._fuse(ct.gen_ids)
-        sizes = self._masks.sum(axis=1).tolist()
-        flat = np.nonzero(self._masks)[1].tolist()
-        subs = []
-        start = 0
-        for i, j in enumerate(perm.tolist()):
-            gens, abelian = info[j]
-            stop = start + sizes[i]
-            subs.append(
-                TSub(
-                    ids=tuple(flat[start:stop]),
-                    mask=self._masks[i],
-                    order=sizes[i],
-                    abelian=abelian,
-                    gens=gens,
-                    normalizer=normalizers[i],
-                    class_rep=class_rep[i],
-                    conj_to_rep=conj_to_rep[i],
-                )
-            )
-            start = stop
-        self.subgroups = tuple(subs)
+        self._walks = {}  # class_rep -> orbit(class_rep, gen_ids)
+        self.class_rep = _frozen(self._least_in_orbits(ct.gen_ids))
+
+    @property
+    def subgroups(self) -> Sequence:
+        return _Subgroups(self)
 
     @property
     def builds(self) -> int:
@@ -172,8 +247,8 @@ class Lattice:
         """
         pm = self._maps.get(g)
         if pm is None:
-            m = len(self._masks)
-            img = np.packbits(np.take(self._masks, self._conj[self._inv[g]], axis=1), axis=1)
+            m = len(self.masks)
+            img = np.packbits(np.take(self.masks, self._conj[self._inv[g]], axis=1), axis=1)
             at = np.searchsorted(self._sorted_keys, _rows_as_void(img))
             pm = self._key_order[np.minimum(at, m - 1)]
             if not (self._keys[pm] == img).all():
@@ -181,6 +256,27 @@ class Lattice:
             pm.setflags(write=False)
             self._maps[g] = pm
         return pm
+
+    def _least_in_orbits(self, gens: Sequence[int]) -> np.ndarray:
+        """rep[i] = the least position in the orbit of position i under
+        conjugation by the group `gens` generate.
+
+        Min-label propagation over the generators' position maps, rep =
+        min(rep, rep[pm]), with pointer jumping, rep = rep[rep]: rep[i]
+        stays in i's orbit and only falls. At the fixed point rep[i] <=
+        rep[pm[i]] around each cycle of every pm, so rep is constant on
+        orbits, and it is the orbit's least position, which labels itself.
+        """
+        maps = [self._position_map(g) for g in gens]
+        rep = np.arange(len(self.masks))
+        while True:
+            new = rep
+            for pm in maps:
+                new = np.minimum(new, new[pm])
+            new = new[new]
+            if (new == rep).all():
+                return rep
+            rep = new
 
     def orbit(self, pos: int, gens: Sequence[int]) -> dict:
         """Orbit of the subgroup at `pos` under conjugation by the group
@@ -204,53 +300,42 @@ class Lattice:
                     stack.append((q, cg))
         return orbit
 
+    def _conj_to_rep(self, pos: int) -> int:
+        """The conjugator the orbit walk from pos's class representative
+        records for pos, under the table's generators; walked once per
+        class."""
+        r = int(self.class_rep[pos])
+        if r == pos:
+            return 0
+        walk = self._walks.get(r)
+        if walk is None:
+            walk = self._walks[r] = self.orbit(r, self._gen_ids)
+        return walk[pos]
+
     def orbit_reps(self, positions: Sequence[int], gens: Sequence[int]) -> list:
-        """The first position of each orbit under conjugation by the group
-        `gens` generate, for `positions` a union of such orbits, in the
-        order given."""
-        seen: set = set()
-        reps = []
-        for p in positions:
-            if p not in seen:
-                seen.update(self.orbit(p, gens))
-                reps.append(p)
-        return reps
+        """The least position of each orbit under conjugation by the group
+        `gens` generate, for `positions` a union of such orbits, ascending:
+        the first position of each orbit met."""
+        positions = np.asarray(positions, dtype=np.intp)
+        rep = self._least_in_orbits(gens)
+        return positions[rep[positions] == positions].tolist()
 
-    def _fuse(self, gens: Sequence[int]) -> tuple:
-        """Class representative and conjugator per position under the
-        group `gens` generate.
-
-        Positions are visited in increasing order, so each orbit starts at
-        its least position, which is the class representative, and the
-        orbit's conjugator c gives rep^c == the subgroup.
-        """
-        m = len(self._masks)
-        class_rep = [-1] * m
-        conj_to_rep = [0] * m
-        for start in range(m):
-            if class_rep[start] != -1:
-                continue
-            for pos, c in self.orbit(start, gens).items():
-                class_rep[pos] = start
-                conj_to_rep[pos] = c
-        return class_rep, conj_to_rep
+    def _views(self, positions: np.ndarray) -> tuple:
+        subs = self.subgroups
+        return tuple(subs[i] for i in positions.tolist())
 
     def class_reps(self) -> tuple:
-        return tuple(
-            s for i, s in enumerate(self.subgroups) if s.class_rep == i
-        )
+        return self._views(np.flatnonzero(self.class_rep == np.arange(len(self.masks))))
 
     def maximal(self) -> tuple:
         # maximal subgroups of an l-group are exactly those of index l
-        full = self.subgroups[-1].order
+        full = int(self.orders[-1])
         if full == 1:
             return ()
-        l = prime_power_root(full)
-        return tuple(s for s in self.subgroups if s.order * l == full)
+        return self._views(np.flatnonzero(self.orders * prime_power_root(full) == full))
 
     def normal_abelian(self) -> tuple:
-        return tuple(s for s in self.subgroups if s.normal and s.abelian)
-
+        return self._views(np.flatnonzero(self.abelian & self.normalizers.all(axis=1)))
 
 def _row_offsets(m: int, width: int) -> np.ndarray:
     """Column vector of the flat offsets of the rows of an (m, width) array."""
@@ -263,11 +348,14 @@ def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(a.ravel(), idx + _row_offsets(len(a), a.shape[1]))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     """Read-only bool matrix of packed rows of n bits each."""
-    out = np.unpackbits(packed, axis=1, count=n).view(bool)
-    out.setflags(write=False)
-    return out
+    return _frozen(np.unpackbits(packed, axis=1, count=n).view(bool))
 
 
 def _fill(cols: np.ndarray) -> Optional[np.ndarray]:
@@ -438,20 +526,46 @@ class CayleyTable:
         mask = (self.table == self.table.T).all(axis=1)
         return tuple(int(v) for v in np.nonzero(mask)[0])
 
-    def _comm_ids(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-        """Unique ids of commutators [a, b] = a^-1 b^-1 a b with a in A, b in B."""
+    def _commutators(self, a_ids, b_ids) -> np.ndarray:
+        """Ids of the commutators [a, b] = a^-1 b^-1 a b, a in A, b in B, one
+        per pair."""
         t = self.table
+        a_ids = np.asarray(a_ids, dtype=np.intp)
+        b_ids = np.asarray(b_ids, dtype=np.intp)
         ab = t[np.ix_(a_ids, b_ids)]
         ba = t[np.ix_(b_ids, a_ids)].T
-        return np.unique(t[self.inv()[ba], ab])
+        return t[self.inv()[ba], ab].ravel()
 
-    def derived_ids(self, ids: Sequence[int]) -> tuple:
-        """The commutator subgroup of the subgroup with these ids."""
-        idx = np.asarray(ids, dtype=np.int64)
-        seeds = self._comm_ids(idx, idx)
-        return self.closure_ids(seeds)
+    def _normal_closure(self, seeds: Sequence[int]) -> tuple:
+        """(mask, generators) of the normal closure of the seed ids.
+
+        A seed outside the subgroup built so far is adjoined as a generator
+        and its conjugates by the table's generators become seeds. Each
+        adjoined seed multiplies the order by at least l, so there are at
+        most log_l(n) closures, and the result is closed under conjugation
+        by the generators, hence normal.
+        """
+        conj = self.conj()
+        gen_ids = np.asarray(self.gen_ids, dtype=np.intp)
+        member = np.zeros(self.n, dtype=bool)
+        member[0] = True
+        gens = []
+        todo = list(seeds)
+        while todo:
+            x = todo.pop()
+            if member[x]:
+                continue
+            gens.append(x)
+            member = _closure(self.table, np.asarray(gens, dtype=np.intp))
+            todo.extend(conj[gen_ids, x].tolist())
+        return member, gens
 
     # ----- whole-group invariants --------------------------------------------
+    #
+    # Each term below is a normal subgroup computed as the normal closure of
+    # seeds formed from generators only (Holt, Eick and O'Brien, Handbook of
+    # Computational Group Theory, 2005): for G = <X> and N = <Y> normal,
+    # [G, N] is the normal closure of {[x, y] : x in X, y in Y}.
 
     def _require_prime(self) -> int:
         if self.n == 1:
@@ -460,23 +574,31 @@ class CayleyTable:
             raise PgfError(f"order {self.n} is not a prime power")
         return self.prime
 
+    def _exp_step(self, gens: Sequence[int]) -> list:
+        """Seeds of [G, N]N^l for N = <gens> normal: l-th powers of N's
+        generators and their commutators with G's. Modulo their normal
+        closure N is central and generated by elements of order l, so every
+        l-th power of N lies in it too."""
+        l = self._require_prime()
+        powers = self.pow_map(l)[np.asarray(gens, dtype=np.intp)]
+        return powers.tolist() + self._commutators(self.gen_ids, gens).tolist()
+
     def frattini_ids(self) -> tuple:
-        """Frattini subgroup: closure of all l-th powers and commutators.
+        """Frattini subgroup: the normal closure of the generators' l-th
+        powers and pairwise commutators.
 
         For an l-group, G/[G,G]G^l is the largest elementary abelian
-        quotient, so the subgroup generated by powers and commutators is the
-        Frattini subgroup. The lattice route (intersection of maximal
-        subgroups) is used as an independent check in the tests.
+        quotient, and the quotient by that closure is elementary abelian
+        already, so the closure is the Frattini subgroup. The lattice route
+        (intersection of maximal subgroups) is used as an independent check
+        in the tests.
         """
         if self._frattini is None:
-            l = self._require_prime()
             if self.n == 1:
                 self._frattini = (0,)
             else:
-                all_ids = np.arange(self.n, dtype=np.int64)
-                seeds = set(self.pow_map(l).tolist())
-                seeds.update(self._comm_ids(all_ids, all_ids).tolist())
-                self._frattini = self.closure_ids(seeds)
+                mask, _ = self._normal_closure(self._exp_step(self.gen_ids))
+                self._frattini = tuple(np.flatnonzero(mask).tolist())
         return self._frattini
 
     def rank(self) -> int:
@@ -491,31 +613,33 @@ class CayleyTable:
             raise PgfError("Frattini quotient is not a power of the prime") from exc
 
     def _series_orders(self, step) -> tuple:
-        """Orders along G = S_0 >= S_1 >= ... with S_{t+1} = step(ids of S_t).
+        """Orders along G = S_0 >= S_1 >= ... with S_{t+1} the normal
+        closure of step(generators of S_t).
 
         Ends at 1, or repeats the last order where the series stalls.
         """
-        cur = tuple(range(self.n))
+        gens = list(self.gen_ids)
         orders = [self.n]
-        while len(cur) > 1:
-            nxt = step(np.asarray(cur, dtype=np.int64))
-            orders.append(len(nxt))
-            if len(nxt) == len(cur):
+        while orders[-1] > 1:
+            mask, gens = self._normal_closure(step(gens))
+            orders.append(int(mask.sum()))
+            if orders[-1] == orders[-2]:
                 break
-            cur = nxt
         return tuple(orders)
 
     def derived_length(self) -> int:
-        orders = self._series_orders(self.derived_ids)
+        """Length of the derived series. Each term [D, D] is characteristic
+        in the normal D, so it is the normal closure in G of the
+        commutators of D's generators."""
+        orders = self._series_orders(lambda gens: self._commutators(gens, gens).tolist())
         if orders[-1] != 1:
             raise PgfError("derived series does not terminate")
         return len(orders) - 1
 
     def lcs_orders(self) -> tuple:
         """Orders along the lower central series, ending at 1 for nilpotent groups."""
-        all_ids = np.arange(self.n, dtype=np.int64)
         return self._series_orders(
-            lambda idx: self.closure_ids(self._comm_ids(all_ids, idx))
+            lambda gens: self._commutators(self.gen_ids, gens).tolist()
         )
 
     def lower_exp_orders(self) -> tuple:
@@ -525,15 +649,8 @@ class CayleyTable:
         Step: F_{t+1} = <f**l, [g, f] : f in F_t, g in G>. The first step
         equals the Frattini subgroup for l-groups.
         """
-        l = self._require_prime()
-        all_ids = np.arange(self.n, dtype=np.int64)
-
-        def step(idx):
-            seeds = set(self.pow_map(l)[idx].tolist())
-            seeds.update(self._comm_ids(all_ids, idx).tolist())
-            return self.closure_ids(seeds)
-
-        return self._series_orders(step)
+        self._require_prime()
+        return self._series_orders(self._exp_step)
 
     # ----- subgroup lattice ----------------------------------------------------
 
@@ -569,7 +686,7 @@ class CayleyTable:
         gens = np.zeros((1, 0), dtype=np.intp)
         abelian = np.ones(1, dtype=bool)
         lab = np.arange(n, dtype=np.int16)[None, :]
-        masks, norms, infos = [], [], []
+        masks, norms, gen_layers, abelian_layers = [], [], [], []
         builds = 0
         while True:
             owners, keys, packed = [], [], []
@@ -599,7 +716,8 @@ class CayleyTable:
                 owners.append(h + lo)
                 keys.append(k)
             masks.append(layer)
-            infos.extend(zip(map(tuple, gens.tolist()), abelian.tolist()))
+            gen_layers.append(gens)
+            abelian_layers.append(abelian)
             if not packed:
                 break
             packed = np.concatenate(packed)
@@ -621,5 +739,5 @@ class CayleyTable:
                 for p in pows:
                     np.minimum(out, _take_per_row(lh, t[p[ks]]), out=out)
             lab = child
-        self._lattice = Lattice(self, masks, norms, infos, builds)
+        self._lattice = Lattice(self, masks, norms, gen_layers, abelian_layers, builds)
         return self._lattice

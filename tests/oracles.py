@@ -220,3 +220,83 @@ def brute_pc_is_group(pres):
         return False  # some element has no right inverse
     # (a*b)*c against a*(b*c) for all n**3 triples at once
     return bool((t[t] == t[ids[:, None, None], t[None, :, :]]).all())
+
+
+# ----- table-level references ----------------------------------------------
+#
+# These work on a CayleyTable's ids but take no shortcut the production code
+# takes: series terms are closed from the commutators of every pair of
+# elements and the l-th powers of every element, and subgroup classes are
+# fused by conjugating id tuples.
+
+
+def _all_commutators(ct, a_ids, b_ids):
+    t = ct.table
+    a = np.asarray(a_ids, dtype=np.intp)
+    b = np.asarray(b_ids, dtype=np.intp)
+    ab = t[np.ix_(a, b)]
+    ba = t[np.ix_(b, a)].T
+    return set(t[ct.inv()[ba], ab].ravel().tolist())
+
+
+def _table_series(ct, step):
+    cur = tuple(range(ct.n))
+    terms = [cur]
+    while len(cur) > 1:
+        nxt = ct.closure_ids(step(cur))
+        terms.append(nxt)
+        if len(nxt) == len(cur):
+            break
+        cur = nxt
+    return terms
+
+
+def all_pairs_invariants(ct):
+    """(Frattini ids, rank, derived length, lower central orders, lower
+    exponent-l central orders) of a nontrivial l-group table, from every
+    pair of elements of each term."""
+    l = ct.prime
+    every = tuple(range(ct.n))
+    powl = ct.pow_map(l)
+    frattini = ct.closure_ids(_all_commutators(ct, every, every) | set(powl.tolist()))
+    derived = _table_series(ct, lambda cur: _all_commutators(ct, cur, cur))
+    assert len(derived[-1]) == 1, "derived series must end at 1"
+    lcs = _table_series(ct, lambda cur: _all_commutators(ct, every, cur))
+    lower_exp = _table_series(
+        ct, lambda cur: _all_commutators(ct, every, cur) | set(powl[list(cur)].tolist())
+    )
+    return (
+        frattini,
+        round(math.log(ct.n // len(frattini), l)),
+        len(derived) - 1,
+        tuple(map(len, lcs)),
+        tuple(map(len, lower_exp)),
+    )
+
+
+def eager_fusion(ct, subgroups):
+    """(class_rep, conj_to_rep) per position of `subgroups`, a list of
+    sorted id tuples closed under conjugation, as eager fusion computed
+    them: positions are visited in increasing order, each unvisited one
+    starts a stack walk over the table's generators in order, and each
+    conjugate reached records the product c of the generators that led to
+    it, so start^c is that conjugate."""
+    t, conj = ct.table, ct.conj()
+    where = {ids: i for i, ids in enumerate(subgroups)}
+    m = len(subgroups)
+    class_rep, conj_to_rep = [-1] * m, [0] * m
+    for start in range(m):
+        if class_rep[start] != -1:
+            continue
+        class_rep[start] = start
+        stack = [(start, 0)]
+        while stack:
+            p, c = stack.pop()
+            for g in ct.gen_ids:
+                image = tuple(sorted(conj[g, list(subgroups[p])].tolist()))
+                q = where[image]
+                if class_rep[q] == -1:
+                    cg = int(t[c, g])
+                    class_rep[q], conj_to_rep[q] = start, cg
+                    stack.append((q, cg))
+    return class_rep, conj_to_rep

@@ -322,8 +322,9 @@ def test_unreadable_dataset_error_names_the_path(args, reason, tmp_path, monkeyp
     assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
-def run_module_cli(args, cwd=None, timeout=60):
-    """`python -m pgf.cli ARGS` in a fresh process that imports this pgf."""
+def run_module_cli(args, cwd=None, timeout=60, stdout=subprocess.PIPE):
+    """`python -m pgf.cli ARGS` in a fresh process that imports this pgf;
+    stdout is captured unless another target is given."""
     src = os.path.dirname(os.path.dirname(pgf.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -331,7 +332,8 @@ def run_module_cli(args, cwd=None, timeout=60):
     )
     return subprocess.run(
         [sys.executable, "-m", "pgf.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         cwd=cwd,
@@ -343,3 +345,16 @@ def test_module_entry_point_runs_the_cli():
     proc = run_module_cli(["build", "C(3,2)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "order=9 rank=1 dl=1\n"
+
+
+@pytest.mark.parametrize("args", [["build", "C(3,2)"], ["verify"]])
+def test_closed_stdout_ends_quietly(args):
+    # the reader is gone before the first write, as after `| head -n 1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module_cli(args, timeout=120, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

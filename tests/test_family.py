@@ -154,6 +154,38 @@ def test_chain_at_the_nesting_limit_builds_and_one_deeper_is_refused():
         eval_cert(deeper)
 
 
+def nested_commutator(levels):
+    """[[...[g1,g2]...,g2],g2] as a word tree, `levels` brackets deep."""
+    w = ("gen", 1, 1)
+    for _ in range(levels):
+        w = ("comm", w, ("gen", 2, 1))
+    return w
+
+
+def test_cert_prime_walks_words_before_evaluation():
+    # words count their brackets as the parser does: inside a quotient at
+    # depth 1, MAX_NESTING - 1 commutator brackets are the most allowed
+    child = Wreath(Cyclic(2, 1), Cyclic(2, 1))
+    at_limit = FrattiniQuotient(child, (nested_commutator(family.MAX_NESTING - 1),))
+    assert parse_cert(serialize_cert(at_limit)) == at_limit
+    assert eval_cert(at_limit).order == 8
+    deeper = FrattiniQuotient(child, (nested_commutator(family.MAX_NESTING),))
+    with pytest.raises(InvalidCertificate, match=f"nesting deeper than {family.MAX_NESTING}"):
+        parse_cert(serialize_cert(deeper))
+    # words built in code are refused by eval_cert before _eval_word
+    # recurses, however they nest: brackets, or products inside products
+    product = ("gen", 1, 1)
+    for _ in range(2000):
+        product = ("prod", (product, ("gen", 1, 1)))
+    for word in (nested_commutator(family.MAX_NESTING), nested_commutator(2000), product):
+        with pytest.raises(InvalidCertificate, match=f"nests deeper than {family.MAX_NESTING}"):
+            eval_cert(FrattiniQuotient(Cyclic(2, 2), (word,)))
+    # the walk checks generator indices as the parser does: g0 is refused,
+    # not read as the last generator
+    with pytest.raises(InvalidCertificate, match="generator index must be >= 1, not 0"):
+        eval_cert(FrattiniQuotient(child, (("comm", ("gen", 0, 1), ("gen", 1, 1)),)))
+
+
 def test_certificate_route_leaves_no_cyclic_garbage():
     text = "Q(D(C(2,2),C(2,1));g1^2)"
     gc.collect()

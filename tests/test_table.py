@@ -2,15 +2,22 @@
 
 The subgroup machinery is compared against the subset-closure oracle, which
 enumerates subgroups by brute force; table invariants are compared against
-element-level brute force. Both oracles bypass tables entirely.
+element-level brute force. Both oracles bypass tables entirely. The
+table-level references (series terms from all pairs of elements, classes
+fused by conjugating id tuples) read the table but none of its lattice or
+generator shortcuts; every fixture and the heavy groups are checked
+against them.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import (
+    all_pairs_invariants,
     brute_center,
     brute_commutator_subgroup,
     brute_derived_length,
@@ -18,13 +25,15 @@ from oracles import (
     brute_normal_subgroups,
     brute_rank,
     brute_subgroups,
+    eager_fusion,
     is_abelian_elems,
     pc_multiply,
 )
-from pgf.datasets import load_fixture
+from pgf.datasets import load_all_fixtures, load_fixture
 from pgf.errors import CapExceeded
 from pgf.family import eval_cert, parse_cert, semiabelian_table, validate_witness
 from pgf.group import PermGroup
+from pgf.ops import derived_length, rank
 from pgf.pc import pc_to_perm
 from pgf.perm import Perm
 from pgf.table import CayleyTable
@@ -138,9 +147,8 @@ def test_invariants_match_brute_force(name, index):
     assert len(ct.frattini_ids()) == len(brute_frattini(els, l, g.degree))
     assert ct.rank() == brute_rank(els, l, g.degree)
     assert ct.derived_length() == brute_derived_length(els, g.degree)
-    assert len(ct.derived_ids(tuple(range(ct.n)))) == len(
-        brute_commutator_subgroup(els, g.degree)
-    )
+    # the second term of the lower central series is the derived subgroup
+    assert ct.lcs_orders()[1] == len(brute_commutator_subgroup(els, g.degree))
 
 
 @pytest.mark.parametrize(
@@ -377,3 +385,80 @@ def test_lcs_orders_d4():
     assert ct.lower_exp_orders() == (8, 2, 1)
     assert ct.rank() == 2
     assert ct.derived_length() == 2
+
+
+HEAVY = (
+    "D(C(2,1),D(C(2,1),D(C(2,1),D(C(2,1),W(C(2,1),C(2,1))))))",
+    "D(C(2,2),D(C(2,1),W(C(2,1),C(2,2))))",
+    HEAVY_729,
+)
+
+
+def assert_views_match_eager_oracle(ct):
+    """Every field of every TSub view against values computed eagerly from
+    the table: ids off the mask, abelian and normaliser by brute force on
+    the ids, classes and conjugators by the eager fusion walk."""
+    subs = ct.lattice().subgroups
+    ids = [tuple(np.flatnonzero(s.mask).tolist()) for s in subs]
+    assert ids == sorted(ids, key=lambda x: (len(x), x))
+    class_rep, conj_to_rep = eager_fusion(ct, ids)
+    t, conj = ct.table, ct.conj()
+    for i, s in enumerate(subs):
+        h = np.asarray(ids[i])
+        block = t[np.ix_(h, h)]
+        assert s.ids == ids[i]
+        assert s.order == len(h)
+        assert s.abelian == bool((block == block.T).all())
+        assert s.normalizer.tolist() == s.mask[conj[:, h]].all(axis=1).tolist()
+        assert s.normal == bool(s.normalizer.all())
+        assert ct.prime ** len(s.gens) == s.order and set(s.gens) <= set(s.ids)
+        assert (s.class_rep, s.conj_to_rep) == (class_rep[i], conj_to_rep[i])
+
+
+def assert_invariants_match_oracles(ct, g):
+    """Table invariants against the all-pairs table oracle and against the
+    permutation-group route of ops, on the group g tabulated as ct."""
+    frattini, rk, dl, lcs, lower_exp = all_pairs_invariants(ct)
+    assert ct.frattini_ids() == frattini
+    assert ct.rank() == rk == rank(g)
+    assert ct.derived_length() == dl == derived_length(g)
+    assert ct.lcs_orders() == lcs
+    assert ct.lower_exp_orders() == lower_exp
+
+
+def test_views_and_invariants_match_oracles_on_every_fixture():
+    fixtures = load_all_fixtures()
+    assert len(fixtures) == 96
+    for pres in fixtures:
+        ct = CayleyTable.from_pc(pres)
+        assert_views_match_eager_oracle(ct)
+        assert_invariants_match_oracles(ct, pc_to_perm(pres))
+
+
+@pytest.mark.parametrize("text", HEAVY)
+def test_heavy_group_views_and_invariants_match_oracles(text):
+    g = eval_cert(parse_cert(text))
+    ct = CayleyTable.from_perm_group(g)
+    assert_views_match_eager_oracle(ct)
+    assert_invariants_match_oracles(ct, g)
+
+
+def test_views_and_lattice_form_no_reference_cycle():
+    ct = CayleyTable.from_pc(fixture_pres("o16.pc", 12))
+    gc.disable()
+    try:
+        lat = ct.lattice()
+        subs = lat.subgroups
+        view = subs[len(subs) // 2]
+        assert view.ids and view.conj_to_rep >= 0
+        assert semiabelian_table(ct).flag
+        ref = weakref.ref(lat)
+        rep = view.class_rep
+        # a view keeps its lattice alive, and nothing else does
+        del ct, lat, subs
+        assert ref() is not None
+        assert view.class_rep == rep
+        del view
+        assert ref() is None
+    finally:
+        gc.enable()

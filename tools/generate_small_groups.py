@@ -64,7 +64,6 @@ def fingerprint(ct: CayleyTable) -> tuple:
     powers = ct.pow_map(p)
     pair_hist = sorted((int(orders[x]), int(orders[powers[x]])) for x in range(ct.n))
     center = ct.center_ids()
-    derived = ct.derived_ids(range(ct.n))
     # fiber sizes of the p-th power map separate pairs that agree on
     # everything else (seen at order 32)
     fibers = sorted(Counter(Counter(powers.tolist()).values()).items())
@@ -79,7 +78,6 @@ def fingerprint(ct: CayleyTable) -> tuple:
         tuple(fibers),
         len(center),
         tuple(sorted(Counter(orders[list(center)].tolist()).items())),
-        len(derived),
         len(ct.frattini_ids()),
         ct.rank(),
         ct.derived_length(),
