@@ -26,8 +26,6 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -252,6 +250,11 @@ def _map_tasks(todo: Sequence, jobs: int) -> Iterator[tuple]:
     if jobs <= 1 or len(todo) <= 1:
         yield from map(_classify_task, todo)
         return
+    # imported here: the pool pulls in multiprocessing, which serial runs
+    # and every other command never need
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     # the pool may start every worker at once, so never more than the groups
     with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
         futures = {pool.submit(_classify_task, p): p.group_id for p in todo}

@@ -16,13 +16,17 @@ chains placed one after the other are a base and strong generating set
 (Holt, Eick and O'Brien, ch. 4), and ``PermGroup._direct_product``
 assembles exactly the chain that adjoining the product's generators would
 build, without sifting anything. Below ``PermGroup`` an element is a
-read-only 0-based int32 image array: levels store strong generators and
-representatives with their inverses as such arrays, composed with
-``take``, and ``Perm`` is only the API's element type. Each group records
-its prime once, from its order.
+read-only 0-based int32 image array, composed with ``take``, and ``Perm``
+is only the API's element type: ``adjoin`` takes an image array, levels
+store strong generators as such arrays, and a transversal entry is the
+inverse of its representative alone, which is all that sifting and
+enumeration read. Each group records its prime once, from its order.
 
 The sorted rows of one int32 matrix are the elements, numbered by position;
-``PermGroup.columns`` finds products among them with searchsorted.
+``PermGroup.columns`` finds products among them with searchsorted. The
+products of the inverse representatives, one per level and level 0 first,
+are the inverses of the elements, hence again all of them, so sorting
+them gives the same matrix.
 
 Generators and orbit points are processed in fixed orders, so identical
 generator lists always produce the identical chain: same base, same cached
@@ -65,9 +69,9 @@ class _Level:
         # strong generators fixing all earlier bases (nested convention:
         # an element stored here is also stored at every shallower level)
         self.gens: list[np.ndarray] = []
-        # orbit point (0-based) -> (image array of the rep u with
-        # u(base) = point, image array of u's inverse)
-        self.transversal: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # orbit point (0-based) -> image array of the inverse of the rep u
+        # with u(base) = point
+        self.transversal: dict[int, np.ndarray] = {}
 
 
 class _Shift:
@@ -76,8 +80,8 @@ class _Shift:
 
     Results are memoised on the identity of the array carried: a strong
     generator is stored at every shallower level, and every level's
-    identity entry holds the one shared identity image array of its
-    degree, as both representative and inverse, so each is carried once.
+    identity entry is the one shared identity image array of its degree,
+    so each is carried once.
     A group that is both factors of a product needs one _Shift per side.
     Every array carried belongs to a factor chain or a factor's
     generators, or is a shared identity, all of which outlive the _Shift,
@@ -104,8 +108,7 @@ class _Shift:
         out = _Level(lvl.base + self.offset)
         out.gens = [self.img(s) for s in lvl.gens] + extra
         out.transversal = {
-            x + self.offset: (self.img(u), self.img(u_inv))
-            for x, (u, u_inv) in lvl.transversal.items()
+            x + self.offset: self.img(u_inv) for x, u_inv in lvl.transversal.items()
         }
         return out
 
@@ -148,28 +151,30 @@ class StabilizerChain:
             x = img.item(lvl.base)
             if x == lvl.base:
                 continue
-            entry = lvl.transversal.get(x)
-            if entry is None:
+            u_inv = lvl.transversal.get(x)
+            if u_inv is None:
                 return img, i
-            img = entry[1].take(img)
+            img = u_inv.take(img)
         return img, len(self.levels)
 
     def _canonical(self, img: np.ndarray) -> np.ndarray:
         """The element of the right coset H*img with the lexicographically
         least base images (Holt, Eick and O'Brien, ch. 4): at each level,
-        u_d * img = img.take(u_d) for the orbit point d of least image."""
+        u_d * img = img.take(u_d) for the orbit point d of least image, with
+        u_d inverted from its stored inverse."""
         for lvl in self.levels:
             d = min(lvl.transversal, key=img.item)
             if d != lvl.base:
-                img = img.take(lvl.transversal[d][0])
+                img = img.take(invert(lvl.transversal[d]))
         return img
 
     def contains(self, p: Perm) -> bool:
         return self._sift(p.img0)[0].tobytes() == self._identity_bytes
 
-    def adjoin(self, r: Perm, l: int) -> bool:
-        """Extend the chain of an l-group by r, with no Schreier generator;
-        returns whether the chain grew, that is whether r was not a member.
+    def adjoin(self, r: np.ndarray, l: int) -> bool:
+        """Extend the chain of an l-group by the read-only image array r,
+        with no Schreier generator; returns whether the chain grew, that is
+        whether r was not a member.
 
         r's prerequisites, r**l and r^-1 s r for each level-0 strong
         generator s, are adjoined first, depth first on an explicit stack.
@@ -183,7 +188,7 @@ class StabilizerChain:
         prerequisites, the stack outgrows that bound, or an orbit grows by
         other than l; each raises PgfError naming the prime.
         """
-        if r.degree != self.degree:
+        if r.size != self.degree:
             raise ValueError("generator degree mismatch")
         max_depth = (self.degree - 1) // (l - 1)
         pending: set = set()
@@ -199,7 +204,7 @@ class StabilizerChain:
             stack.append([img, invert(img), -1])
             return True
 
-        grew = push(r.img0)
+        grew = push(r)
         while stack:
             frame = stack[-1]
             x, x_inv, k = frame
@@ -227,39 +232,37 @@ class StabilizerChain:
         at levels 0..i (it fixes the bases of levels 0..i-1; level i is a
         new trailing level when it fixes every base) and close the level-i
         orbit, which must grow by exactly a factor l. The residue is never
-        already a strong generator, because it lies outside H."""
+        already a strong generator, because it lies outside H.
+
+        The residue normalises H and fixes the earlier bases, so it
+        normalises the level-i stabiliser, whose strong generators then
+        preserve each block residue**k(orbit): the new orbit is the union
+        of those blocks, closed under the residue alone. The rep of a new
+        point is an old rep times the residue, u * img, and only its
+        inverse is stored: img^-1 * u^-1, which is u_inv.take(img_inv),
+        with img inverted once."""
         img, i = self._sift(r)
         if img.tobytes() == self._identity_bytes:
             return
         img.setflags(write=False)
         if i == len(self.levels):
             new = _Level(int(np.flatnonzero(img != self._identity)[0]))
-            new.transversal[new.base] = (self._identity, self._identity)
+            new.transversal[new.base] = self._identity
             self.levels.append(new)
         for lvl in self.levels[: i + 1]:
             lvl.gens.append(img)
         lvl = self.levels[i]
         trans = lvl.transversal
         before = len(trans)
-        fresh = []
-        # the rep of a new point is an old rep times a strong generator,
-        # u * s, which is s.take(u)
-        for x in list(trans):
+        img_inv = invert(img)
+        points = list(trans)  # grows while it is walked
+        for x in points:
             y = img.item(x)
             if y not in trans:
-                u = img.take(trans[x][0])
-                u.setflags(write=False)
-                trans[y] = (u, invert(u))
-                fresh.append(y)
-        for y in fresh:
-            u_y = trans[y][0]
-            for s in lvl.gens:
-                z = s.item(y)
-                if z not in trans:
-                    u = s.take(u_y)
-                    u.setflags(write=False)
-                    trans[z] = (u, invert(u))
-                    fresh.append(z)
+                u_inv = trans[x].take(img_inv)
+                u_inv.setflags(write=False)
+                trans[y] = u_inv
+                points.append(y)
         if len(trans) != l * before:
             raise PgfError(
                 f"generators do not generate an l-group for l = {l}: an "
@@ -299,7 +302,7 @@ class PermGroup:
                     f"has order {k}, which is not a prime power"
                 )
             for g in gens:
-                chain.adjoin(g, l)
+                chain.adjoin(g.img0, l)
         if order_hint is not None and chain.order() != order_hint:
             raise ValueError(
                 f"order hint {order_hint} does not match computed order {chain.order()}"
@@ -352,6 +355,8 @@ class PermGroup:
         self._matrix: Optional[np.ndarray] = None
         self._elements: Optional[tuple] = None
         self._rank: Optional[int] = None  # set once by ops.rank
+        # set once by ops.commutator_subgroup
+        self._derived: Optional["PermGroup"] = None
 
     @property
     def order(self) -> int:
@@ -373,9 +378,11 @@ class PermGroup:
         """The elements' image arrays as the rows of one read-only int32
         matrix, sorted by image tuple (identity first), cached.
 
-        The rows are the products of one transversal representative per
-        level, built with one gather per level. Raises CapExceeded when
-        the order is larger than DEFAULT_ENUM_CAP.
+        The rows are the products of one inverse representative per
+        level, level 0 first, built with one gather per level: these are
+        the inverses of the products u_k * ... * u_0 that factor G's
+        elements, so again all of G. Raises CapExceeded when the order is
+        larger than DEFAULT_ENUM_CAP.
         """
         if self._order > DEFAULT_ENUM_CAP:
             raise CapExceeded(
@@ -384,10 +391,10 @@ class PermGroup:
             )
         if self._matrix is None:
             acc = self._chain._identity[None, :]
-            for lvl in reversed(self._chain.levels):
-                reps = np.stack([u for u, _ in lvl.transversal.values()])
-                # row (j, i) is acc[i] * reps[j], left factor first
-                acc = reps[:, acc].reshape(-1, self.degree)
+            for lvl in self._chain.levels:
+                invs = np.stack(list(lvl.transversal.values()))
+                # row (j, i) is acc[i] * invs[j], left factor first
+                acc = invs[:, acc].reshape(-1, self.degree)
             acc = acc[np.lexsort(acc.T[::-1])]
             acc.setflags(write=False)
             self._matrix = acc

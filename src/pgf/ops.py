@@ -3,12 +3,14 @@
 Everything here works through stabilizer chains and normal closures, never
 through multiplication tables, so results can be cross-checked against the
 table layer. Groups are immutable; each operation returns a fresh PermGroup,
-and `rank` is computed once per group and cached on it. Rank, series-factor
-ranks and the Frattini subgroup all read Phi(T)N for N normal in T with T/N
-abelian: N's chain, copied and extended by the l-th powers of T's
-generators. Factor ranks take consecutive series terms and run no normal
-closure; `rank` and `frattini_subgroup` take T = G and N = G', as
-Phi(G) = G'G^l, and run one, for G'. Every group is an l-group and
+and the rank and G' are computed once per group and cached on it: `rank`,
+`frattini_subgroup`, `derived_series` and the [G, G] step of
+`lower_central_series` all read the one G' that `commutator_subgroup`
+builds. Rank, series-factor ranks and the Frattini subgroup all read
+Phi(T)N for N normal in T with T/N abelian: N's chain, copied and extended
+by the l-th powers of T's generators. Factor ranks take consecutive series
+terms and run no normal closure; `rank` and `frattini_subgroup` take T = G
+and N = G', as Phi(G) = G'G^l. Every group is an l-group and
 carries its prime l as `PermGroup.prime`. Every chain is grown by the
 l-group routine StabilizerChain.adjoin, except a direct product's, which
 inherits its factors' chains placed one after the other. A construction
@@ -30,7 +32,7 @@ import numpy as np
 from .arith import exact_log, is_prime
 from .errors import CapExceeded, NotNormal, PgfError
 from .group import PermGroup, StabilizerChain
-from .perm import Perm, commutator
+from .perm import Perm, commutator, invert
 
 # the largest degree of a constructed group; a quotient's degree is its index
 DEFAULT_DEGREE_CAP = 4096
@@ -93,30 +95,36 @@ def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     Grows one stabilizer chain from the seeds, repeatedly adjoining
     conjugates of current generators by g's generators until closed, and
     returns the group wrapping that chain, an l-group chain for g's
-    prime l. The seeds must lie in g.
+    prime l. Conjugates are image arrays; only the kept generators become
+    Perms. The seeds must lie in g.
     """
     chain = StabilizerChain(g.degree)
-    conjugators = [(t.inverse(), t) for t in g.generators]
+    conjugators = [(invert(t.img0), t.img0) for t in g.generators]
     kept = []
-    queue = [p for p in seeds if not p.is_identity()]
+    queue = [p.img0 for p in seeds if not p.is_identity()]
     while queue:
         s = queue.pop()
         if not chain.adjoin(s, g.prime):
             continue
-        kept.append(s)
+        kept.append(Perm._from0(s))
         for t_inv, t in conjugators:
-            queue.append((t_inv * s) * t)
+            # t^-1 * s * t, composed left factor first
+            queue.append(t.take(s.take(t_inv)))
     return PermGroup._from_chain(tuple(kept), chain)
 
 
 def commutator_subgroup(g: PermGroup) -> PermGroup:
-    """Derived subgroup [g, g]: normal closure of generator commutators."""
-    seeds = []
-    gens = g.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            seeds.append(commutator(gens[i], gens[j]))
-    return normal_closure(g, seeds)
+    """Derived subgroup [g, g]: normal closure of generator commutators,
+    built once per group and cached on it, as g is immutable."""
+    if g._derived is None:
+        gens = g.generators
+        seeds = [
+            commutator(gens[i], gens[j])
+            for i in range(len(gens))
+            for j in range(i + 1, len(gens))
+        ]
+        g._derived = normal_closure(g, seeds)
+    return g._derived
 
 
 def frattini_subgroup(g: PermGroup) -> PermGroup:
@@ -138,7 +146,7 @@ def _frattini_preimage(top: PermGroup, bot: PermGroup) -> PermGroup:
     l = top.prime
     chain = bot._chain.copy()
     powers = [t**l for t in top.generators]
-    grown = tuple(p for p in powers if chain.adjoin(p, l))
+    grown = tuple(p for p in powers if chain.adjoin(p.img0, l))
     return PermGroup._from_chain(bot.generators + grown, chain)
 
 
@@ -185,9 +193,11 @@ def derived_length(g: PermGroup) -> int:
 
 
 def lower_central_series(g: PermGroup) -> SeriesResult:
-    """g = G1 >= G2 >= ... with G_{i+1} = [G, G_i]."""
+    """g = G1 >= G2 >= ... with G_{i+1} = [G, G_i]; G2 is g's cached G'."""
 
     def step(h: PermGroup) -> PermGroup:
+        if h is g:
+            return commutator_subgroup(g)
         seeds = [commutator(t, y) for t in g.generators for y in h.generators]
         return normal_closure(g, seeds)
 

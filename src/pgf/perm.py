@@ -12,6 +12,7 @@ table layer can index with them directly.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -26,6 +27,14 @@ def _arange(n: int) -> np.ndarray:
     return arr
 
 
+def _point(pt) -> int:
+    """pt as a Python int; a point that is not an integer is refused."""
+    try:
+        return operator.index(pt)
+    except TypeError:
+        raise ValueError(f"point {pt!r} is not an integer") from None
+
+
 def invert(img: np.ndarray) -> np.ndarray:
     """The read-only image array of the inverse of the image array img."""
     inv = np.empty_like(img)
@@ -38,13 +47,15 @@ class Perm:
     __slots__ = ("_img", "_hash")
 
     def __init__(self, images: Sequence[int]):
-        arr = np.asarray(images, dtype=np.int32)
+        arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("images must be a non-empty sequence")
-        arr = arr - 1
+        if arr.dtype.kind not in "iu":
+            raise ValueError("images must be integers")
         n = arr.size
-        if arr.min() < 0 or arr.max() >= n:
+        if arr.min() < 1 or arr.max() > n:
             raise ValueError(f"images must use each of 1..{n} exactly once")
+        arr = arr.astype(np.int32) - 1
         seen = np.zeros(n, dtype=bool)
         seen[arr] = True
         if not seen.all():
@@ -78,7 +89,7 @@ class Perm:
         img = np.arange(degree, dtype=np.int32)
         used = set()
         for cyc in cycles:
-            cyc = list(cyc)
+            cyc = [_point(pt) for pt in cyc]
             for pt in cyc:
                 if not 1 <= pt <= degree:
                     raise ValueError(f"point {pt} outside 1..{degree}")
@@ -104,6 +115,7 @@ class Perm:
         return self._img
 
     def __call__(self, point: int) -> int:
+        point = _point(point)
         if not 1 <= point <= self._img.size:
             raise ValueError(f"point {point} outside 1..{self._img.size}")
         return int(self._img[point - 1]) + 1
@@ -180,5 +192,9 @@ class Perm:
 
 
 def commutator(a: Perm, b: Perm) -> Perm:
-    """a^-1 * b^-1 * a * b."""
-    return (b * a).inverse() * (a * b)
+    """a^-1 * b^-1 * a * b, that is (b * a)^-1 * (a * b), composed on the
+    image arrays with one Perm built."""
+    if a.degree != b.degree:
+        raise ValueError("degree mismatch in composition")
+    ab = b._img.take(a._img)
+    return Perm._from0(ab.take(invert(a._img.take(b._img))))

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import concurrent.futures
 from concurrent.futures import Future
 
 import pytest
@@ -158,7 +159,9 @@ def pool_sizes(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    # the census imports the pool class from concurrent.futures when it
+    # needs one, so that is where the recording pool goes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

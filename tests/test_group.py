@@ -14,7 +14,7 @@ import pytest
 from pgf.arith import prime_power_root
 from pgf.errors import CapExceeded, PgfError
 from pgf.group import DEFAULT_ENUM_CAP, PermGroup
-from pgf.perm import Perm
+from pgf.perm import Perm, invert
 from pgf.verify import naive_closure
 
 
@@ -249,11 +249,14 @@ def test_l_chain_rejects_generators_outside_l_groups():
 
 
 def product_fold_elements(g):
-    """The former elements(): fold one Perm product at a time over the
-    levels, last level first, then sort by image tuple."""
+    """The elements as products of representatives: fold one Perm product
+    at a time over the levels, last level first, each representative
+    inverted from its stored inverse, then sort by image tuple."""
     acc = [g.identity]
     for lvl in reversed(g._chain.levels):
-        reps = [Perm._from0(lvl.transversal[x][0]) for x in sorted(lvl.transversal)]
+        reps = [
+            Perm._from0(invert(lvl.transversal[x])) for x in sorted(lvl.transversal)
+        ]
         acc = [a * u for a in acc for u in reps]
     acc.sort(key=lambda p: p.images)
     return acc
@@ -286,7 +289,7 @@ def test_elements_match_the_product_fold_byte_for_byte():
 def test_chain_copy_extends_without_touching_the_original():
     c = PermGroup([Perm.from_cycles(4, [(1, 2), (3, 4)])])
     chain = c._chain.copy()
-    assert chain.adjoin(Perm.from_cycles(4, [(1, 3), (2, 4)]), 2)
+    assert chain.adjoin(Perm.from_cycles(4, [(1, 3), (2, 4)]).img0, 2)
     assert (chain.order(), c._chain.order()) == (4, 2)
     assert c._chain.base() == (1,) and len(c._chain.levels[0].gens) == 1
 
@@ -295,9 +298,9 @@ def test_chain_levels_hold_read_only_image_arrays():
     """On every corpus group, each level's strong generators and
     transversal entries are read-only int32 image arrays of the chain's
     degree; each strong generator fixes the earlier base points, each
-    representative sends the base point to its orbit point and composes
-    with its stored inverse to the identity; and the group's prime is the
-    prime root of its order."""
+    entry is the inverse of a representative sending the base point to its
+    orbit point, the base point's entry being the identity; and the
+    group's prime is the prime root of its order."""
     from pgf.family import certificate_corpus, eval_cert, serialize_cert
 
     corpus = certificate_corpus()
@@ -313,11 +316,30 @@ def test_chain_levels_hold_read_only_image_arrays():
             earlier = [m.base for m in chain.levels[:i]]
             for s in lvl.gens:
                 assert (s[earlier] == earlier).all(), label
-            for x, (u, u_inv) in lvl.transversal.items():
-                assert u[lvl.base] == x, label
-                assert (u.take(u_inv) == identity).all(), label
-                arrays += [u, u_inv]
+            for x, u_inv in lvl.transversal.items():
+                assert invert(u_inv)[lvl.base] == x, label
+                arrays.append(u_inv)
+            assert (lvl.transversal[lvl.base] == identity).all(), label
             arrays += lvl.gens
         for a in arrays:
             assert type(a) is np.ndarray and a.dtype == np.int32, label
             assert a.shape == (chain.degree,) and not a.flags.writeable, label
+
+
+def test_sifting_every_element_leaves_the_identity():
+    """Every element of each corpus group of order at most 2**10 sifts to
+    the identity through the group's chain, so the stored inverses strip
+    what the representatives factor."""
+    from pgf.family import certificate_corpus, eval_cert, serialize_cert
+
+    checked = 0
+    for c in certificate_corpus():
+        g = eval_cert(c)
+        if g.order > 2**10:
+            continue
+        identity = g._chain._identity.tobytes()
+        for row in g._element_matrix():
+            residue, _ = g._chain._sift(row)
+            assert residue.tobytes() == identity, serialize_cert(c)
+        checked += 1
+    assert checked == 333

@@ -6,6 +6,7 @@ algorithm, and several tests here cross-check the two routes. Brute-force
 element oracles provide a third, independent reference.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_direct_product_structure():
 
 def chain_fingerprint(g):
     """Base, generators and, per level, the base point, strong generators
-    and transversal (point, representative, inverse image array)."""
+    and transversal (point, inverse representative's image array)."""
     return (
         g.base(),
         [p.img0.tobytes() for p in g.generators],
@@ -103,10 +104,7 @@ def chain_fingerprint(g):
             (
                 lvl.base,
                 [s.tobytes() for s in lvl.gens],
-                [
-                    (x, u.tobytes(), u_inv.tobytes())
-                    for x, (u, u_inv) in sorted(lvl.transversal.items())
-                ],
+                [(x, e.tobytes()) for x, e in sorted(lvl.transversal.items())],
             )
             for lvl in g._chain.levels
         ],
@@ -339,6 +337,47 @@ def test_rank_is_computed_once_per_group(closure_calls):
     assert rank(g) == 2
     assert rank(g) == 2
     assert closure_calls == [g]
+
+
+SERIES_CALLS = {
+    "rank": rank,
+    "derived_series": derived_series,
+    "lower_central_series": lower_central_series,
+}
+
+
+@pytest.mark.parametrize("names", list(itertools.permutations(SERIES_CALLS)))
+def test_derived_subgroup_is_built_once_per_group(monkeypatch, names):
+    """rank, derived_series and lower_central_series, called in any order
+    on a fresh group, run exactly one normal closure for G'; the others
+    build the derived series' later terms and the lower central series'
+    terms below G'."""
+    c2 = cyclic_group(2, 1)
+    g = wreath_regular(wreath_regular(c2, c2), c2)
+    built = []  # (group closed in, order of the closure)
+    closure = ops.normal_closure
+
+    def counted(h, seeds):
+        out = closure(h, seeds)
+        built.append((h, out.order))
+        return out
+
+    monkeypatch.setattr(ops, "normal_closure", counted)
+    for name in names:
+        SERIES_CALLS[name](g)
+    assert built.count((g, 16)) == 1
+    # G' once; G'' and G''' in the terms above them; gamma_3..gamma_5 in g
+    assert len(built) == 1 + 2 + 3
+    assert derived_series(g).orders == (128, 16, 2, 1)
+    assert lower_central_series(g).orders == (128, 16, 4, 2, 1)
+
+
+def test_lower_central_series_shares_the_cached_derived_subgroup():
+    for c in certificate_corpus(max_constructors=2):
+        g = eval_cert(c)
+        der = commutator_subgroup(g)
+        assert lower_central_series(g).groups[1] is der, serialize_cert(c)
+        assert derived_series(g).groups[1] is der, serialize_cert(c)
 
 
 def test_rank_additivity_claim_reuses_the_ranks_evaluation_computed(closure_calls):

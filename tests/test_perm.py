@@ -6,6 +6,7 @@ by hand on tiny cases; nothing depends on the heavier machinery.
 
 import random
 
+import numpy as np
 import pytest
 
 from pgf.perm import Perm, commutator
@@ -70,6 +71,22 @@ def test_constructor_validates_images():
         Perm(())
 
 
+def test_non_integer_points_are_refused():
+    # float images used to be truncated: [2.9, 1.1] became (1 2)
+    for images in ([2.9, 1.1], [2.0, 1.0], ["2", "1"], [True]):
+        with pytest.raises(ValueError, match="images must be integers"):
+            Perm(images)
+    # a fractional cycle point used to raise IndexError
+    with pytest.raises(ValueError, match="point 1.5 is not an integer"):
+        Perm.from_cycles(3, [(1.5, 2)])
+    with pytest.raises(ValueError, match="is not an integer"):
+        Perm.from_cycles(3, [(1, 2)])(1.5)
+    # integers of any width are points
+    assert Perm(np.array([2, 1], dtype=np.uint8)) == Perm.from_cycles(2, [(1, 2)])
+    assert Perm.from_cycles(3, [(np.int64(1), 3)]).images == (3, 2, 1)
+    assert Perm((2, 1, 3)).images == (2, 1, 3)
+
+
 def test_inverse_random():
     rng = random.Random(7)
     for _ in range(50):
@@ -132,6 +149,13 @@ def test_commutator_matches_definition():
     b = Perm.from_cycles(4, [(2, 3, 4)])
     assert commutator(a, b) == a.inverse() * b.inverse() * a * b
     assert commutator(a, a).is_identity()
+    rng = random.Random(17)
+    for _ in range(50):
+        deg = rng.randint(1, 9)
+        x, y = (Perm(rng.sample(range(1, deg + 1), deg)) for _ in range(2))
+        assert commutator(x, y) == x.inverse() * y.inverse() * x * y
+    with pytest.raises(ValueError):
+        commutator(a, Perm.identity(5))
 
 
 def test_hash_and_eq():
