@@ -528,13 +528,15 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
             return True, ()
         if s.abelian:
             return True, ((s.ids, (0,)),)
-        # positions of the subgroups inside S, S last: no element outside S
-        members = np.flatnonzero(~lat.masks[: r + 1, ~s.mask].any(axis=1))
+        # positions of the subgroups inside S, S last: no element outside
+        # S, tested bytewise on the packed rows
+        row = lat.packed_masks[r]
+        members = np.flatnonzero(~(lat.packed_masks[: r + 1] & ~row).any(axis=1))
         # A is normal in S when S lies inside A's normaliser; largest
         # first, then by position, which orders equal orders by ids
         o = lat.orders[members]
         a_cands = members[lat.abelian[members] & (1 < o) & (o < s.order)]
-        a_cands = a_cands[lat.normalizers[np.ix_(a_cands, np.flatnonzero(s.mask))].all(axis=1)]
+        a_cands = a_cands[((lat.packed_normalizers[a_cands] & row) == row).all(axis=1)]
         a_cands = a_cands[np.argsort(-lat.orders[a_cands], kind="stable")].tolist()
         # one representative per S-class of proper subgroups: the first
         # member of each orbit in (order, ids) order. For S = G these are

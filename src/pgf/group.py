@@ -42,7 +42,7 @@ import numpy as np
 
 from .arith import prime_power_root
 from .errors import CapExceeded, PgfError
-from .perm import Perm, invert
+from .perm import Perm, conjugate, invert
 
 DEFAULT_ENUM_CAP = 2**20
 
@@ -192,7 +192,7 @@ class StabilizerChain:
             raise ValueError("generator degree mismatch")
         max_depth = (self.degree - 1) // (l - 1)
         pending: set = set()
-        stack: list = []  # [element, its inverse, next generator or -1]
+        stack: list = []  # [element, next generator or -1]
 
         def push(img: np.ndarray) -> bool:
             if self._sift(img)[0].tobytes() == self._identity_bytes:
@@ -201,15 +201,15 @@ class StabilizerChain:
             if key in pending or len(stack) >= max_depth:
                 raise _cannot_adjoin(l, Perm._from0(img))
             pending.add(key)
-            stack.append([img, invert(img), -1])
+            stack.append([img, -1])
             return True
 
         grew = push(r)
         while stack:
             frame = stack[-1]
-            x, x_inv, k = frame
+            x, k = frame
             if k < 0:
-                frame[2] = 0
+                frame[1] = 0
                 power = x
                 for _ in range(l - 1):
                     power = power.take(x)
@@ -217,9 +217,8 @@ class StabilizerChain:
                 continue
             gens = self.levels[0].gens if self.levels else ()
             if k < len(gens):
-                frame[2] = k + 1
-                # x^-1 * s * x, composed left factor first
-                push(x.take(gens[k].take(x_inv)))
+                frame[1] = k + 1
+                push(conjugate(gens[k], x))
                 continue
             stack.pop()
             pending.discard(x.tobytes())

@@ -32,7 +32,7 @@ import numpy as np
 from .arith import exact_log, is_prime
 from .errors import CapExceeded, NotNormal, PgfError
 from .group import PermGroup, StabilizerChain
-from .perm import Perm, commutator, invert
+from .perm import Perm, commutator, conjugate
 
 # the largest degree of a constructed group; a quotient's degree is its index
 DEFAULT_DEGREE_CAP = 4096
@@ -99,7 +99,6 @@ def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     Perms. The seeds must lie in g.
     """
     chain = StabilizerChain(g.degree)
-    conjugators = [(invert(t.img0), t.img0) for t in g.generators]
     kept = []
     queue = [p.img0 for p in seeds if not p.is_identity()]
     while queue:
@@ -107,9 +106,7 @@ def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
         if not chain.adjoin(s, g.prime):
             continue
         kept.append(Perm._from0(s))
-        for t_inv, t in conjugators:
-            # t^-1 * s * t, composed left factor first
-            queue.append(t.take(s.take(t_inv)))
+        queue.extend(conjugate(s, t.img0) for t in g.generators)
     return PermGroup._from_chain(tuple(kept), chain)
 
 

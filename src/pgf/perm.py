@@ -43,6 +43,16 @@ def invert(img: np.ndarray) -> np.ndarray:
     return inv
 
 
+def conjugate(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The image array of x^-1 * s * x, composed left factor first, as
+    the scatter out[x] = x[s]: it sends x(p) to x(s(p)), and no inverse
+    is formed. On arrays this small `put` is the cheaper scatter than
+    `out[x] = ...`."""
+    out = np.empty_like(s)
+    out.put(x, x.take(s))
+    return out
+
+
 class Perm:
     __slots__ = ("_img", "_hash")
 
@@ -192,9 +202,11 @@ class Perm:
 
 
 def commutator(a: Perm, b: Perm) -> Perm:
-    """a^-1 * b^-1 * a * b, that is (b * a)^-1 * (a * b), composed on the
-    image arrays with one Perm built."""
+    """a^-1 * b^-1 * a * b, that is a^-1 * (b^-1 * a * b), composed on the
+    image arrays by two scatters with one Perm built: a^-1 * c sends a(p)
+    to c(p)."""
     if a.degree != b.degree:
         raise ValueError("degree mismatch in composition")
-    ab = b._img.take(a._img)
-    return Perm._from0(ab.take(invert(a._img.take(b._img))))
+    out = np.empty_like(a._img)
+    out.put(a._img, conjugate(a._img, b._img))
+    return Perm._from0(out)

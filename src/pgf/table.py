@@ -19,12 +19,15 @@ trivial subgroup visits everything. Each layer is climbed as whole arrays in
 blocks of rows: normalisers by one gather per recorded generator, and the
 overgroups named by right-coset labels min(Hx), so that every covering pair
 forms one packed row and the first occurrence of each row is kept.
-The lattice keeps its subgroups as arrays by position and hands out
-read-only TSub views of them. Conjugation by an element permutes the
-positions of the sorted subgroups, one gather over the stacked masks per
-element, and conjugacy classes are the orbits of the generators' position
-maps, labelled by min-label propagation; a conjugator is walked only for
-the classes whose conjugators are read.
+The climb also carries the conjugation action up: K = H<k> gives
+K^g = H^g<k^g> (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, ch. 4), so each generator's position map on a new layer is
+one lookup of a (parent, key) covering pair per subgroup, and no mask is
+ever conjugated. The lattice keeps its subgroups as arrays by position,
+masks and normalisers as the climb's packed rows, and hands out read-only
+TSub views of them. Conjugacy classes are the orbits of the generators'
+position maps, labelled by min-label propagation; a conjugator is walked
+only for the classes whose conjugators are read.
 """
 
 from __future__ import annotations
@@ -72,10 +75,11 @@ class TSub:
     `gens` generate the subgroup: the lattice climb records its parent's
     generators plus the adjoined element. `mask` and `normalizer` are the
     membership masks of the subgroup and of its normaliser in the whole
-    group, read-only rows of the lattice's stacked matrices. `ids`, the
-    sorted element ids, is read off the mask once. `class_rep` is the
-    position of the class representative and `conj_to_rep` an element id c
-    with rep^c == this subgroup, walked once per class on first read.
+    group, each unpacked from one packed row of the lattice on every read.
+    `ids`, the sorted element ids, is read off the mask once. `class_rep`
+    is the position of the class representative and `conj_to_rep` an
+    element id c with rep^c == this subgroup, walked once per class on
+    first read.
     """
 
     __slots__ = ("_lat", "_pos", "_ids")
@@ -96,7 +100,7 @@ class TSub:
 
     @property
     def mask(self) -> np.ndarray:
-        return self._lat.masks[self._pos]
+        return self._lat._unpack(self._lat.packed_masks[self._pos])
 
     @property
     def order(self) -> int:
@@ -113,7 +117,7 @@ class TSub:
 
     @property
     def normalizer(self) -> np.ndarray:
-        return self._lat.normalizers[self._pos]
+        return self._lat._unpack(self._lat.packed_normalizers[self._pos])
 
     @property
     def normal(self) -> bool:
@@ -158,61 +162,76 @@ class Lattice:
 
     Subgroups are sorted by (order, ids), so the whole group comes last,
     and a position in that order names a subgroup. The lattice keeps them
-    as arrays by position: `masks` and `normalizers` (read-only bool
-    matrices, one row per subgroup), `orders`, `abelian`, and `class_rep`,
-    the least position of each conjugacy class. `subgroups` gives TSub
-    views of these; a view holds the lattice and the lattice holds no view,
-    so the two form no reference cycle, and reference counting frees the
-    lattice once no table, view or other name refers to it.
+    as arrays by position: `packed_masks` and `packed_normalizers`
+    (read-only uint8 matrices, one np.packbits row of n bits per
+    subgroup), `orders`, `abelian`, and `class_rep`, the least position of
+    each conjugacy class. It holds no unpacked mask: membership and
+    normality are bytewise tests on the packed rows. `subgroups` gives
+    TSub views of these; a view holds the lattice and the lattice holds no
+    view, so the two form no reference cycle, and reference counting frees
+    the lattice once no table, view or other name refers to it.
 
-    Conjugation by an element permutes positions (`_position_map`).
-    Classes are the orbits of the generators' position maps, labelled by
-    min-label propagation; the conjugators a class's orbit walk (`orbit`)
-    records are walked when first read. `builds` counts the packed
-    overgroup rows the climb formed: one per covering pair H < K with
-    |K:H| = l.
+    Conjugation by an element permutes positions (`_position_map`). The
+    climb hands over each generator's map; another element's map is
+    composed from the generators' along a breadth-first word. Classes are
+    the orbits of the generators' position maps, labelled by min-label
+    propagation; the conjugators a class's orbit walk (`orbit`) records
+    are walked when first read. `builds` counts the packed overgroup rows
+    the climb formed: one per covering pair H < K with |K:H| = l.
     """
 
     def __init__(
-        self, ct: CayleyTable, masks: list, norms: list, gens: list, abelian: list, builds: int
+        self,
+        ct: CayleyTable,
+        masks: list,
+        norms: list,
+        gens: list,
+        abelian: list,
+        maps: list,
+        builds: int,
     ):
         """Sort the climb's subgroups into position order and label classes.
 
         Per layer k of the climb, in climb order: `masks[k]` holds the
-        packed rows, `gens[k]` the (rows, k) generator matrix and
-        `abelian[k]` the flags; `norms` holds the packed normaliser rows of
-        all layers. Within a layer every subgroup has the same order, and
-        ascending ids are descending packed bytes, so each layer is sorted
-        on its complemented packed rows.
+        packed rows, `gens[k]` the (rows, k) generator matrix, `abelian[k]`
+        the flags and `maps[k]` the (generators, rows) position maps of
+        the table's generators within the layer; `norms` holds the packed
+        normaliser rows of all layers. Layer k holds the subgroups of
+        order l**k, and ascending ids are descending packed bytes, so one
+        sort of the complemented packed rows, each led by its layer,
+        gives the positions.
         """
         n = ct.n
         sizes = [len(layer) for layer in masks]
-        perm = []  # perm[i] = climb index of the subgroup at position i
-        padded = np.zeros((sum(sizes), len(masks) - 1), dtype=np.int32)
+        m = sum(sizes)
+        depth = np.repeat(np.arange(len(masks), dtype=np.uint8), sizes)
+        packed = np.concatenate(masks)
+        lead = np.empty((m, packed.shape[1] + 1), dtype=np.uint8)
+        lead[:, 0] = depth
+        np.invert(packed, out=lead[:, 1:])
+        perm = np.argsort(_rows_as_void(lead))  # climb index at each position
+        del lead
+        padded = np.zeros((m, len(masks) - 1), dtype=np.int32)
+        climb_maps = np.empty((len(ct.gen_ids), m), dtype=np.int32)
         off = 0
-        for k, layer in enumerate(masks):
-            perm.append(off + np.argsort(_rows_as_void(~layer)))
-            padded[off : off + len(layer), :k] = gens[k]
-            off += len(layer)
-        perm = np.concatenate(perm)
-        self._keys = np.concatenate(masks)[perm]
-        self.masks = _unpack_rows(self._keys, n)
-        self.normalizers = _unpack_rows(np.concatenate(norms)[perm], n)
-        self.orders = _frozen(
-            np.repeat([int(np.unpackbits(layer[0]).sum()) for layer in masks], sizes)
-        )
+        for k, size in enumerate(sizes):
+            padded[off : off + size, :k] = gens[k]
+            climb_maps[:, off : off + size] = maps[k] + off
+            off += size
+        at = np.empty(m, dtype=np.int32)  # at[climb index] = position
+        at[perm] = np.arange(m, dtype=np.int32)
+        self.n = n
+        self.packed_masks = _frozen(packed[perm])
+        self.packed_normalizers = _frozen(np.concatenate(norms)[perm])
+        self._depth = depth[perm]  # generators per position
+        self.orders = _frozen((ct.prime or 1) ** self._depth.astype(np.int64))
         self.abelian = _frozen(np.concatenate(abelian)[perm])
         self._gens = padded[perm]
-        self._depth = np.repeat(np.arange(len(masks)), sizes)  # generators per position
         self._builds = builds
         self._table = ct.table
-        self._conj = ct.conj()
-        self._inv = ct.inv()
         self._gen_ids = ct.gen_ids
-        keys = _rows_as_void(self._keys)
-        self._key_order = np.argsort(keys).astype(np.int32)
-        self._sorted_keys = keys[self._key_order]
-        self._maps = {}
+        self._maps = dict(zip(ct.gen_ids, _frozen(at[climb_maps[:, perm]])))
+        self._tree = None  # breadth-first (parent, generator) per element
         self._ints = None
         self._walks = {}  # class_rep -> orbit(class_rep, gen_ids)
         self.class_rep = _frozen(self._least_in_orbits(ct.gen_ids))
@@ -231,31 +250,59 @@ class Lattice:
         Subgroup containment and intersection sizes are then single int
         operations (`&`, `bit_count`)."""
         if self._ints is None:
-            w = self._keys.shape[1]
-            raw = self._keys.tobytes()
+            w = self.packed_masks.shape[1]
+            raw = self.packed_masks.tobytes()
             self._ints = tuple(
                 int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w)
             )
         return self._ints
 
+    def _unpack(self, row: np.ndarray) -> np.ndarray:
+        """The read-only bool mask of n bits packed in `row`."""
+        return _frozen(np.unpackbits(row, count=self.n).view(bool))
+
     def _position_map(self, g: int) -> np.ndarray:
         """pm[i] = position of g^-1 H g, for H the subgroup at position i.
 
-        One gather conjugates every mask at once (y lies in H^g exactly when
-        g y g^-1 lies in H); the packed images are found among the sorted
-        packed masks. Memoised per element.
+        A generator's map comes from the climb. Any other element is a
+        breadth-first word g = g_1 ... g_r in the generators, and H^g =
+        (...(H^g_1)...)^g_r, so its map composes theirs, one gather per
+        letter. Memoised per element.
         """
         pm = self._maps.get(g)
         if pm is None:
-            m = len(self.masks)
-            img = np.packbits(np.take(self.masks, self._conj[self._inv[g]], axis=1), axis=1)
-            at = np.searchsorted(self._sorted_keys, _rows_as_void(img))
-            pm = self._key_order[np.minimum(at, m - 1)]
-            if not (self._keys[pm] == img).all():
-                raise PgfError("a conjugate subgroup is missing from the lattice")
-            pm.setflags(write=False)
-            self._maps[g] = pm
+            pm = np.arange(len(self.orders))
+            for j in self._word(g):
+                pm = self._maps[self._gen_ids[j]][pm]
+            self._maps[g] = pm = _frozen(pm)
         return pm
+
+    def _word(self, g: int) -> list:
+        """Indices j_1..j_r into the table's generators with g their
+        product g_j1 * ... * g_jr, read off a breadth-first tree of the
+        right Cayley graph that is built once."""
+        if self._tree is None:
+            t = self._table
+            parent = np.full(len(t), -1, dtype=np.int32)
+            via = np.zeros(len(t), dtype=np.int32)
+            parent[0] = 0
+            frontier = np.zeros(1, dtype=np.intp)
+            while frontier.size:
+                reached = []
+                for j, x in enumerate(self._gen_ids):
+                    y = t[frontier, x]
+                    fresh = parent[y] < 0
+                    parent[y[fresh]] = frontier[fresh]
+                    via[y[fresh]] = j
+                    reached.append(y[fresh])
+                frontier = np.concatenate(reached)
+            self._tree = (parent.tolist(), via.tolist())
+        parent, via = self._tree
+        word = []
+        while g:
+            word.append(via[g])
+            g = parent[g]
+        return word[::-1]
 
     def _least_in_orbits(self, gens: Sequence[int]) -> np.ndarray:
         """rep[i] = the least position in the orbit of position i under
@@ -268,7 +315,7 @@ class Lattice:
         orbits, and it is the orbit's least position, which labels itself.
         """
         maps = [self._position_map(g) for g in gens]
-        rep = np.arange(len(self.masks))
+        rep = np.arange(len(self.orders))
         while True:
             new = rep
             for pm in maps:
@@ -325,7 +372,7 @@ class Lattice:
         return tuple(subs[i] for i in positions.tolist())
 
     def class_reps(self) -> tuple:
-        return self._views(np.flatnonzero(self.class_rep == np.arange(len(self.masks))))
+        return self._views(np.flatnonzero(self.class_rep == np.arange(len(self.orders))))
 
     def maximal(self) -> tuple:
         # maximal subgroups of an l-group are exactly those of index l
@@ -335,7 +382,10 @@ class Lattice:
         return self._views(np.flatnonzero(self.orders * prime_power_root(full) == full))
 
     def normal_abelian(self) -> tuple:
-        return self._views(np.flatnonzero(self.abelian & self.normalizers.all(axis=1)))
+        whole = np.packbits(np.ones(self.n, dtype=bool))  # the packed row of G
+        normal = (self.packed_normalizers == whole).all(axis=1)
+        return self._views(np.flatnonzero(self.abelian & normal))
+
 
 def _row_offsets(m: int, width: int) -> np.ndarray:
     """Column vector of the flat offsets of the rows of an (m, width) array."""
@@ -348,14 +398,33 @@ def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(a.ravel(), idx + _row_offsets(len(a), a.shape[1]))
 
 
+def _first_rows(rows: np.ndarray) -> tuple:
+    """(kept, row_of) for a 2-D array: kept, the ascending indices of the
+    first occurrence of each distinct row, and row_of[r], the index into
+    kept of row r's first occurrence.
+
+    One stable sort of the rows as byte strings. Neighbours in sorted
+    order are compared a block of _BLOCK_CELLS bytes at a time, so no
+    sorted copy of all rows is made, nor the unsorted one `np.unique`
+    makes.
+    """
+    void = _rows_as_void(rows)
+    order = np.argsort(void, kind="stable")
+    start = np.ones(len(void), dtype=bool)  # first of its run in sorted order
+    step = max(1, _BLOCK_CELLS // rows.shape[1])
+    for lo in range(1, len(void), step):
+        run = void[order[lo - 1 : lo + step]]
+        start[lo : lo + step] = run[1:] != run[:-1]
+    first = order[start]  # first occurrence of each distinct row, by row
+    kept = np.sort(first)
+    row_of = np.empty(len(void), dtype=np.int32)
+    row_of[order] = np.searchsorted(kept, first)[np.cumsum(start) - 1]
+    return kept, row_of
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
-    """Read-only bool matrix of packed rows of n bits each."""
-    return _frozen(np.unpackbits(packed, axis=1, count=n).view(bool))
 
 
 def _fill(cols: np.ndarray) -> Optional[np.ndarray]:
@@ -671,25 +740,36 @@ class CayleyTable:
         the first subgroup it covers, recording that subgroup's generators
         plus the key. Its labels are lab_K[x] = min over e < l of
         lab_H[key**e * x].
+
+        The pairs, coded H * n + key, ascend, and each names the kept row
+        equal to its own. Conjugation by a generator g sends K = H<k> to
+        the overgroup of H^g keyed min over e of lab_{H^g}[(k^g)**e], so
+        g's map on the new layer is one lookup of that code per K, with
+        H^g read off g's map on the layer below; a code that is no pair
+        raises PgfError.
         """
         if self._lattice is not None:
             return self._lattice
         l = self._require_prime()
         n = self.n
         t = self.table
-        conj_t = np.ascontiguousarray(self.conj().T)  # conj_t[g] = column g of conj
+        conj = self.conj()
+        conj_t = np.ascontiguousarray(conj.T)  # conj_t[g] = column g of conj
+        conj_g = conj[list(self.gen_ids)]  # conj_g[j, x] = x^(g_j)
         powl = self.pow_map(l)
         pows = [self.pow_map(e) for e in range(1, l)]  # x -> x**e, e = 1..l-1
         rows = max(1, _BLOCK_CELLS // n)
-        # the layer's masks, packed; its generators, abelian flags, labels
+        # the layer's masks, packed; its generators, abelian flags, labels,
+        # and the generators' position maps within it
         layer = np.packbits(np.arange(n) == 0)[None, :]
         gens = np.zeros((1, 0), dtype=np.intp)
         abelian = np.ones(1, dtype=bool)
         lab = np.arange(n, dtype=np.int16)[None, :]
-        masks, norms, gen_layers, abelian_layers = [], [], [], []
+        pm = np.zeros((len(conj_g), 1), dtype=np.int32)
+        masks, norms, gen_layers, abelian_layers, maps = [], [], [], [], []
         builds = 0
         while True:
-            owners, keys, packed = [], [], []
+            codes, packed = [], []
             for lo in range(0, len(layer), rows):
                 block = np.unpackbits(layer[lo : lo + rows], axis=1, count=n).view(bool)
                 norm = np.ones(block.shape, dtype=bool)
@@ -713,23 +793,37 @@ class CayleyTable:
                     hs, ks = h[a : a + rows], k[a : a + rows]
                     over = block[hs] | (key[hs] == ks[:, None].astype(np.int16))
                     packed.append(np.packbits(over, axis=1))
-                owners.append(h + lo)
-                keys.append(k)
+                codes.append(((h + lo) * n + k).astype(np.int32))
             masks.append(layer)
             gen_layers.append(gens)
             abelian_layers.append(abelian)
+            maps.append(pm)
             if not packed:
                 break
             packed = np.concatenate(packed)
             builds += len(packed)
-            first = np.sort(np.unique(_rows_as_void(packed), return_index=True)[1])
-            layer = packed[first]
-            h = np.concatenate(owners)[first]
-            k = np.concatenate(keys)[first]
+            kept, over_of = _first_rows(packed)
+            layer = packed[kept]
+            del packed
+            codes = np.concatenate(codes)
+            h, k = np.divmod(codes.take(kept), n)
+            # conjugates K^g = H^g<k^g>, one row per generator g, coded
+            # H^g * n + key
+            base = pm.take(h, axis=1) * n
+            kg = conj_g.take(k, axis=1)
+            want = lab.take(base + pows[0].take(kg))  # take reads lab flat
+            for p in pows[1:]:
+                np.minimum(want, lab.take(base + p.take(kg)), out=want)
+            want = base + want
+            at = np.searchsorted(codes, want)
+            # a code past the last pair is clipped onto it, which differs
+            if not (codes.take(at, mode="clip") == want).all():
+                raise PgfError("a conjugate subgroup is missing from the lattice")
+            pm = over_of.take(at)
             hg = gens[h]
             # K = H<k> is abelian when H is and k commutes with H's generators
             abelian = abelian[h] & (t[k[:, None], hg] == t[hg, k[:, None]]).all(axis=1)
-            gens = np.column_stack([hg, k])
+            gens = np.concatenate((hg, k[:, None]), axis=1)
             child = np.empty((len(h), n), dtype=np.int16)  # labels of the new layer
             for lo in range(0, len(h), rows):
                 hs, ks = h[lo : lo + rows], k[lo : lo + rows]
@@ -739,5 +833,7 @@ class CayleyTable:
                 for p in pows:
                     np.minimum(out, _take_per_row(lh, t[p[ks]]), out=out)
             lab = child
-        self._lattice = Lattice(self, masks, norms, gen_layers, abelian_layers, builds)
+        self._lattice = Lattice(
+            self, masks, norms, gen_layers, abelian_layers, maps, builds
+        )
         return self._lattice

@@ -226,8 +226,9 @@ def brute_pc_is_group(pres):
 #
 # These work on a CayleyTable's ids but take no shortcut the production code
 # takes: series terms are closed from the commutators of every pair of
-# elements and the l-th powers of every element, and subgroup classes are
-# fused by conjugating id tuples.
+# elements and the l-th powers of every element, subgroup classes are
+# fused by conjugating id tuples, and conjugation permutes subgroups by
+# conjugating every membership mask.
 
 
 def _all_commutators(ct, a_ids, b_ids):
@@ -300,3 +301,16 @@ def eager_fusion(ct, subgroups):
                     class_rep[q], conj_to_rep[q] = start, cg
                     stack.append((q, cg))
     return class_rep, conj_to_rep
+
+
+def conjugation_position_maps(ct, masks, elements):
+    """{g: pm} for each element id g, with pm[i] the row of `masks` (the
+    stacked membership masks of a conjugation-closed set of subgroups)
+    equal to the mask of g^-1 H g, for H the subgroup of row i. Every mask
+    is conjugated: y lies in H^g exactly when g y g^-1 lies in H."""
+    rows = {m.tobytes(): i for i, m in enumerate(masks)}
+    conj, inv = ct.conj(), ct.inv()
+    return {
+        g: np.array([rows[r.tobytes()] for r in masks[:, conj[inv[g]]]])
+        for g in elements
+    }

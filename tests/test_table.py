@@ -4,9 +4,9 @@ The subgroup machinery is compared against the subset-closure oracle, which
 enumerates subgroups by brute force; table invariants are compared against
 element-level brute force. Both oracles bypass tables entirely. The
 table-level references (series terms from all pairs of elements, classes
-fused by conjugating id tuples) read the table but none of its lattice or
-generator shortcuts; every fixture and the heavy groups are checked
-against them.
+fused by conjugating id tuples, position maps by conjugating every mask)
+read the table but none of its lattice or generator shortcuts; every
+fixture and the heavy groups are checked against them.
 """
 
 import gc
@@ -20,6 +20,7 @@ from oracles import (
     all_pairs_invariants,
     brute_center,
     brute_commutator_subgroup,
+    conjugation_position_maps,
     brute_derived_length,
     brute_frattini,
     brute_normal_subgroups,
@@ -33,7 +34,7 @@ from pgf.datasets import load_all_fixtures, load_fixture
 from pgf.errors import CapExceeded
 from pgf.family import eval_cert, parse_cert, semiabelian_table, validate_witness
 from pgf.group import PermGroup
-from pgf.ops import derived_length, rank
+from pgf.ops import cyclic_group, derived_length, direct_product, rank
 from pgf.pc import pc_to_perm
 from pgf.perm import Perm
 from pgf.table import CayleyTable
@@ -462,3 +463,60 @@ def test_views_and_lattice_form_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def assert_position_maps_match_oracle(ct, others):
+    """The generators' position maps, carried up the climb, and the maps
+    composed for the elements `others` against conjugating every mask."""
+    lat = ct.lattice()
+    masks = np.array([s.mask for s in lat.subgroups])
+    elements = tuple(dict.fromkeys(ct.gen_ids + tuple(others)))
+    for g, pm in conjugation_position_maps(ct, masks, elements).items():
+        assert lat._position_map(g).tolist() == pm.tolist(), g
+
+
+def test_position_maps_match_oracle_on_every_fixture():
+    for pres in load_all_fixtures():
+        ct = CayleyTable.from_pc(pres)
+        assert_position_maps_match_oracle(ct, range(ct.n))
+
+
+@pytest.mark.parametrize("text", HEAVY)
+def test_heavy_group_position_maps_match_oracle(text):
+    ct = CayleyTable.from_perm_group(eval_cert(parse_cert(text)))
+    # the last ids and a spread of others, none of them a generator
+    others = set(range(ct.n - 4, ct.n)) | set(range(1, ct.n, ct.n // 7))
+    assert_position_maps_match_oracle(ct, sorted(others - set(ct.gen_ids)))
+
+
+def test_lattice_holds_no_unpacked_matrix():
+    ct = CayleyTable.from_perm_group(eval_cert(parse_cert(HEAVY[0])))
+    lat = ct.lattice()
+    subs = lat.subgroups
+    assert semiabelian_table(ct).flag
+    assert all(s.mask.shape == s.normalizer.shape == (ct.n,) for s in subs)
+    assert lat.packed_masks.shape == lat.packed_normalizers.shape == (len(subs), ct.n // 8)
+    for name, value in vars(lat).items():
+        if isinstance(value, np.ndarray):
+            assert not (value.dtype == bool and value.ndim == 2), name
+
+
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("l, d, total", [(2, 4, 67), (2, 5, 374), (3, 3, 28), (3, 4, 212)])
+def test_elementary_abelian_lattice_has_gaussian_binomial_counts(l, d, total):
+    g = cyclic_group(l, 1)
+    for _ in range(d - 1):
+        g = direct_product(g, cyclic_group(l, 1))
+    lat = CayleyTable.from_perm_group(g).lattice()
+    by_order = [int((lat.orders == l**k).sum()) for k in range(d + 1)]
+    assert by_order == [gaussian_binomial(d, k, l) for k in range(d + 1)]
+    assert len(lat.subgroups) == sum(by_order) == total
+    assert len(lat.class_reps()) == total and all(s.normal for s in lat.subgroups)
