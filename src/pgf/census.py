@@ -177,7 +177,10 @@ def _load_cache(path: str, keys: dict) -> dict:
 
     A final line without a newline is an append cut short by an interrupt.
     It is kept and terminated when it parses, and cut off otherwise, so the
-    next append starts on a fresh line. Any other unreadable line raises.
+    next append starts on a fresh line. Any other line that is not a JSON
+    object raises, and so does a line of the current schema that is not a
+    valid record; a line of another schema is skipped before its fields
+    are read.
     """
     out: dict = {}
     if not os.path.exists(path):
@@ -202,6 +205,10 @@ def _load_cache(path: str, keys: dict) -> dict:
             continue
         try:
             d = json.loads(line)
+            if not isinstance(d, dict):
+                raise ValueError("not a JSON object")
+            if d.get("schema") != CACHE_SCHEMA:
+                continue
             rec = CensusRecord.from_json_dict(d)
         except PgfError:
             raise
@@ -209,8 +216,6 @@ def _load_cache(path: str, keys: dict) -> dict:
             raise PgfError(
                 f"unreadable cache line {lineno} in {path}: {exc}"
             ) from exc
-        if d.get("schema") != CACHE_SCHEMA:
-            continue
         if keys.get(rec.group_id) == (d.get("pc_sha256"), rec.provenance):
             out.setdefault(rec.group_id, rec)
     return out

@@ -17,10 +17,12 @@ chains placed one after the other are a base and strong generating set
 assembles exactly the chain that adjoining the product's generators would
 build, without sifting anything. Below ``PermGroup`` an element is a
 read-only 0-based int32 image array, composed with ``take``, and ``Perm``
-is only the API's element type: ``adjoin`` takes an image array, levels
-store strong generators as such arrays, and a transversal entry is the
-inverse of its representative alone, which is all that sifting and
-enumeration read. Each group records its prime once, from its order.
+is only the API's element type: ``adjoin`` takes an image array, a chain
+stores its strong generators as one list of such arrays, in the order
+they joined, and a transversal entry is the inverse of its representative
+alone, which is all that sifting and enumeration read. A level keeps no
+generators of its own: level i's are the strong generators that fix the
+first i base points. Each group records its prime once, from its order.
 
 The sorted rows of one int32 matrix are the elements, numbered by position;
 ``PermGroup.columns`` finds products among them with searchsorted. The
@@ -62,55 +64,25 @@ def _cannot_adjoin(l: int, x: Perm) -> PgfError:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal")
+    """A base point and its transversal. The level's strong generators are
+    those of the chain that fix every earlier base point."""
+
+    __slots__ = ("base", "transversal")
 
     def __init__(self, base: int):
         self.base = base  # 0-based point
-        # strong generators fixing all earlier bases (nested convention:
-        # an element stored here is also stored at every shallower level)
-        self.gens: list[np.ndarray] = []
         # orbit point (0-based) -> image array of the inverse of the rep u
         # with u(base) = point
         self.transversal: dict[int, np.ndarray] = {}
 
 
-class _Shift:
-    """Carries image arrays of 0..d-1 into 0..n-1, moving point x to
-    x + offset and fixing every point outside offset..offset+d-1.
-
-    Results are memoised on the identity of the array carried: a strong
-    generator is stored at every shallower level, and every level's
-    identity entry is the one shared identity image array of its degree,
-    so each is carried once.
-    A group that is both factors of a product needs one _Shift per side.
-    Every array carried belongs to a factor chain or a factor's
-    generators, or is a shared identity, all of which outlive the _Shift,
-    so no id is reused while the memo lives.
-    """
-
-    def __init__(self, d: int, offset: int, n: int):
-        self.offset = offset
-        self._below = np.arange(offset, dtype=np.int32)
-        self._above = np.arange(offset + d, n, dtype=np.int32)
-        self._memo: dict = {}
-
-    def img(self, a: np.ndarray) -> np.ndarray:
-        hit = self._memo.get(id(a))
-        if hit is None:
-            hit = np.concatenate((self._below, a + self.offset, self._above))
-            hit.setflags(write=False)
-            self._memo[id(a)] = hit
-        return hit
-
-    def level(self, lvl: "_Level", extra: list) -> "_Level":
-        """lvl carried over, with the strong generators `extra` (already
-        carried) listed after its own."""
-        out = _Level(lvl.base + self.offset)
-        out.gens = [self.img(s) for s in lvl.gens] + extra
-        out.transversal = {
-            x + self.offset: self.img(u_inv) for x, u_inv in lvl.transversal.items()
-        }
-        return out
+def _carry(img: np.ndarray, offset: int, n: int) -> np.ndarray:
+    """The image array img of 0..d-1 carried into 0..n-1, read-only: it
+    moves x + offset to img[x] + offset and fixes every other point."""
+    out = np.arange(n, dtype=np.int32)
+    out[offset : offset + img.size] = img + offset
+    out.setflags(write=False)
+    return out
 
 
 class StabilizerChain:
@@ -119,6 +91,9 @@ class StabilizerChain:
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
+        # strong generators in the order they joined; level i's are those
+        # fixing the base points of levels 0..i-1
+        self.gens: list[np.ndarray] = []
         self._identity = Perm.identity(degree).img0  # shared per degree
         self._identity_bytes = self._identity.tobytes()
 
@@ -136,9 +111,9 @@ class StabilizerChain:
         changing this one; the stored image arrays are immutable and
         shared."""
         out = StabilizerChain(self.degree)
+        out.gens = list(self.gens)
         for lvl in self.levels:
             new = _Level(lvl.base)
-            new.gens = list(lvl.gens)
             new.transversal = dict(lvl.transversal)
             out.levels.append(new)
         return out
@@ -176,11 +151,11 @@ class StabilizerChain:
         with no Schreier generator; returns whether the chain grew, that is
         whether r was not a member.
 
-        r's prerequisites, r**l and r^-1 s r for each level-0 strong
-        generator s, are adjoined first, depth first on an explicit stack.
-        Each is tested once per element, because the chain only grows, and
-        the test gives the same answers for r and for its sifted residue,
-        which lies in r times the current group H. In an l-group every
+        r's prerequisites, r**l and r^-1 s r for each strong generator s,
+        are adjoined first, depth first on an explicit stack. Each is
+        tested once per element, because the chain only grows, and the
+        test gives the same answers for r and for its sifted residue, which
+        lies in r times the current group H. In an l-group every
         prerequisite lies in each maximal subgroup of <H, r> containing H,
         so the groups on the stack shrink strictly and the stack never
         holds more than log_l |<H, r>| <= (degree - 1) / (l - 1) elements.
@@ -215,10 +190,9 @@ class StabilizerChain:
                     power = power.take(x)
                 push(power)
                 continue
-            gens = self.levels[0].gens if self.levels else ()
-            if k < len(gens):
+            if k < len(self.gens):
                 frame[1] = k + 1
-                push(conjugate(gens[k], x))
+                push(conjugate(self.gens[k], x))
                 continue
             stack.pop()
             pending.discard(x.tobytes())
@@ -227,9 +201,9 @@ class StabilizerChain:
 
     def _extend(self, r: np.ndarray, l: int) -> None:
         """Adjoin r, which normalises the group H and has r**l in H: sift
-        r to its stopping level i, record the residue as a strong generator
-        at levels 0..i (it fixes the bases of levels 0..i-1; level i is a
-        new trailing level when it fixes every base) and close the level-i
+        r to its stopping level i, append the residue to the strong
+        generators (it fixes the bases of levels 0..i-1; level i is a new
+        trailing level when it fixes every base) and close the level-i
         orbit, which must grow by exactly a factor l. The residue is never
         already a strong generator, because it lies outside H.
 
@@ -248,10 +222,8 @@ class StabilizerChain:
             new = _Level(int(np.flatnonzero(img != self._identity)[0]))
             new.transversal[new.base] = self._identity
             self.levels.append(new)
-        for lvl in self.levels[: i + 1]:
-            lvl.gens.append(img)
-        lvl = self.levels[i]
-        trans = lvl.transversal
+        self.gens.append(img)
+        trans = self.levels[i].transversal
         before = len(trans)
         img_inv = invert(img)
         points = list(trans)  # grows while it is walked
@@ -325,25 +297,34 @@ class PermGroup:
         sifted: adjoining a's generators rebuilds a's chain, and each of
         b's elements fixes a's bases and commutes with a, so it passes a's
         levels and rebuilds b's chain below them, shifted by a.degree.
-        Under the nested convention each of a's levels also lists b's
-        level-0 strong generators, after its own. Factors of two primes
-        raise the PgfError that adjoining b's first generator would.
+        Its strong generators are a's followed by b's, each carried by
+        _carry; each level's identity entry is the chain's shared identity,
+        and a factor generator that is a strong generator of its factor's
+        chain shares that carried array. Factors of two primes raise the
+        PgfError that adjoining b's first generator would.
         """
         if a.prime is not None and b.prime is not None and a.prime != b.prime:
             raise _cannot_adjoin(a.prime, b.generators[0])
         n = a.degree + b.degree
-        left = _Shift(a.degree, 0, n)
-        right = _Shift(b.degree, a.degree, n)
-        levels_b = b._chain.levels
-        top_b = [right.img(s) for s in levels_b[0].gens] if levels_b else []
         chain = StabilizerChain(n)
-        chain.levels = [left.level(lvl, top_b) for lvl in a._chain.levels] + [
-            right.level(lvl, []) for lvl in levels_b
-        ]
-        gens = tuple(Perm._from0(left.img(p.img0)) for p in a.generators) + tuple(
-            Perm._from0(right.img(p.img0)) for p in b.generators
-        )
-        return cls._from_chain(gens, chain)
+        gens: list = []
+        for f, offset in ((a, 0), (b, a.degree)):
+            carried = {id(s): _carry(s, offset, n) for s in f._chain.gens}
+            chain.gens += carried.values()
+            for lvl in f._chain.levels:
+                new = _Level(lvl.base + offset)
+                new.transversal = {
+                    x + offset: _carry(u_inv, offset, n)
+                    for x, u_inv in lvl.transversal.items()
+                }
+                new.transversal[new.base] = chain._identity
+                chain.levels.append(new)
+            for p in f.generators:
+                img = carried.get(id(p.img0))
+                if img is None:
+                    img = _carry(p.img0, offset, n)
+                gens.append(Perm._from0(img))
+        return cls._from_chain(tuple(gens), chain)
 
     def _wrap(self, generators: tuple, chain: StabilizerChain) -> None:
         self.generators = generators

@@ -42,11 +42,16 @@ DEFAULT_DEGREE_CAP = 4096
 
 
 def cyclic_group(l: int, k: int) -> PermGroup:
-    """Cyclic group of order l**k as a single cycle."""
-    if not is_prime(l):
-        raise ValueError(f"{l} is not prime")
+    """Cyclic group of order l**k as a single cycle on l**k points."""
     if k < 1:
         raise ValueError("exponent must be >= 1")
+    # refused before is_prime, whose trial division takes minutes on a huge
+    # l; past the cap's bit length, l**k exceeds the cap for every l >= 2
+    cap = DEFAULT_DEGREE_CAP
+    if l > cap or l ** min(k, cap.bit_length()) > cap:
+        raise CapExceeded(f"cyclic degree {l}**{k} exceeds cap {cap}")
+    if not is_prime(l):
+        raise ValueError(f"{l} is not prime")
     n = l**k
     gen = Perm.from_cycles(n, [tuple(range(1, n + 1))])
     return PermGroup([gen], degree=n, order_hint=n)
@@ -56,6 +61,11 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     """Direct product acting on the disjoint union of the two point sets;
     both factors must be l-groups for one prime. The product inherits its
     factors' chains, placed one after the other, so nothing is sifted."""
+    degree = a.degree + b.degree
+    if degree > DEFAULT_DEGREE_CAP:
+        raise CapExceeded(
+            f"direct product degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}"
+        )
     return PermGroup._direct_product(a, b)
 
 

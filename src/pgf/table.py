@@ -175,7 +175,7 @@ class Lattice:
     climb hands over each generator's map; another element's map is
     composed from the generators' along a breadth-first word. Classes are
     the orbits of the generators' position maps, labelled by min-label
-    propagation; the conjugators a class's orbit walk (`orbit`) records
+    propagation; the conjugators a class's orbit walk (`_orbit`) records
     are walked when first read. `builds` counts the packed overgroup rows
     the climb formed: one per covering pair H < K with |K:H| = l.
     """
@@ -233,7 +233,7 @@ class Lattice:
         self._maps = dict(zip(ct.gen_ids, _frozen(at[climb_maps[:, perm]])))
         self._tree = None  # breadth-first (parent, generator) per element
         self._ints = None
-        self._walks = {}  # class_rep -> orbit(class_rep, gen_ids)
+        self._walks = {}  # class_rep -> _orbit(class_rep)
         self.class_rep = _frozen(self._least_in_orbits(ct.gen_ids))
 
     @property
@@ -325,16 +325,16 @@ class Lattice:
                 return rep
             rep = new
 
-    def orbit(self, pos: int, gens: Sequence[int]) -> dict:
-        """Orbit of the subgroup at `pos` under conjugation by the group
-        `gens` generate.
+    def _orbit(self, pos: int) -> dict:
+        """Orbit of the subgroup at `pos` under conjugation by the group.
 
         Maps the position of each conjugate to an element id c with
         start^c equal to it (0 for the start itself). The traversal is a
-        stack over `gens` in order, which fixes the conjugators recorded.
+        stack over the table's generators in order, which fixes the
+        conjugators recorded.
         """
         t = self._table
-        moves = [(g, self._position_map(g)) for g in gens]
+        moves = [(g, self._position_map(g)) for g in self._gen_ids]
         orbit = {pos: 0}
         stack = [(pos, 0)]
         while stack:
@@ -356,7 +356,7 @@ class Lattice:
             return 0
         walk = self._walks.get(r)
         if walk is None:
-            walk = self._walks[r] = self.orbit(r, self._gen_ids)
+            walk = self._walks[r] = self._orbit(r)
         return walk[pos]
 
     def orbit_reps(self, positions: Sequence[int], gens: Sequence[int]) -> list:

@@ -395,6 +395,37 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, schema):
     assert zeroed(records) == zeroed(fresh)
 
 
+@pytest.mark.parametrize(
+    "schema", [None, census.CACHE_SCHEMA + 1], ids=["no-schema", "other-schema"]
+)
+def test_cache_line_of_another_layout_is_skipped_unread(tmp_path, schema):
+    """A line of another schema, or of none, is skipped before its fields
+    are read, so fields that do not make a record do not abort the run."""
+    cache = str(tmp_path / "cache")
+    lines = _full_cache_lines(cache)
+    foreign = {"order": 8, "index": 1, "group": "x"}
+    if schema is not None:
+        foreign["schema"] = schema
+    path = cache_file_path(cache, 2, 8)
+    kept = [line for line in lines if json.loads(line)["index"] != 1]
+    with open(path, "w") as fh:
+        fh.write("\n".join(kept + [json.dumps(foreign)]) + "\n")
+    _, resumed = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    _, fresh = run_census(fixture_path("o8.pc"), jobs=1)
+    assert zeroed(resumed) == zeroed(fresh)
+    with open(path) as fh:  # (8, 1) was recomputed and appended
+        assert json.loads(fh.read().splitlines()[-1])["index"] == 1
+
+
+def test_cache_line_that_is_not_an_object_fails_loudly(tmp_path):
+    cache = str(tmp_path / "cache")
+    os.makedirs(cache)
+    with open(cache_file_path(cache, 2, 8), "w") as fh:
+        fh.write("[8, 1]\n")
+    with pytest.raises(PgfError, match="unreadable cache line 1"):
+        run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+
+
 def test_cache_line_from_another_file_is_recomputed(tmp_path):
     cache = str(tmp_path / "cache")
     run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
@@ -511,6 +542,7 @@ def test_tampered_cache_fails_loudly(tmp_path):
         "semiabelian": True,
         "screen": "inconclusive",
         "elapsed_ms": 0,
+        "schema": census.CACHE_SCHEMA,
     }
     with open(cache_file_path(cache, 2, 8), "w") as fh:
         fh.write(json.dumps(bad) + "\n")

@@ -291,16 +291,19 @@ def test_chain_copy_extends_without_touching_the_original():
     chain = c._chain.copy()
     assert chain.adjoin(Perm.from_cycles(4, [(1, 3), (2, 4)]).img0, 2)
     assert (chain.order(), c._chain.order()) == (4, 2)
-    assert c._chain.base() == (1,) and len(c._chain.levels[0].gens) == 1
+    assert c._chain.base() == (1,) and len(c._chain.gens) == 1
+    assert len(chain.gens) == 2
 
 
 def test_chain_levels_hold_read_only_image_arrays():
-    """On every corpus group, each level's strong generators and
-    transversal entries are read-only int32 image arrays of the chain's
-    degree; each strong generator fixes the earlier base points, each
-    entry is the inverse of a representative sending the base point to its
-    orbit point, the base point's entry being the identity; and the
-    group's prime is the prime root of its order."""
+    """On every corpus group, the chain's strong generators and each
+    level's transversal entries are read-only int32 image arrays of the
+    chain's degree; they form a base and strong generating set, each
+    level's orbit points being the orbit of its base point under the
+    strong generators that fix the earlier base points; each entry is the
+    inverse of a representative sending the base point to its orbit point,
+    the base point's entry being the identity; and the group's prime is
+    the prime root of its order."""
     from pgf.family import certificate_corpus, eval_cert, serialize_cert
 
     corpus = certificate_corpus()
@@ -311,16 +314,21 @@ def test_chain_levels_hold_read_only_image_arrays():
         assert g.prime == prime_power_root(g.order), label
         chain = g._chain
         identity = np.arange(chain.degree)
-        arrays = []
+        arrays = list(chain.gens)
         for i, lvl in enumerate(chain.levels):
             earlier = [m.base for m in chain.levels[:i]]
-            for s in lvl.gens:
-                assert (s[earlier] == earlier).all(), label
+            gens = [s for s in chain.gens if (s[earlier] == earlier).all()]
+            orbit, todo = {lvl.base}, [lvl.base]
+            while todo:
+                x = todo.pop()
+                for y in {int(s[x]) for s in gens} - orbit:
+                    orbit.add(y)
+                    todo.append(y)
+            assert orbit == set(lvl.transversal), label
             for x, u_inv in lvl.transversal.items():
                 assert invert(u_inv)[lvl.base] == x, label
                 arrays.append(u_inv)
             assert (lvl.transversal[lvl.base] == identity).all(), label
-            arrays += lvl.gens
         for a in arrays:
             assert type(a) is np.ndarray and a.dtype == np.int32, label
             assert a.shape == (chain.degree,) and not a.flags.writeable, label

@@ -95,17 +95,15 @@ def test_direct_product_structure():
 
 
 def chain_fingerprint(g):
-    """Base, generators and, per level, the base point, strong generators
-    and transversal (point, inverse representative's image array)."""
+    """Base, generators, the chain's strong generators and, per level, the
+    base point and transversal (point, inverse representative's image
+    array)."""
     return (
         g.base(),
         [p.img0.tobytes() for p in g.generators],
+        [s.tobytes() for s in g._chain.gens],
         [
-            (
-                lvl.base,
-                [s.tobytes() for s in lvl.gens],
-                [(x, e.tobytes()) for x, e in sorted(lvl.transversal.items())],
-            )
+            (lvl.base, [(x, e.tobytes()) for x, e in sorted(lvl.transversal.items())])
             for lvl in g._chain.levels
         ],
     )
@@ -182,6 +180,23 @@ def test_iterated_wreath_128():
 def test_wreath_degree_cap():
     with pytest.raises(CapExceeded, match="wreath degree 8192 exceeds cap 4096"):
         wreath_regular(cyclic_group(2, 6), cyclic_group(2, 7))
+
+
+def test_cyclic_and_direct_product_degree_cap():
+    """Both refuse a degree past the cap before building anything; the
+    cyclic check never forms l**k beyond it, nor tests a huge l for
+    primality."""
+    big = cyclic_group(2, 12)
+    assert big.degree == 4096
+    with pytest.raises(CapExceeded, match="cyclic degree 2\\*\\*13 exceeds cap 4096"):
+        cyclic_group(2, 13)
+    with pytest.raises(CapExceeded, match="cyclic degree 2\\*\\*1000000000"):
+        cyclic_group(2, 10**9)
+    with pytest.raises(CapExceeded, match="cyclic degree 2305843009213693951"):
+        cyclic_group(2**61 - 1, 1)  # a prime, never trial-divided
+    with pytest.raises(CapExceeded, match="direct product degree 8192 exceeds"):
+        direct_product(big, big)
+    assert direct_product(cyclic_group(2, 11), cyclic_group(2, 11)).degree == 4096
 
 
 def test_wreath_mixed_primes_raise():
