@@ -58,9 +58,9 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class CensusRecord:
-    """One classified group. Constructing an inconsistent record raises,
-    so tampered cache lines and buggy classifications fail loudly instead
-    of flowing into reports."""
+    """One classified group. Constructing a mistyped or inconsistent
+    record raises, so tampered cache lines and buggy classifications fail
+    loudly instead of flowing into reports."""
 
     group_id: tuple
     provenance: str
@@ -72,6 +72,22 @@ class CensusRecord:
 
     def __post_init__(self):
         order, index = self.group_id
+        for name, value, kind in (
+            ("order", order, int),
+            ("index", index, int),
+            ("rank", self.rank, int),
+            ("dl", self.derived_length, int),
+            ("elapsed_ms", self.elapsed_ms, int),
+            ("semiabelian", self.semiabelian, bool),
+            ("provenance", self.provenance, str),
+            ("screen", self.screen, str),
+        ):
+            # exact types: a bool is an int, and 8.0 == 8
+            if type(value) is not kind:
+                raise PgfError(
+                    f"record {self.group_id}: {name} {value!r} "
+                    f"is not of type {kind.__name__}"
+                )
         if order < 1 or index < 1:
             raise PgfError(f"malformed group id {self.group_id}")
         expected = (

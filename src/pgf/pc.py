@@ -26,9 +26,8 @@ increasing, exponents in 1..p-1.
 
 from __future__ import annotations
 
-import itertools
 import os
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -126,21 +125,13 @@ class PcPresentation:
     def order(self) -> int:
         return self.prime**self.ngens
 
-    def elements(self) -> Iterator[tuple]:
-        """All exponent vectors in lex order; the identity comes first."""
-        return itertools.product(range(self.prime), repeat=self.ngens)
-
-    def idx(self, vec: Sequence[int]) -> int:
-        out = 0
-        for x in vec:
-            out = out * self.prime + int(x)
-        return out
-
     def gen_columns(self) -> np.ndarray:
-        """Right-multiplication maps: cols[j][x] = idx(element(x) * g_j).
+        """Right-multiplication maps: cols[j][x] = id of element(x) * g_j,
+        where the id of an exponent vector is its number in lex order, the
+        vector read as digits base p.
 
         Filled by recursion on normal forms from the relations alone, last
-        generator first. With w_j = idx(g_j), the ids of column j are taken
+        generator first. With w_j the id of g_j, the ids of column j are taken
         in ascending order of the generator t their normal form ends in and
         its exponent e, one gather per (t, e):
 

@@ -18,7 +18,9 @@ normal subgroup of index l, so climbing one index-l layer at a time from the
 trivial subgroup visits everything. Each layer is climbed as whole arrays in
 blocks of rows: normalisers by one gather per recorded generator, and the
 overgroups named by right-coset labels min(Hx), so that every covering pair
-forms one packed row and the first occurrence of each row is kept.
+forms one packed row and the first occurrence of each row is kept. Within a
+layer, ascending ids are descending packed bytes, so the one sort that
+finds the duplicates, read backwards, puts the layer in position order.
 The climb also carries the conjugation action up: K = H<k> gives
 K^g = H^g<k^g> (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, ch. 4), so each generator's position map on a new layer is
@@ -160,8 +162,9 @@ class _Subgroups(Sequence):
 class Lattice:
     """All subgroups of a prime-power CayleyTable, with conjugacy classes.
 
-    Subgroups are sorted by (order, ids), so the whole group comes last,
-    and a position in that order names a subgroup. The lattice keeps them
+    Subgroups come in (order, ids) order, so the whole group comes last,
+    and a position in that order names a subgroup: the climb emits each
+    layer in that order, and the lattice stacks the layers. It keeps them
     as arrays by position: `packed_masks` and `packed_normalizers`
     (read-only uint8 matrices, one np.packbits row of n bits per
     subgroup), `orders`, `abelian`, and `class_rep`, the least position of
@@ -190,47 +193,37 @@ class Lattice:
         maps: list,
         builds: int,
     ):
-        """Sort the climb's subgroups into position order and label classes.
+        """Stack the climb's layers and label classes.
 
-        Per layer k of the climb, in climb order: `masks[k]` holds the
-        packed rows, `gens[k]` the (rows, k) generator matrix, `abelian[k]`
-        the flags and `maps[k]` the (generators, rows) position maps of
-        the table's generators within the layer; `norms` holds the packed
-        normaliser rows of all layers. Layer k holds the subgroups of
-        order l**k, and ascending ids are descending packed bytes, so one
-        sort of the complemented packed rows, each led by its layer,
-        gives the positions.
+        Per layer k of the climb, each in position order: `masks[k]` holds
+        the packed rows, `gens[k]` the (rows, k) generator matrix,
+        `abelian[k]` the flags and `maps[k]` the (generators, rows)
+        position maps of the table's generators within the layer; `norms`
+        holds the packed normaliser rows of all layers. Layer k holds the
+        subgroups of order l**k, so the layers stacked, each map offset by
+        the rows below its layer, are the lattice by position.
         """
-        n = ct.n
         sizes = [len(layer) for layer in masks]
         m = sum(sizes)
-        depth = np.repeat(np.arange(len(masks), dtype=np.uint8), sizes)
-        packed = np.concatenate(masks)
-        lead = np.empty((m, packed.shape[1] + 1), dtype=np.uint8)
-        lead[:, 0] = depth
-        np.invert(packed, out=lead[:, 1:])
-        perm = np.argsort(_rows_as_void(lead))  # climb index at each position
-        del lead
         padded = np.zeros((m, len(masks) - 1), dtype=np.int32)
-        climb_maps = np.empty((len(ct.gen_ids), m), dtype=np.int32)
+        stacked = np.empty((len(ct.gen_ids), m), dtype=np.int32)
         off = 0
         for k, size in enumerate(sizes):
             padded[off : off + size, :k] = gens[k]
-            climb_maps[:, off : off + size] = maps[k] + off
+            stacked[:, off : off + size] = maps[k] + off
             off += size
-        at = np.empty(m, dtype=np.int32)  # at[climb index] = position
-        at[perm] = np.arange(m, dtype=np.int32)
-        self.n = n
-        self.packed_masks = _frozen(packed[perm])
-        self.packed_normalizers = _frozen(np.concatenate(norms)[perm])
-        self._depth = depth[perm]  # generators per position
+        self.n = ct.n
+        self.packed_masks = _frozen(np.concatenate(masks))
+        self.packed_normalizers = _frozen(np.concatenate(norms))
+        # generators per position
+        self._depth = np.repeat(np.arange(len(masks), dtype=np.uint8), sizes)
         self.orders = _frozen((ct.prime or 1) ** self._depth.astype(np.int64))
-        self.abelian = _frozen(np.concatenate(abelian)[perm])
-        self._gens = padded[perm]
+        self.abelian = _frozen(np.concatenate(abelian))
+        self._gens = padded
         self._builds = builds
         self._table = ct.table
         self._gen_ids = ct.gen_ids
-        self._maps = dict(zip(ct.gen_ids, _frozen(at[climb_maps[:, perm]])))
+        self._maps = dict(zip(ct.gen_ids, _frozen(stacked)))
         self._tree = None  # breadth-first (parent, generator) per element
         self._ints = None
         self._walks = {}  # class_rep -> _orbit(class_rep)
@@ -371,20 +364,12 @@ class Lattice:
         subs = self.subgroups
         return tuple(subs[i] for i in positions.tolist())
 
-    def class_reps(self) -> tuple:
-        return self._views(np.flatnonzero(self.class_rep == np.arange(len(self.orders))))
-
     def maximal(self) -> tuple:
         # maximal subgroups of an l-group are exactly those of index l
         full = int(self.orders[-1])
         if full == 1:
             return ()
         return self._views(np.flatnonzero(self.orders * prime_power_root(full) == full))
-
-    def normal_abelian(self) -> tuple:
-        whole = np.packbits(np.ones(self.n, dtype=bool))  # the packed row of G
-        normal = (self.packed_normalizers == whole).all(axis=1)
-        return self._views(np.flatnonzero(self.abelian & normal))
 
 
 def _row_offsets(m: int, width: int) -> np.ndarray:
@@ -399,14 +384,14 @@ def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _first_rows(rows: np.ndarray) -> tuple:
-    """(kept, row_of) for a 2-D array: kept, the ascending indices of the
-    first occurrence of each distinct row, and row_of[r], the index into
-    kept of row r's first occurrence.
+    """(kept, row_of) for a 2-D array: kept, the index of the first
+    occurrence of each distinct row, the rows in descending byte order,
+    and row_of[r], the index into kept of row r.
 
-    One stable sort of the rows as byte strings. Neighbours in sorted
-    order are compared a block of _BLOCK_CELLS bytes at a time, so no
-    sorted copy of all rows is made, nor the unsorted one `np.unique`
-    makes.
+    One stable sort of the rows as byte strings, read backwards.
+    Neighbours in sorted order are compared a block of _BLOCK_CELLS bytes
+    at a time, so no sorted copy of all rows is made, nor the unsorted one
+    `np.unique` makes.
     """
     void = _rows_as_void(rows)
     order = np.argsort(void, kind="stable")
@@ -415,11 +400,10 @@ def _first_rows(rows: np.ndarray) -> tuple:
     for lo in range(1, len(void), step):
         run = void[order[lo - 1 : lo + step]]
         start[lo : lo + step] = run[1:] != run[:-1]
-    first = order[start]  # first occurrence of each distinct row, by row
-    kept = np.sort(first)
+    first = order[start]  # first occurrence of each distinct row, by ascending bytes
     row_of = np.empty(len(void), dtype=np.int32)
-    row_of[order] = np.searchsorted(kept, first)[np.cumsum(start) - 1]
-    return kept, row_of
+    row_of[order] = len(first) - np.cumsum(start)
+    return first[::-1], row_of
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -736,10 +720,11 @@ class CayleyTable:
         so the distinct keys of H's candidates are its covering pairs, and
         the candidates sharing a key are K minus H. One packed row per
         covering pair is formed (`Lattice.builds`), and the first
-        occurrence of each row in (H, key) order is kept: K is reached from
-        the first subgroup it covers, recording that subgroup's generators
-        plus the key. Its labels are lab_K[x] = min over e < l of
-        lab_H[key**e * x].
+        occurrence of each row in (H, key) order, H by position, is kept:
+        K is reached from the first subgroup it covers, recording that
+        subgroup's generators plus the key. Its labels are lab_K[x] = min
+        over e < l of lab_H[key**e * x]. The kept rows come in descending
+        byte order, which is the new layer's position order.
 
         The pairs, coded H * n + key, ascend, and each names the kept row
         equal to its own. Conjugation by a generator g sends K = H<k> to

@@ -11,7 +11,7 @@ that is the point.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -192,17 +192,31 @@ def collect(pres, u, letters):
     return u
 
 
+def pc_elements(pres):
+    """All exponent vectors in lex order, the identity first: the vector
+    at index x is the element with id x in a table from the presentation."""
+    return list(product(range(pres.prime), repeat=pres.ngens))
+
+
+def pc_id(pres, vec):
+    """The lex-order number of an exponent vector, its digits base p."""
+    out = 0
+    for x in vec:
+        out = out * pres.prime + int(x)
+    return out
+
+
 def pc_multiply(pres, a, b):
     """The normal form of a * b, collected."""
     return tuple(collect(pres, list(a), pres._letters(b)))
 
 
 def collected_columns(pres):
-    """cols[j][x] = idx(element(x) * g_j), each entry collected."""
+    """cols[j][x] = id of element(x) * g_j, each entry collected."""
     cols = np.empty((pres.ngens, pres.order), dtype=np.int32)
     for j in range(pres.ngens):
-        for x, vec in enumerate(pres.elements()):
-            cols[j, x] = pres.idx(collect(pres, list(vec), (j,)))
+        for x, vec in enumerate(pc_elements(pres)):
+            cols[j, x] = pc_id(pres, collect(pres, list(vec), (j,)))
     return cols
 
 
@@ -210,9 +224,9 @@ def brute_pc_is_group(pres):
     """Whether collection in `pres` defines a group, by checking the group
     axioms on every product and every triple of elements. Products come
     from the collector element by element, never from the table builder."""
-    els = list(pres.elements())
+    els = pc_elements(pres)
     n = len(els)
-    t = np.array([[pres.idx(pc_multiply(pres, a, b)) for b in els] for a in els])
+    t = np.array([[pc_id(pres, pc_multiply(pres, a, b)) for b in els] for a in els])
     ids = np.arange(n)
     if (t[0] != ids).any() or (t[:, 0] != ids).any():
         return False

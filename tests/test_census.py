@@ -344,6 +344,40 @@ def test_torn_line_inside_the_cache_fails_loudly(tmp_path):
         run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order", 8.0),
+        ("index", 2.0),
+        ("rank", 1.0),
+        ("rank", True),
+        ("dl", True),
+        ("elapsed_ms", "3"),
+        ("semiabelian", "no"),
+        ("semiabelian", 1),
+        ("provenance", 5),
+        ("screen", None),
+    ],
+)
+def test_mistyped_cache_field_fails_loudly(tmp_path, field, value):
+    """A cache line whose digest, provenance and schema match but one of
+    whose fields has the wrong JSON type aborts the run, even where the
+    value compares equal to a valid one (8.0 == 8, True == 1)."""
+    cache = str(tmp_path / "cache")
+    lines = _full_cache_lines(cache)
+    path = cache_file_path(cache, 2, 8)
+    tampered = []
+    for line in lines:
+        d = json.loads(line)
+        if d["index"] == 2:
+            d[field] = value
+        tampered.append(json.dumps(d))
+    with open(path, "w") as fh:
+        fh.write("\n".join(tampered) + "\n")
+    with pytest.raises(PgfError, match=f"{field} .* is not of type"):
+        run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+
+
 def test_inconsistent_presentation_is_a_recorded_failure(tmp_path):
     path = tmp_path / "bad.pc"
     path.write_text(INCONSISTENT_TEXT)

@@ -22,7 +22,13 @@ from pgf.pc import (
 from pgf.table import CayleyTable
 from pgf.verify import naive_closure
 
-from oracles import brute_pc_is_group, collected_columns, pc_multiply
+from oracles import (
+    brute_pc_is_group,
+    collected_columns,
+    pc_elements,
+    pc_id,
+    pc_multiply,
+)
 
 C4_TEXT = """
 # cyclic of order 4
@@ -86,16 +92,16 @@ class Tabulated:
     def __init__(self, text):
         self.pres = parse_one(text)
         self.ct = CayleyTable.from_pc(self.pres)
-        self.els = list(self.pres.elements())
+        self.els = pc_elements(self.pres)
 
     def mul(self, a, b):
-        return self.els[self.ct.table[self.pres.idx(a), self.pres.idx(b)]]
+        return self.els[self.ct.table[pc_id(self.pres, a), pc_id(self.pres, b)]]
 
     def inv(self, a):
-        return self.els[self.ct.inv()[self.pres.idx(a)]]
+        return self.els[self.ct.inv()[pc_id(self.pres, a)]]
 
     def pow(self, a, k):
-        return self.els[self.ct.pow_map(k)[self.pres.idx(a)]]
+        return self.els[self.ct.pow_map(k)[pc_id(self.pres, a)]]
 
 
 def test_cyclic_four_square_of_g1_is_g2():
@@ -141,20 +147,22 @@ def test_heisenberg_inverse_and_orders():
 
 def test_elements_lex_order_identity_first():
     pres = parse_one(C4_TEXT)
-    els = list(pres.elements())
+    els = pc_elements(pres)
     assert els == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for i, v in enumerate(els):
-        assert pres.idx(v) == i
+        assert pc_id(pres, v) == i
+    # the table numbers elements the same way: g1 = (1, 0) and g2 = (0, 1)
+    assert CayleyTable.from_pc(pres).gen_ids == (2, 1)
 
 
 def test_multiplication_table_matches_elementwise_products():
     for text in (C4_TEXT, D4_TEXT, Q8_TEXT, HEISENBERG27_TEXT):
         pres = parse_one(text)
         table = CayleyTable.from_pc(pres).table
-        els = list(pres.elements())
+        els = pc_elements(pres)
         for a in range(pres.order):
             for b in range(pres.order):
-                assert table[a, b] == pres.idx(pc_multiply(pres, els[a], els[b]))
+                assert table[a, b] == pc_id(pres, pc_multiply(pres, els[a], els[b]))
 
 
 def test_columns_match_collection_on_every_fixture():
