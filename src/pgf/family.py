@@ -472,6 +472,9 @@ def _constructor_count(c: Cert) -> int:
 
 # ----- semiabelian decision -----------------------------------------------------
 
+# _BIT_COUNT[b] = the number of set bits of the byte b
+_BIT_COUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class SemiabelianVerdict:
@@ -516,8 +519,6 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
     lat = ct.lattice()
     subs = lat.subgroups
     m = len(subs)
-    packed = lat.mask_ints()
-    orders = lat.orders.tolist()
     stats = {"subgroups": m, "classes_examined": 0, "pairs_tested": 0}
     memo: dict = {}
 
@@ -532,25 +533,27 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
         # S, tested bytewise on the packed rows
         row = lat.packed_masks[r]
         members = np.flatnonzero(~(lat.packed_masks[: r + 1] & ~row).any(axis=1))
-        # A is normal in S when S lies inside A's normaliser; largest
+        whole = r == m - 1
+        # A is normal in S when S's generators fix its position; largest
         # first, then by position, which orders equal orders by ids
         o = lat.orders[members]
         a_cands = members[lat.abelian[members] & (1 < o) & (o < s.order)]
-        a_cands = a_cands[((lat.packed_normalizers[a_cands] & row) == row).all(axis=1)]
+        a_cands = lat.normalised_by(a_cands, ct.gen_ids if whole else s.gens)
         a_cands = a_cands[np.argsort(-lat.orders[a_cands], kind="stable")].tolist()
         # one representative per S-class of proper subgroups: the first
         # member of each orbit in (order, ids) order. For S = G these are
         # the fused classes, whose first member is their class_rep.
-        if r == m - 1:
-            h_reps = np.flatnonzero(lat.class_rep[:-1] == np.arange(m - 1)).tolist()
+        if whole:
+            h_reps = np.flatnonzero(lat.class_rep[:-1] == np.arange(m - 1))
         else:
             h_reps = lat.orbit_reps(members[:-1], s.gens)
+        h_rows = lat.packed_masks[h_reps]
+        h_orders = lat.orders[h_reps]
         for a in a_cands:
-            pa = packed[a]
-            oa = orders[a]
-            for h in h_reps:
-                if oa * orders[h] != s.order * (pa & packed[h]).bit_count():
-                    continue
+            # |A inter H| for every H at once: the set bits of each byte
+            meet = _BIT_COUNT[h_rows & lat.packed_masks[a]].sum(axis=1, dtype=np.int64)
+            fits = lat.orders[a] * h_orders == s.order * meet
+            for h in h_reps[fits].tolist():
                 stats["pairs_tested"] += 1
                 ok, sub_chain = decide(h)
                 if ok:

@@ -26,10 +26,12 @@ K^g = H^g<k^g> (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, ch. 4), so each generator's position map on a new layer is
 one lookup of a (parent, key) covering pair per subgroup, and no mask is
 ever conjugated. The lattice keeps its subgroups as arrays by position,
-masks and normalisers as the climb's packed rows, and hands out read-only
-TSub views of them. Conjugacy classes are the orbits of the generators'
-position maps, labelled by min-label propagation; a conjugator is walked
-only for the classes whose conjugators are read.
+masks only as the climb's packed rows, and hands out read-only TSub views
+of them. Normality is a fixed point of the position maps: H is normalised
+by <X> exactly when every x in X maps H's position to itself. Conjugacy
+classes are the orbits of the generators' position maps, labelled by
+min-label propagation; a conjugator is walked only for the classes whose
+conjugators are read.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ class TSub:
     its lattice's arrays.
 
     `gens` generate the subgroup: the lattice climb records its parent's
-    generators plus the adjoined element. `mask` and `normalizer` are the
-    membership masks of the subgroup and of its normaliser in the whole
-    group, each unpacked from one packed row of the lattice on every read.
-    `ids`, the sorted element ids, is read off the mask once. `class_rep`
+    generators plus the adjoined element. `mask` is its membership mask,
+    unpacked from its packed row of the lattice on every read, and `ids`,
+    the sorted element ids, is read off the mask once. `normal` holds when
+    every table generator's position map fixes its position. `class_rep`
     is the position of the class representative and `conj_to_rep` an
     element id c with rep^c == this subgroup, walked once per class on
     first read.
@@ -118,12 +120,9 @@ class TSub:
         return tuple(lat._gens[self._pos, : lat._depth[self._pos]].tolist())
 
     @property
-    def normalizer(self) -> np.ndarray:
-        return self._lat._unpack(self._lat.packed_normalizers[self._pos])
-
-    @property
     def normal(self) -> bool:
-        return bool(self.normalizer.all())
+        lat = self._lat
+        return len(lat.normalised_by([self._pos], lat._gen_ids)) == 1
 
     @property
     def class_rep(self) -> int:
@@ -165,14 +164,15 @@ class Lattice:
     Subgroups come in (order, ids) order, so the whole group comes last,
     and a position in that order names a subgroup: the climb emits each
     layer in that order, and the lattice stacks the layers. It keeps them
-    as arrays by position: `packed_masks` and `packed_normalizers`
-    (read-only uint8 matrices, one np.packbits row of n bits per
-    subgroup), `orders`, `abelian`, and `class_rep`, the least position of
-    each conjugacy class. It holds no unpacked mask: membership and
-    normality are bytewise tests on the packed rows. `subgroups` gives
-    TSub views of these; a view holds the lattice and the lattice holds no
-    view, so the two form no reference cycle, and reference counting frees
-    the lattice once no table, view or other name refers to it.
+    as arrays by position: `packed_masks` (a read-only uint8 matrix, one
+    np.packbits row of n bits per subgroup), `orders`, `abelian`, and
+    `class_rep`, the least position of each conjugacy class. It holds no
+    unpacked mask: membership is a bytewise test on the packed rows, and
+    normality a fixed point of the position maps (`normalised_by`).
+    `subgroups` gives TSub views of these; a view holds the lattice and
+    the lattice holds no view, so the two form no reference cycle, and
+    reference counting frees the lattice once no table, view or other
+    name refers to it.
 
     Conjugation by an element permutes positions (`_position_map`). The
     climb hands over each generator's map; another element's map is
@@ -187,7 +187,6 @@ class Lattice:
         self,
         ct: CayleyTable,
         masks: list,
-        norms: list,
         gens: list,
         abelian: list,
         maps: list,
@@ -198,10 +197,9 @@ class Lattice:
         Per layer k of the climb, each in position order: `masks[k]` holds
         the packed rows, `gens[k]` the (rows, k) generator matrix,
         `abelian[k]` the flags and `maps[k]` the (generators, rows)
-        position maps of the table's generators within the layer; `norms`
-        holds the packed normaliser rows of all layers. Layer k holds the
-        subgroups of order l**k, so the layers stacked, each map offset by
-        the rows below its layer, are the lattice by position.
+        position maps of the table's generators within the layer. Layer k
+        holds the subgroups of order l**k, so the layers stacked, each map
+        offset by the rows below its layer, are the lattice by position.
         """
         sizes = [len(layer) for layer in masks]
         m = sum(sizes)
@@ -214,7 +212,6 @@ class Lattice:
             off += size
         self.n = ct.n
         self.packed_masks = _frozen(np.concatenate(masks))
-        self.packed_normalizers = _frozen(np.concatenate(norms))
         # generators per position
         self._depth = np.repeat(np.arange(len(masks), dtype=np.uint8), sizes)
         self.orders = _frozen((ct.prime or 1) ** self._depth.astype(np.int64))
@@ -225,7 +222,6 @@ class Lattice:
         self._gen_ids = ct.gen_ids
         self._maps = dict(zip(ct.gen_ids, _frozen(stacked)))
         self._tree = None  # breadth-first (parent, generator) per element
-        self._ints = None
         self._walks = {}  # class_rep -> _orbit(class_rep)
         self.class_rep = _frozen(self._least_in_orbits(ct.gen_ids))
 
@@ -236,19 +232,6 @@ class Lattice:
     @property
     def builds(self) -> int:
         return self._builds
-
-    def mask_ints(self) -> tuple:
-        """Each subgroup's packed mask as one int, by position; built once.
-
-        Subgroup containment and intersection sizes are then single int
-        operations (`&`, `bit_count`)."""
-        if self._ints is None:
-            w = self.packed_masks.shape[1]
-            raw = self.packed_masks.tobytes()
-            self._ints = tuple(
-                int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w)
-            )
-        return self._ints
 
     def _unpack(self, row: np.ndarray) -> np.ndarray:
         """The read-only bool mask of n bits packed in `row`."""
@@ -352,13 +335,27 @@ class Lattice:
             walk = self._walks[r] = self._orbit(r)
         return walk[pos]
 
-    def orbit_reps(self, positions: Sequence[int], gens: Sequence[int]) -> list:
+    def normalised_by(
+        self, positions: Sequence[int], gens: Sequence[int]
+    ) -> np.ndarray:
+        """The positions among `positions` whose subgroup the group `gens`
+        generate normalises, in the given order: those that every
+        generator's position map fixes."""
+        positions = np.asarray(positions, dtype=np.intp)
+        fixed = np.ones(len(positions), dtype=bool)
+        for g in gens:
+            fixed &= self._position_map(g)[positions] == positions
+        return positions[fixed]
+
+    def orbit_reps(
+        self, positions: Sequence[int], gens: Sequence[int]
+    ) -> np.ndarray:
         """The least position of each orbit under conjugation by the group
         `gens` generate, for `positions` a union of such orbits, ascending:
         the first position of each orbit met."""
         positions = np.asarray(positions, dtype=np.intp)
         rep = self._least_in_orbits(gens)
-        return positions[rep[positions] == positions].tolist()
+        return positions[rep[positions] == positions]
 
     def _views(self, positions: np.ndarray) -> tuple:
         subs = self.subgroups
@@ -563,13 +560,6 @@ class CayleyTable:
 
     # ----- subgroup primitives ----------------------------------------------
 
-    def closure_mask(self, seed_ids: Sequence[int]) -> np.ndarray:
-        seed = np.asarray(sorted(set(seed_ids)), dtype=np.int32)
-        return _closure(self.table, seed)
-
-    def closure_ids(self, seed_ids: Sequence[int]) -> tuple:
-        return tuple(int(v) for v in np.nonzero(self.closure_mask(seed_ids))[0])
-
     def is_abelian_ids(self, ids: Sequence[int]) -> bool:
         idx = np.asarray(ids, dtype=np.int64)
         block = self.table[np.ix_(idx, idx)]
@@ -751,7 +741,7 @@ class CayleyTable:
         abelian = np.ones(1, dtype=bool)
         lab = np.arange(n, dtype=np.int16)[None, :]
         pm = np.zeros((len(conj_g), 1), dtype=np.int32)
-        masks, norms, gen_layers, abelian_layers, maps = [], [], [], [], []
+        masks, gen_layers, abelian_layers, maps = [], [], [], []
         builds = 0
         while True:
             codes, packed = [], []
@@ -760,7 +750,6 @@ class CayleyTable:
                 norm = np.ones(block.shape, dtype=bool)
                 for j in range(gens.shape[1]):
                     norm &= _take_per_row(block, conj_t[gens[lo : lo + rows, j]])
-                norms.append(np.packbits(norm, axis=1))
                 # g outside H with g**l in H normalising H, keyed by
                 # min(H<g> minus H)
                 cand = norm & block[:, powl] & ~block
@@ -818,7 +807,5 @@ class CayleyTable:
                 for p in pows:
                     np.minimum(out, _take_per_row(lh, t[p[ks]]), out=out)
             lab = child
-        self._lattice = Lattice(
-            self, masks, norms, gen_layers, abelian_layers, maps, builds
-        )
+        self._lattice = Lattice(self, masks, gen_layers, abelian_layers, maps, builds)
         return self._lattice

@@ -239,10 +239,43 @@ def brute_pc_is_group(pres):
 # ----- table-level references ----------------------------------------------
 #
 # These work on a CayleyTable's ids but take no shortcut the production code
-# takes: series terms are closed from the commutators of every pair of
+# takes: subgroups are closed under the products of all pairs of their
+# members, series terms are closed from the commutators of every pair of
 # elements and the l-th powers of every element, subgroup classes are
 # fused by conjugating id tuples, and conjugation permutes subgroups by
 # conjugating every membership mask.
+
+
+def table_closure(ct, seed_ids):
+    """Sorted ids of the subgroup of the table that the seed ids
+    generate: the identity and the seeds, with every product of two members
+    added until none is new. A finite set closed under products is a
+    subgroup."""
+    member = np.zeros(ct.n, dtype=bool)
+    member[0] = True
+    member[list(seed_ids)] = True
+    while True:
+        ids = np.flatnonzero(member)
+        grown = member.copy()
+        grown[ct.table[np.ix_(ids, ids)]] = True
+        if (grown == member).all():
+            return tuple(ids.tolist())
+        member = grown
+
+
+def table_subgroups(ct):
+    """Every subgroup of the table as a sorted id tuple: from the trivial
+    subgroup, each subgroup found with each element outside it adjoined."""
+    found = {(0,)}
+    todo = [(0,)]
+    while todo:
+        h = todo.pop()
+        for x in sorted(set(range(ct.n)) - set(h)):
+            k = table_closure(ct, h + (x,))
+            if k not in found:
+                found.add(k)
+                todo.append(k)
+    return found
 
 
 def _all_commutators(ct, a_ids, b_ids):
@@ -258,7 +291,7 @@ def _table_series(ct, step):
     cur = tuple(range(ct.n))
     terms = [cur]
     while len(cur) > 1:
-        nxt = ct.closure_ids(step(cur))
+        nxt = table_closure(ct, step(cur))
         terms.append(nxt)
         if len(nxt) == len(cur):
             break
@@ -273,7 +306,7 @@ def all_pairs_invariants(ct):
     l = ct.prime
     every = tuple(range(ct.n))
     powl = ct.pow_map(l)
-    frattini = ct.closure_ids(_all_commutators(ct, every, every) | set(powl.tolist()))
+    frattini = table_closure(ct, _all_commutators(ct, every, every) | set(powl.tolist()))
     derived = _table_series(ct, lambda cur: _all_commutators(ct, cur, cur))
     assert len(derived[-1]) == 1, "derived series must end at 1"
     lcs = _table_series(ct, lambda cur: _all_commutators(ct, every, cur))

@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_derived_length, brute_rank
+from oracles import brute_derived_length, brute_rank, table_subgroups
 from pgf import family
+from pgf.census import SCREEN_INCONCLUSIVE, classify_presentation
 from pgf.errors import CapExceeded, InvalidCertificate
 from pgf.family import (
     Cyclic,
@@ -32,7 +33,7 @@ from pgf.family import (
 from pgf.datasets import load_fixture
 from pgf.group import PermGroup
 from pgf.ops import cyclic_group, derived_length, rank, wreath_regular
-from pgf.pc import pc_to_perm
+from pgf.pc import parse_pc_text, pc_to_perm
 from pgf.perm import Perm
 from pgf.ramification import compare_bounds
 from pgf.table import CayleyTable
@@ -408,6 +409,63 @@ def test_dl3_group_is_not_semiabelian():
     assert v.witness is None
     assert v.search["pairs_tested"] >= 0
     assert v.search["subgroups"] > 0
+
+
+# two groups of order 64 with rank 2 and derived length 2, which the
+# dl > rank screen leaves open; found by random central-extension tails
+# over the order-32 catalogue
+SCREEN_OPEN_64 = """
+GROUP 64 1
+PRIME 2
+NGENS 6
+POWER 2 = g4^1*g6^1
+POWER 4 = g5^1*g6^1
+COMM 2 1 = g3^1*g4^1*g6^1
+COMM 3 1 = g6^1
+COMM 3 2 = g6^1
+COMM 4 1 = g5^1
+END
+
+GROUP 64 2
+PRIME 2
+NGENS 6
+POWER 1 = g5^1
+POWER 2 = g4^1
+POWER 3 = g6^1
+POWER 4 = g5^1
+COMM 2 1 = g3^1*g4^1
+COMM 3 1 = g6^1
+COMM 3 2 = g6^1
+COMM 4 1 = g5^1
+END
+"""
+
+
+@pytest.mark.parametrize("index, subgroups", [(1, 105), (2, 57)])
+def test_search_refutes_groups_the_screen_leaves_open(index, subgroups):
+    pres = parse_pc_text(SCREEN_OPEN_64)[index - 1]
+    rec = classify_presentation(pres)
+    assert (rec.rank, rec.derived_length, rec.screen) == (2, 2, SCREEN_INCONCLUSIVE)
+    assert not rec.semiabelian
+    ct = CayleyTable.from_pc(pres)
+    search = {"subgroups": subgroups, "classes_examined": 1, "pairs_tested": 0}
+    assert semiabelian_table(ct).search == search
+    # by brute force: no normal abelian A, 1 < |A| < |G|, and proper H
+    # with |A||H| = |G||A meet H|, so G is no product AH
+    subs = table_subgroups(ct)
+    assert len(subs) == subgroups
+    t, conj = ct.table, ct.conj()
+    normal_abelian = [
+        a
+        for a in subs
+        if 1 < len(a) < ct.n
+        and set(conj[:, list(a)].ravel().tolist()) == set(a)
+        and (t[np.ix_(a, a)] == t[np.ix_(a, a)].T).all()
+    ]
+    assert normal_abelian
+    for a in normal_abelian:
+        for h in subs - {tuple(range(ct.n))}:
+            assert len(a) * len(h) != ct.n * len(set(a) & set(h)), (a, h)
 
 
 def test_screen_values():

@@ -30,6 +30,7 @@ from oracles import (
     is_abelian_elems,
     pc_elements,
     pc_multiply,
+    table_closure,
 )
 from pgf.datasets import load_all_fixtures, load_fixture
 from pgf.errors import CapExceeded
@@ -38,7 +39,7 @@ from pgf.group import PermGroup
 from pgf.ops import cyclic_group, derived_length, direct_product, rank
 from pgf.pc import pc_to_perm
 from pgf.perm import Perm
-from pgf.table import CayleyTable, _first_rows
+from pgf.table import CayleyTable, _closure, _first_rows
 
 D4 = None  # filled by fixture below
 
@@ -109,7 +110,7 @@ def test_closure_matches_oracle():
     els = g.elements()
     # every single-generator closure
     for i in range(8):
-        got = elems_of_ids(els, ct.closure_ids((i,)))
+        got = elems_of_ids(els, np.flatnonzero(_closure(ct.table, np.array([i]))))
         from oracles import closure_of
 
         assert got == closure_of([els[i]], 4)
@@ -172,15 +173,14 @@ def test_all_subgroups_match_subset_oracle(name, index):
 
 def assert_climb_facts(g):
     """On g's table, each subgroup's recorded generators generate it, and
-    its recorded normaliser is {x : x^-1 H x = H}, computed on the
+    it is normal exactly when x^-1 H x = H for every x, computed on the
     permutations."""
     ct = CayleyTable.from_perm_group(g)
     els = g.elements()
     for s in ct.lattice().subgroups:
-        assert ct.closure_ids(s.gens) == s.ids
+        assert table_closure(ct, s.gens) == s.ids
         h = elems_of_ids(els, s.ids)
-        brute = [{x.inverse() * y * x for y in h} == h for x in els]
-        assert s.normalizer.tolist() == brute
+        assert s.normal == all({x.inverse() * y * x for y in h} == h for x in els)
         assert s.abelian == is_abelian_elems(h)
 
 
@@ -229,7 +229,7 @@ def assert_recorded_generators(ct):
     known = {s.ids for s in subs}
     for s in subs[1:]:
         *rest, g = s.gens
-        p = ct.closure_ids(rest)
+        p = table_closure(ct, rest)
         assert p in known and len(p) * ct.prime == s.order, s.gens
         assert g == min(set(s.ids) - set(p)), s.gens
 
@@ -284,13 +284,13 @@ def assert_fusion_facts(ct, search_orders):
         # the search's members: positions of the subgroups inside S, S last
         inside = np.flatnonzero(~masks[:, ~s.mask].any(axis=1)).tolist()
         assert inside[-1] == r
-        s_ids = ct.closure_ids(s.gens)
+        s_ids = table_closure(ct, s.gens)
         seen, want = set(), []
         for j in inside[:-1]:
             if j not in seen:
                 seen |= {pos[c] for c in brute_orbit(ct, subs[j].ids, s_ids)}
                 want.append(j)
-        assert lat.orbit_reps(inside[:-1], s.gens) == want
+        assert lat.orbit_reps(inside[:-1], s.gens).tolist() == want
         checked += 1
     return checked
 
@@ -324,15 +324,38 @@ def test_climb_generators_and_normalisers_whole_catalogue(name):
         assert_climb_facts(pc_to_perm(pres))
 
 
+def assert_normalised_by_subgroup_generators(ct):
+    """For every subgroup S, the subgroups A <= S that the position maps of
+    S's generators fix are those with conj[s, A] = A for every s in S,
+    read off the membership masks."""
+    lat = ct.lattice()
+    masks = np.array([s.mask for s in lat.subgroups])
+    conj = ct.conj()
+    for s in lat.subgroups:
+        inside = np.flatnonzero(~masks[:, ~s.mask].any(axis=1))
+        a = masks[inside]
+        # image[r, i, y] = a[r, conj[x_i, y]], x_i the ith element of S;
+        # A^x lies in A, so equals it, when this holds wherever a[r, y] does
+        image = a[:, conj[list(s.ids)]]
+        brute = (image | ~a[:, None, :]).all(axis=(1, 2))
+        assert lat.normalised_by(inside, s.gens).tolist() == inside[brute].tolist()
+
+
+def test_normality_inside_each_subgroup_matches_brute_force():
+    fixtures = [pres for pres in load_all_fixtures() if pres.order <= 32]
+    assert len(fixtures) == 81
+    for pres in fixtures:
+        assert_normalised_by_subgroup_generators(CayleyTable.from_pc(pres))
+
+
 def class_count(lat):
     """The number of conjugacy classes: positions that are their own class_rep."""
     return int((lat.class_rep == np.arange(len(lat.subgroups))).sum())
 
 
 def normal_abelian(lat):
-    """Views of the normal abelian subgroups, read off the lattice's arrays."""
-    normal = np.unpackbits(lat.packed_normalizers, axis=1, count=lat.n).all(axis=1)
-    return [lat.subgroups[i] for i in np.flatnonzero(lat.abelian & normal)]
+    """Views of the normal abelian subgroups."""
+    return [s for s in lat.subgroups if s.abelian and s.normal]
 
 
 def test_d4_lattice_shape():
@@ -409,8 +432,8 @@ HEAVY = (
 
 def assert_views_match_eager_oracle(ct):
     """Every field of every TSub view against values computed eagerly from
-    the table: ids off the mask, abelian and normaliser by brute force on
-    the ids, classes and conjugators by the eager fusion walk."""
+    the table: ids off the mask, abelian and normal by brute force on the
+    ids, classes and conjugators by the eager fusion walk."""
     subs = ct.lattice().subgroups
     ids = [tuple(np.flatnonzero(s.mask).tolist()) for s in subs]
     assert ids == sorted(ids, key=lambda x: (len(x), x))
@@ -422,8 +445,7 @@ def assert_views_match_eager_oracle(ct):
         assert s.ids == ids[i]
         assert s.order == len(h)
         assert s.abelian == bool((block == block.T).all())
-        assert s.normalizer.tolist() == s.mask[conj[:, h]].all(axis=1).tolist()
-        assert s.normal == bool(s.normalizer.all())
+        assert s.normal == bool(s.mask[conj[:, h]].all())
         assert ct.prime ** len(s.gens) == s.order and set(s.gens) <= set(s.ids)
         assert (s.class_rep, s.conj_to_rep) == (class_rep[i], conj_to_rep[i])
 
@@ -531,8 +553,8 @@ def test_lattice_holds_no_unpacked_matrix():
     lat = ct.lattice()
     subs = lat.subgroups
     assert semiabelian_table(ct).flag
-    assert all(s.mask.shape == s.normalizer.shape == (ct.n,) for s in subs)
-    assert lat.packed_masks.shape == lat.packed_normalizers.shape == (len(subs), ct.n // 8)
+    assert all(s.mask.shape == (ct.n,) for s in subs)
+    assert lat.packed_masks.shape == (len(subs), ct.n // 8)
     for name, value in vars(lat).items():
         if isinstance(value, np.ndarray):
             assert not (value.dtype == bool and value.ndim == 2), name
