@@ -317,13 +317,16 @@ def classify_bucket(
 ) -> Tuple[CensusSummary, List[CensusRecord]]:
     """Classify presentations of one order and one prime, from one file or
     several, resuming from the cache if given, and return summary counts
-    next to the records. Group ids must be distinct.
+    next to the records. There must be at least one presentation, and
+    group ids must be distinct.
 
     `cache_dir` falls back to the PGF_CACHE environment variable; with
     neither set the run is purely in-memory. `jobs` defaults to the
     machine's available parallelism.
     """
     t0 = time.perf_counter()
+    if not presentations:
+        raise PgfError("no presentations to classify")
     # a cached record is served only for the presentation and file it came from
     keys = {p.group_id: _cache_key(p) for p in presentations}
     if len(keys) < len(presentations):

@@ -16,8 +16,9 @@ The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
 normal subgroup of index l, so climbing one index-l layer at a time from the
 trivial subgroup visits everything. Each layer is climbed as whole arrays in
-blocks of rows: normalisers by one gather per recorded generator, and the
-overgroups named by right-coset labels min(Hx), so that every covering pair
+blocks of rows: the overgroups are named by right-coset labels min(Hx), and
+the cyclic-extension conditions are tested only at the ids that are the
+least of their overgroup outside the subgroup, so that every covering pair
 forms one packed row and the first occurrence of each row is kept. Within a
 layer, ascending ids are descending packed bytes, so the one sort that
 finds the duplicates, read backwards, puts the layer in position order.
@@ -369,15 +370,10 @@ class Lattice:
         return self._views(np.flatnonzero(self.orders * prime_power_root(full) == full))
 
 
-def _row_offsets(m: int, width: int) -> np.ndarray:
-    """Column vector of the flat offsets of the rows of an (m, width) array."""
-    return (np.arange(m) * width)[:, None]
-
-
 def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """out[r, x] = a[r, idx[r, x]] for a contiguous 2-D array a, as one flat
     gather."""
-    return np.take(a.ravel(), idx + _row_offsets(len(a), a.shape[1]))
+    return np.take(a.ravel(), idx + (np.arange(len(a)) * a.shape[1])[:, None])
 
 
 def _first_rows(rows: np.ndarray) -> tuple:
@@ -701,20 +697,25 @@ class CayleyTable:
         """All subgroups, by cyclic extension one index-l layer at a time.
 
         A layer is climbed as whole arrays, in blocks of at most
-        _BLOCK_CELLS cells. The normalisers of H in the layer take one
-        gather per recorded generator: g normalises H exactly when it maps
-        H's generators into H. A candidate g outside H with g**l in H that
-        normalises H spans an overgroup H<g> of index l, and every such
-        overgroup arises so. Right-coset labels lab_H[x] = min(Hx) name it:
-        key(g) = min over e = 1..l-1 of lab_H[g**e] is min(H<g> minus H),
-        so the distinct keys of H's candidates are its covering pairs, and
-        the candidates sharing a key are K minus H. One packed row per
-        covering pair is formed (`Lattice.builds`), and the first
-        occurrence of each row in (H, key) order, H by position, is kept:
-        K is reached from the first subgroup it covers, recording that
-        subgroup's generators plus the key. Its labels are lab_K[x] = min
-        over e < l of lab_H[key**e * x]. The kept rows come in descending
-        byte order, which is the new layer's position order.
+        _BLOCK_CELLS cells. A candidate g outside H with g**l in H that
+        normalises H (maps H's generators into H) spans an overgroup H<g>
+        of index l, and every such overgroup arises so. Right-coset labels
+        lab_H[x] = min(Hx) name it: key(g) = min over e = 1..l-1 of
+        lab_H[g**e] is min(H<g> minus H), so the distinct keys of H's
+        candidates are its covering pairs. The conditions are tested only
+        at the ids that key themselves, which is exact: k = min(K minus H)
+        for an overgroup K is a candidate with H<k> = K, so key(k) = k;
+        and an id x != 0 with key(x) = x lies outside H, as the ids of H
+        key to 0. So H's covering pairs are the ids k != 0 with key(k) = k
+        that pass the tests, at most n/|H| per row. The ids keyed k are K
+        minus H: such a y has y**e in Hk for an e prime to l, and y, an
+        l-element, is a power of y**e, so y lies in K and not in H. One
+        packed row per covering pair is formed (`Lattice.builds`), and the
+        first occurrence of each row in (H, key) order, H by position, is
+        kept: K is reached from the first subgroup it covers, recording
+        that subgroup's generators plus the key. Its labels are lab_K[x] =
+        min over e < l of lab_H[key**e * x]. The kept rows come in
+        descending byte order, which is the new layer's position order.
 
         The pairs, coded H * n + key, ascend, and each names the kept row
         equal to its own. Conjugation by a generator g sends K = H<k> to
@@ -729,44 +730,48 @@ class CayleyTable:
         n = self.n
         t = self.table
         conj = self.conj()
-        conj_t = np.ascontiguousarray(conj.T)  # conj_t[g] = column g of conj
         conj_g = conj[list(self.gen_ids)]  # conj_g[j, x] = x^(g_j)
         powl = self.pow_map(l)
         pows = [self.pow_map(e) for e in range(1, l)]  # x -> x**e, e = 1..l-1
+        ids = np.arange(n, dtype=np.int16)
         rows = max(1, _BLOCK_CELLS // n)
         # the layer's masks, packed; its generators, abelian flags, labels,
         # and the generators' position maps within it
         layer = np.packbits(np.arange(n) == 0)[None, :]
         gens = np.zeros((1, 0), dtype=np.intp)
         abelian = np.ones(1, dtype=bool)
-        lab = np.arange(n, dtype=np.int16)[None, :]
+        lab = ids[None, :]
         pm = np.zeros((len(conj_g), 1), dtype=np.int32)
         masks, gen_layers, abelian_layers, maps = [], [], [], []
         builds = 0
         while True:
             codes, packed = [], []
             for lo in range(0, len(layer), rows):
-                block = np.unpackbits(layer[lo : lo + rows], axis=1, count=n).view(bool)
-                norm = np.ones(block.shape, dtype=bool)
-                for j in range(gens.shape[1]):
-                    norm &= _take_per_row(block, conj_t[gens[lo : lo + rows, j]])
-                # g outside H with g**l in H normalising H, keyed by
-                # min(H<g> minus H)
-                cand = norm & block[:, powl] & ~block
+                block = np.unpackbits(layer[lo : lo + rows], axis=1, count=n)
+                flat = block.view(bool).ravel()
                 lb = lab[lo : lo + rows]
-                key = np.full(block.shape, n, dtype=np.int16)
-                for p in pows:
-                    np.minimum(key, lb[:, p], out=key)
-                key[~cand] = n
-                # the distinct keys of each row, in (row, key) order
-                hit = np.zeros((len(block), n + 1), dtype=bool)
-                hit.ravel()[key + _row_offsets(len(block), n + 1)] = True
-                h, k = np.nonzero(hit[:, :n])
-                # the overgroup of each pair: H and the candidates with its key
+                # key(x) = min over e of lab_H[x**e]; x**1 = x, so for l = 2
+                # the key is the label row itself
+                key = lb
+                for p in pows[1:]:
+                    key = np.minimum(key, lb[:, p])
+                # H's keys: the ids x != 0 with key(x) == x, x**l in H, and
+                # H's recorded generators conjugated by x in H, ascending
+                # per row
+                own = key == ids
+                own[:, 0] = False
+                h, k = np.divmod(np.flatnonzero(own), n)
+                ok = flat.take(h * n + powl.take(k))
+                for j in range(gens.shape[1]):
+                    h, k = h[ok], k[ok]
+                    ok = flat.take(h * n + conj.take(k * n + gens[lo + h, j]))
+                h, k = h[ok], k[ok]
+                # the overgroup of each pair: H and the ids with its key,
+                # disjoint from H, so OR-ed in packed form
                 for a in range(0, len(h), rows):
                     hs, ks = h[a : a + rows], k[a : a + rows]
-                    over = block[hs] | (key[hs] == ks[:, None].astype(np.int16))
-                    packed.append(np.packbits(over, axis=1))
+                    over = np.packbits(key[hs] == ks[:, None].astype(np.int16), axis=1)
+                    packed.append(over | layer[lo + hs])
                 codes.append(((h + lo) * n + k).astype(np.int32))
             masks.append(layer)
             gen_layers.append(gens)

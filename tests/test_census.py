@@ -92,6 +92,11 @@ def test_classification_agrees_with_brute_force_on_order8():
         assert rec.derived_length == brute_derived_length(elems, degree)
 
 
+def test_classify_bucket_rejects_an_empty_bucket():
+    with pytest.raises(PgfError, match="no presentations"):
+        census.classify_bucket([])
+
+
 def test_record_invariants_enforced_at_construction():
     with pytest.raises(PgfError):
         CensusRecord((8, 1), "x", 1, 3, True, "inconclusive", 0)

@@ -31,13 +31,14 @@ from oracles import (
     pc_elements,
     pc_multiply,
     table_closure,
+    table_subgroups,
 )
 from pgf.datasets import load_all_fixtures, load_fixture
 from pgf.errors import CapExceeded
 from pgf.family import eval_cert, parse_cert, semiabelian_table, validate_witness
 from pgf.group import PermGroup
 from pgf.ops import cyclic_group, derived_length, direct_product, rank
-from pgf.pc import pc_to_perm
+from pgf.pc import parse_pc_text, pc_to_perm
 from pgf.perm import Perm
 from pgf.table import CayleyTable, _closure, _first_rows
 
@@ -569,7 +570,18 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-@pytest.mark.parametrize("l, d, total", [(2, 4, 67), (2, 5, 374), (3, 3, 28), (3, 4, 212)])
+def elementary_covering_pairs(l, d):
+    """Covering pairs of subspaces of GF(l)^d: a k-dimensional subspace lies
+    in (l**(d-k) - 1)/(l - 1) subspaces of dimension k + 1."""
+    return sum(
+        gaussian_binomial(d, k, l) * (l ** (d - k) - 1) // (l - 1) for k in range(d + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "l, d, total",
+    [(2, 4, 67), (2, 5, 374), (3, 3, 28), (3, 4, 212), (5, 2, 8), (5, 3, 64), (7, 2, 10)],
+)
 def test_elementary_abelian_lattice_has_gaussian_binomial_counts(l, d, total):
     g = cyclic_group(l, 1)
     for _ in range(d - 1):
@@ -579,3 +591,33 @@ def test_elementary_abelian_lattice_has_gaussian_binomial_counts(l, d, total):
     assert by_order == [gaussian_binomial(d, k, l) for k in range(d + 1)]
     assert len(lat.subgroups) == sum(by_order) == total
     assert class_count(lat) == total and all(s.normal for s in lat.subgroups)
+    assert lat.builds == elementary_covering_pairs(l, d)
+
+
+# the two extraspecial groups of order 125: exponent 5, and exponent 25
+# with g2**5 = g3; keys there are minima over four powers
+EXTRASPECIAL_125 = """
+GROUP 125 3
+PRIME 5
+NGENS 3
+COMM 2 1 = g3^1
+END
+
+GROUP 125 4
+PRIME 5
+NGENS 3
+POWER 2 = g3^1
+COMM 2 1 = g3^1
+END
+"""
+
+
+@pytest.mark.parametrize("index, subgroups, pairs", [(3, 39, 73), (4, 14, 23)])
+def test_extraspecial_125_lattice_matches_subset_closure(index, subgroups, pairs):
+    (pres,) = [p for p in parse_pc_text(EXTRASPECIAL_125) if p.group_id[1] == index]
+    ct = CayleyTable.from_pc(pres)
+    lat = ct.lattice()
+    assert {s.ids for s in lat.subgroups} == table_subgroups(ct)
+    assert len(lat.subgroups) == subgroups
+    assert lat.builds == covering_pairs(lat, 5) == pairs
+    assert_recorded_generators(ct)
