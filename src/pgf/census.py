@@ -26,6 +26,7 @@ import json
 import os
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -237,11 +238,21 @@ def _load_cache(path: str, keys: dict) -> dict:
     return out
 
 
-def _append_record(path: str, rec: CensusRecord, digest: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        line = dict(rec.to_json_dict(), pc_sha256=digest, schema=CACHE_SCHEMA)
-        fh.write(json.dumps(line) + "\n")
+@contextmanager
+def _cache_errors(path: str) -> Iterator[None]:
+    """Raise an OSError met on the cache as a PgfError naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        where = exc.filename or path
+        raise PgfError(f"{where}: cannot use census cache: {exc.strerror or exc}") from exc
+
+
+def _append_record(fh, rec: CensusRecord, digest: str) -> None:
+    """Append one cache line and flush it, so an interrupt keeps it."""
+    line = dict(rec.to_json_dict(), pc_sha256=digest, schema=CACHE_SCHEMA)
+    fh.write(json.dumps(line) + "\n")
+    fh.flush()
 
 
 def _classify_task(pres: PcPresentation) -> tuple:
@@ -335,11 +346,15 @@ def classify_bucket(
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV)
-    cache_path = None
+    cache_path = cache = None
     cached: dict = {}
     if cache_dir:
+        # a cache directory or file that cannot be made or read is refused
+        # before any group is classified
         cache_path = cache_file_path(cache_dir, prime, order)
-        cached = _load_cache(cache_path, keys)
+        with _cache_errors(cache_path):
+            os.makedirs(cache_dir, exist_ok=True)
+            cached = _load_cache(cache_path, keys)
 
     todo = [p for p in presentations if p.group_id not in cached]
     if jobs is None:
@@ -347,15 +362,24 @@ def classify_bucket(
 
     fresh: dict = {}
     failures: list = []
-    for outcome in _map_tasks(todo, jobs):
-        if outcome[0] == "ok":
-            rec = outcome[1]
-            fresh[rec.group_id] = rec
-            if cache_path:
-                _append_record(cache_path, rec, keys[rec.group_id][0])
-        else:
-            _, gid, msg = outcome
-            failures.append({"order": gid[0], "index": gid[1], "error": msg})
+    try:
+        for outcome in _map_tasks(todo, jobs):
+            if outcome[0] == "ok":
+                rec = outcome[1]
+                fresh[rec.group_id] = rec
+                if cache_path:
+                    # opened once, at the first record, so a run whose
+                    # groups all fail leaves no cache file
+                    with _cache_errors(cache_path):
+                        if cache is None:
+                            cache = open(cache_path, "a", encoding="utf-8")
+                        _append_record(cache, rec, keys[rec.group_id][0])
+            else:
+                _, gid, msg = outcome
+                failures.append({"order": gid[0], "index": gid[1], "error": msg})
+    finally:
+        if cache:
+            cache.close()
 
     records = sorted((cached | fresh).values(), key=lambda r: r.group_id)
     summary = CensusSummary(

@@ -517,28 +517,28 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
     if ct.prime is None:
         raise PgfError(f"order {n} is not a prime power")
     lat = ct.lattice()
-    subs = lat.subgroups
-    m = len(subs)
+    m = len(lat.subgroups)
     stats = {"subgroups": m, "classes_examined": 0, "pairs_tested": 0}
     memo: dict = {}
 
     def solve(r):
         stats["classes_examined"] += 1
-        s = subs[r]
-        if s.order == 1:
+        order = lat.orders[r]
+        if order == 1:
             return True, ()
-        if s.abelian:
-            return True, ((s.ids, (0,)),)
+        if lat.abelian[r]:
+            return True, ((lat.ids(r), (0,)),)
         # positions of the subgroups inside S, S last: no element outside
         # S, tested bytewise on the packed rows
         row = lat.packed_masks[r]
         members = np.flatnonzero(~(lat.packed_masks[: r + 1] & ~row).any(axis=1))
         whole = r == m - 1
+        gens = ct.gen_ids if whole else lat.gens(r)
         # A is normal in S when S's generators fix its position; largest
         # first, then by position, which orders equal orders by ids
         o = lat.orders[members]
-        a_cands = members[lat.abelian[members] & (1 < o) & (o < s.order)]
-        a_cands = lat.normalised_by(a_cands, ct.gen_ids if whole else s.gens)
+        a_cands = members[lat.abelian[members] & (1 < o) & (o < order)]
+        a_cands = lat.normalised_by(a_cands, gens)
         a_cands = a_cands[np.argsort(-lat.orders[a_cands], kind="stable")].tolist()
         # one representative per S-class of proper subgroups: the first
         # member of each orbit in (order, ids) order. For S = G these are
@@ -546,29 +546,28 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
         if whole:
             h_reps = np.flatnonzero(lat.class_rep[:-1] == np.arange(m - 1))
         else:
-            h_reps = lat.orbit_reps(members[:-1], s.gens)
+            h_reps = lat.orbit_reps(members[:-1], gens)
         h_rows = lat.packed_masks[h_reps]
         h_orders = lat.orders[h_reps]
         for a in a_cands:
             # |A inter H| for every H at once: the set bits of each byte
             meet = _BIT_COUNT[h_rows & lat.packed_masks[a]].sum(axis=1, dtype=np.int64)
-            fits = lat.orders[a] * h_orders == s.order * meet
+            fits = lat.orders[a] * h_orders == order * meet
             for h in h_reps[fits].tolist():
                 stats["pairs_tested"] += 1
                 ok, sub_chain = decide(h)
                 if ok:
-                    return True, ((subs[a].ids, subs[h].ids),) + sub_chain
+                    return True, ((lat.ids(a), lat.ids(h)),) + sub_chain
         return False, None
 
     def decide(i):
-        s = subs[i]
-        r = s.class_rep
+        r = int(lat.class_rep[i])
         if r not in memo:
             memo[r] = solve(r)
         flag, chain = memo[r]
         if not flag:
             return False, None
-        c = s.conj_to_rep
+        c = lat.conj_to_rep(i)
         if c == 0:
             return True, chain
         return True, tuple(

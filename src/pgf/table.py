@@ -26,12 +26,13 @@ The climb also carries the conjugation action up: K = H<k> gives
 K^g = H^g<k^g> (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, ch. 4), so each generator's position map on a new layer is
 one lookup of a (parent, key) covering pair per subgroup, and no mask is
-ever conjugated. The lattice keeps its subgroups as arrays by position,
-masks only as the climb's packed rows, and hands out read-only TSub views
-of them. Normality is a fixed point of the position maps: H is normalised
-by <X> exactly when every x in X maps H's position to itself. Conjugacy
-classes are the orbits of the generators' position maps, labelled by
-min-label propagation; a conjugator is walked only for the classes whose
+ever conjugated. A subgroup is its position: the lattice keeps its
+subgroups as arrays by position, masks only as the climb's packed rows,
+and reads one position's mask, ids or generators on request. Normality
+is a fixed point of the position maps: H is normalised by <X> exactly
+when every x in X maps H's position to itself. Conjugacy classes are the
+orbits of the generators' position maps, labelled by min-label
+propagation; a conjugator is walked only for the classes whose
 conjugators are read.
 """
 
@@ -73,115 +74,30 @@ def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
     return member
 
 
-class TSub:
-    """A subgroup of the ambient table: a read-only view of one position of
-    its lattice's arrays.
-
-    `gens` generate the subgroup: the lattice climb records its parent's
-    generators plus the adjoined element. `mask` is its membership mask,
-    unpacked from its packed row of the lattice on every read, and `ids`,
-    the sorted element ids, is read off the mask once. `normal` holds when
-    every table generator's position map fixes its position. `class_rep`
-    is the position of the class representative and `conj_to_rep` an
-    element id c with rep^c == this subgroup, walked once per class on
-    first read.
-    """
-
-    __slots__ = ("_lat", "_pos", "_ids")
-
-    def __init__(self, lat: "Lattice", pos: int):
-        self._lat = lat
-        self._pos = pos
-        self._ids = None
-
-    def __repr__(self) -> str:
-        return f"TSub(order={self.order}, gens={self.gens})"
-
-    @property
-    def ids(self) -> tuple:
-        if self._ids is None:
-            self._ids = tuple(np.flatnonzero(self.mask).tolist())
-        return self._ids
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._lat._unpack(self._lat.packed_masks[self._pos])
-
-    @property
-    def order(self) -> int:
-        return int(self._lat.orders[self._pos])
-
-    @property
-    def abelian(self) -> bool:
-        return bool(self._lat.abelian[self._pos])
-
-    @property
-    def gens(self) -> tuple:
-        lat = self._lat
-        return tuple(lat._gens[self._pos, : lat._depth[self._pos]].tolist())
-
-    @property
-    def normal(self) -> bool:
-        lat = self._lat
-        return len(lat.normalised_by([self._pos], lat._gen_ids)) == 1
-
-    @property
-    def class_rep(self) -> int:
-        return int(self._lat.class_rep[self._pos])
-
-    @property
-    def conj_to_rep(self) -> int:
-        return self._lat._conj_to_rep(self._pos)
-
-
-class _Subgroups(Sequence):
-    """A lattice's subgroups as TSub views by position, each made on first
-    access and kept by this sequence, not by the lattice."""
-
-    __slots__ = ("_lat", "_views")
-
-    def __init__(self, lat: "Lattice"):
-        self._lat = lat
-        self._views = [None] * len(lat.orders)
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return tuple(self[i] for i in range(len(self._views))[key])
-        view = self._views[key]
-        if view is None:
-            view = self._views[key] = TSub(self._lat, key % len(self._views))
-        return view
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self._views)))
-
-
 class Lattice:
     """All subgroups of a prime-power CayleyTable, with conjugacy classes.
 
     Subgroups come in (order, ids) order, so the whole group comes last,
-    and a position in that order names a subgroup: the climb emits each
-    layer in that order, and the lattice stacks the layers. It keeps them
+    and a position in that order is the only handle on a subgroup: the
+    climb emits each layer in that order, and the lattice stacks the
+    layers. `subgroups` is range(m), the positions. The lattice keeps them
     as arrays by position: `packed_masks` (a read-only uint8 matrix, one
     np.packbits row of n bits per subgroup), `orders`, `abelian`, and
     `class_rep`, the least position of each conjugacy class. It holds no
     unpacked mask: membership is a bytewise test on the packed rows, and
     normality a fixed point of the position maps (`normalised_by`).
-    `subgroups` gives TSub views of these; a view holds the lattice and
-    the lattice holds no view, so the two form no reference cycle, and
-    reference counting frees the lattice once no table, view or other
-    name refers to it.
+    `mask`, `ids` and `gens` read one position's row on each call. The
+    lattice refers to no table object, so reference counting frees it
+    once no table or other name refers to it.
 
     Conjugation by an element permutes positions (`_position_map`). The
     climb hands over each generator's map; another element's map is
     composed from the generators' along a breadth-first word. Classes are
     the orbits of the generators' position maps, labelled by min-label
     propagation; the conjugators a class's orbit walk (`_orbit`) records
-    are walked when first read. `builds` counts the packed overgroup rows
-    the climb formed: one per covering pair H < K with |K:H| = l.
+    are walked when first read (`conj_to_rep`). `builds` counts the packed
+    overgroup rows the climb formed: one per covering pair H < K with
+    |K:H| = l.
     """
 
     def __init__(
@@ -218,25 +134,28 @@ class Lattice:
         self.orders = _frozen((ct.prime or 1) ** self._depth.astype(np.int64))
         self.abelian = _frozen(np.concatenate(abelian))
         self._gens = padded
-        self._builds = builds
+        self.builds = builds
         self._table = ct.table
         self._gen_ids = ct.gen_ids
         self._maps = dict(zip(ct.gen_ids, _frozen(stacked)))
         self._tree = None  # breadth-first (parent, generator) per element
         self._walks = {}  # class_rep -> _orbit(class_rep)
+        self.subgroups = range(m)
         self.class_rep = _frozen(self._least_in_orbits(ct.gen_ids))
 
-    @property
-    def subgroups(self) -> Sequence:
-        return _Subgroups(self)
+    def mask(self, pos: int) -> np.ndarray:
+        """The read-only bool membership mask of the subgroup at `pos`,
+        unpacked from its row."""
+        return _frozen(np.unpackbits(self.packed_masks[pos], count=self.n).view(bool))
 
-    @property
-    def builds(self) -> int:
-        return self._builds
+    def ids(self, pos: int) -> tuple:
+        """The sorted element ids of the subgroup at `pos`."""
+        return tuple(np.flatnonzero(self.mask(pos)).tolist())
 
-    def _unpack(self, row: np.ndarray) -> np.ndarray:
-        """The read-only bool mask of n bits packed in `row`."""
-        return _frozen(np.unpackbits(row, count=self.n).view(bool))
+    def gens(self, pos: int) -> tuple:
+        """Generators of the subgroup at `pos`: the climb records its
+        parent's generators plus the adjoined element."""
+        return tuple(self._gens[pos, : self._depth[pos]].tolist())
 
     def _position_map(self, g: int) -> np.ndarray:
         """pm[i] = position of g^-1 H g, for H the subgroup at position i.
@@ -324,10 +243,11 @@ class Lattice:
                     stack.append((q, cg))
         return orbit
 
-    def _conj_to_rep(self, pos: int) -> int:
-        """The conjugator the orbit walk from pos's class representative
+    def conj_to_rep(self, pos: int) -> int:
+        """An element id c with rep^c the subgroup at `pos`, for rep the
+        subgroup at class_rep[pos]: the conjugator the orbit walk from rep
         records for pos, under the table's generators; walked once per
-        class."""
+        class, and 0 at a representative."""
         r = int(self.class_rep[pos])
         if r == pos:
             return 0
@@ -358,16 +278,13 @@ class Lattice:
         rep = self._least_in_orbits(gens)
         return positions[rep[positions] == positions]
 
-    def _views(self, positions: np.ndarray) -> tuple:
-        subs = self.subgroups
-        return tuple(subs[i] for i in positions.tolist())
-
-    def maximal(self) -> tuple:
-        # maximal subgroups of an l-group are exactly those of index l
+    def maximal(self) -> np.ndarray:
+        """Positions of the maximal subgroups, ascending: in an l-group
+        exactly those of index l, so none in the trivial group."""
         full = int(self.orders[-1])
         if full == 1:
-            return ()
-        return self._views(np.flatnonzero(self.orders * prime_power_root(full) == full))
+            return np.zeros(0, dtype=np.intp)
+        return np.flatnonzero(self.orders * prime_power_root(full) == full)
 
 
 def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

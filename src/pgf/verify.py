@@ -254,8 +254,8 @@ def _claim_oracle_agreement(ctx) -> tuple:
             continue
         ct = CayleyTable.from_perm_group(perm)
         powers_comms = set(ct.frattini_ids())
-        maximals = ct.lattice().maximal()
-        mask = np.logical_and.reduce([m.mask for m in maximals])
+        lat = ct.lattice()
+        mask = np.logical_and.reduce([lat.mask(m) for m in lat.maximal()])
         intersection = set(np.flatnonzero(mask).tolist())
         if powers_comms != intersection:
             return "FAIL", f"Frattini routes disagree on {pres.group_id}"

@@ -322,6 +322,29 @@ def test_unreadable_dataset_error_names_the_path(args, reason, tmp_path, monkeyp
     assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("bad", ["file", "directory"])
+def test_unusable_cache_is_an_error_before_classifying(bad, tmp_path):
+    """A cache directory that is a regular file, or a cache file that is a
+    directory, once crashed the census with a traceback from the cache
+    writes or reads; now it is refused with one error line naming it."""
+    if bad == "file":
+        cache = tmp_path / "cache"
+        cache.write_text("")
+        named = str(cache)
+    else:
+        cache = tmp_path
+        named = os.path.join(str(cache), "census-p2-o8.jsonl")
+        os.mkdir(named)
+    args = ["census", fixture_path("o8.pc"), "--cache", str(cache), "--jobs", "1"]
+    proc = run_module_cli(args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def run_module_cli(args, cwd=None, timeout=60, stdout=subprocess.PIPE):
     """`python -m pgf.cli ARGS` in a fresh process that imports this pgf;
     stdout is captured unless another target is given."""

@@ -102,6 +102,7 @@ def _table_profile(ct):
     powers = ct.pow_map(ct.prime)
     center = ct.center_ids()
     lat = ct.lattice()
+    normal = set(lat.normalised_by(lat.subgroups, ct.gen_ids).tolist())
     return (
         ct.n,
         tuple(sorted(Counter(orders.tolist()).items())),
@@ -115,7 +116,8 @@ def _table_profile(ct):
         ct.lcs_orders(),
         ct.lower_exp_orders(),
         tuple(sorted(Counter(
-            (s.order, s.abelian, s.normal) for s in lat.subgroups
+            (int(lat.orders[i]), bool(lat.abelian[i]), i in normal)
+            for i in lat.subgroups
         ).items())),
     )
 

@@ -164,7 +164,7 @@ def test_all_subgroups_match_subset_oracle(name, index):
     g = pc_to_perm(pres)
     ct = CayleyTable.from_perm_group(g)
     lat = ct.lattice()
-    ours = {elems_of_ids(g.elements(), s.ids) for s in lat.subgroups}
+    ours = {elems_of_ids(g.elements(), lat.ids(i)) for i in lat.subgroups}
     # a subgroup of order l**k needs at most k generators
     k = round(math.log(g.order, pres.prime))
     ref = brute_subgroups(g.elements(), g.degree, max_gens=k)
@@ -178,19 +178,21 @@ def assert_climb_facts(g):
     permutations."""
     ct = CayleyTable.from_perm_group(g)
     els = g.elements()
-    for s in ct.lattice().subgroups:
-        assert table_closure(ct, s.gens) == s.ids
-        h = elems_of_ids(els, s.ids)
-        assert s.normal == all({x.inverse() * y * x for y in h} == h for x in els)
-        assert s.abelian == is_abelian_elems(h)
+    lat = ct.lattice()
+    normal = normal_positions(ct)
+    for i in lat.subgroups:
+        assert table_closure(ct, lat.gens(i)) == lat.ids(i)
+        h = elems_of_ids(els, lat.ids(i))
+        assert (i in normal) == all({x.inverse() * y * x for y in h} == h for x in els)
+        assert lat.abelian[i] == is_abelian_elems(h)
 
 
 def covering_pairs(lat, l):
     """Pairs H < K of subgroups with |K| = l|H|, counted from the finished
     lattice by intersection sizes: H lies in K when |H meet K| = |H|."""
     by_order = {}
-    for s in lat.subgroups:
-        by_order.setdefault(s.order, []).append(s.mask)
+    for i in lat.subgroups:
+        by_order.setdefault(int(lat.orders[i]), []).append(lat.mask(i))
     total = 0
     for order, small in by_order.items():
         big = by_order.get(order * l)
@@ -226,13 +228,13 @@ def assert_recorded_generators(ct):
     """Each non-trivial subgroup K is reached from the subgroup P that its
     other recorded generators generate, which is in the lattice with index
     l in K, by adjoining the least id of K outside P."""
-    subs = ct.lattice().subgroups
-    known = {s.ids for s in subs}
-    for s in subs[1:]:
-        *rest, g = s.gens
+    lat = ct.lattice()
+    known = {lat.ids(i) for i in lat.subgroups}
+    for i in lat.subgroups[1:]:
+        *rest, g = lat.gens(i)
         p = table_closure(ct, rest)
-        assert p in known and len(p) * ct.prime == s.order, s.gens
-        assert g == min(set(s.ids) - set(p)), s.gens
+        assert p in known and len(p) * ct.prime == lat.orders[i], lat.gens(i)
+        assert g == min(set(lat.ids(i)) - set(p)), lat.gens(i)
 
 
 @pytest.mark.parametrize("name", ["o16.pc", "o27.pc", "o32.pc"])
@@ -263,35 +265,36 @@ def assert_fusion_facts(ct, search_orders):
     For each non-abelian class representative S below the whole group
     with order in `search_orders`, the orbit representatives the search
     takes among S's proper subgroups are the first member of each
-    brute-force orbit under <S.gens>. Returns the number of such S.
+    brute-force orbit under the generators of S. Returns the number of
+    such S.
     """
     lat = ct.lattice()
-    subs = lat.subgroups
-    pos = {s.ids: i for i, s in enumerate(subs)}
+    ids = [lat.ids(i) for i in lat.subgroups]
+    pos = {h: i for i, h in enumerate(ids)}
     classes = {}
-    for i, s in enumerate(subs):
-        classes.setdefault(s.class_rep, set()).add(i)
-        assert ct.conjugate_ids(subs[s.class_rep].ids, s.conj_to_rep) == s.ids
+    for i in lat.subgroups:
+        r = int(lat.class_rep[i])
+        classes.setdefault(r, set()).add(i)
+        assert ct.conjugate_ids(ids[r], lat.conj_to_rep(i)) == ids[i]
     for r, members in classes.items():
-        brute = {pos[c] for c in brute_orbit(ct, subs[r].ids, range(ct.n))}
+        brute = {pos[c] for c in brute_orbit(ct, ids[r], range(ct.n))}
         assert brute == members
         assert min(brute) == r
-    masks = np.array([h.mask for h in subs])
+    masks = np.array([lat.mask(i) for i in lat.subgroups])
     checked = 0
     for r in classes:
-        s = subs[r]
-        if s.abelian or r == len(subs) - 1 or s.order not in search_orders:
+        if lat.abelian[r] or r == len(ids) - 1 or lat.orders[r] not in search_orders:
             continue
         # the search's members: positions of the subgroups inside S, S last
-        inside = np.flatnonzero(~masks[:, ~s.mask].any(axis=1)).tolist()
+        inside = np.flatnonzero(~masks[:, ~masks[r]].any(axis=1)).tolist()
         assert inside[-1] == r
-        s_ids = table_closure(ct, s.gens)
+        s_ids = table_closure(ct, lat.gens(r))
         seen, want = set(), []
         for j in inside[:-1]:
             if j not in seen:
-                seen |= {pos[c] for c in brute_orbit(ct, subs[j].ids, s_ids)}
+                seen |= {pos[c] for c in brute_orbit(ct, ids[j], s_ids)}
                 want.append(j)
-        assert lat.orbit_reps(inside[:-1], s.gens).tolist() == want
+        assert lat.orbit_reps(inside[:-1], lat.gens(r)).tolist() == want
         checked += 1
     return checked
 
@@ -330,16 +333,16 @@ def assert_normalised_by_subgroup_generators(ct):
     S's generators fix are those with conj[s, A] = A for every s in S,
     read off the membership masks."""
     lat = ct.lattice()
-    masks = np.array([s.mask for s in lat.subgroups])
+    masks = np.array([lat.mask(i) for i in lat.subgroups])
     conj = ct.conj()
     for s in lat.subgroups:
-        inside = np.flatnonzero(~masks[:, ~s.mask].any(axis=1))
+        inside = np.flatnonzero(~masks[:, ~masks[s]].any(axis=1))
         a = masks[inside]
         # image[r, i, y] = a[r, conj[x_i, y]], x_i the ith element of S;
         # A^x lies in A, so equals it, when this holds wherever a[r, y] does
-        image = a[:, conj[list(s.ids)]]
+        image = a[:, conj[list(lat.ids(s))]]
         brute = (image | ~a[:, None, :]).all(axis=(1, 2))
-        assert lat.normalised_by(inside, s.gens).tolist() == inside[brute].tolist()
+        assert lat.normalised_by(inside, lat.gens(s)).tolist() == inside[brute].tolist()
 
 
 def test_normality_inside_each_subgroup_matches_brute_force():
@@ -354,9 +357,17 @@ def class_count(lat):
     return int((lat.class_rep == np.arange(len(lat.subgroups))).sum())
 
 
-def normal_abelian(lat):
-    """Views of the normal abelian subgroups."""
-    return [s for s in lat.subgroups if s.abelian and s.normal]
+def normal_positions(ct):
+    """The set of positions of the normal subgroups of ct's lattice: those
+    that every table generator's position map fixes."""
+    lat = ct.lattice()
+    return set(lat.normalised_by(lat.subgroups, ct.gen_ids).tolist())
+
+
+def normal_abelian(ct):
+    """Positions of the normal abelian subgroups, ascending."""
+    lat = ct.lattice()
+    return [i for i in sorted(normal_positions(ct)) if lat.abelian[i]]
 
 
 def test_d4_lattice_shape():
@@ -367,25 +378,25 @@ def test_d4_lattice_shape():
     # three maximal subgroups, all of index 2
     maxi = lat.maximal()
     assert len(maxi) == 3
-    assert all(s.order == 4 for s in maxi)
-    assert all(s.normal for s in maxi)
+    assert (lat.orders[maxi] == 4).all()
+    assert set(maxi.tolist()) <= normal_positions(ct)
     # eight conjugacy classes of subgroups
     assert class_count(lat) == 8
     # normal abelian subgroups: trivial, center, C4 and the two Klein fours
-    na = normal_abelian(lat)
+    na = normal_abelian(ct)
     assert len(na) == 5
     ref = {
         s
         for s in brute_normal_subgroups(g.elements(), 4)
         if is_abelian_elems(s)
     }
-    assert {elems_of_ids(g.elements(), s.ids) for s in na} == ref
+    assert {elems_of_ids(g.elements(), lat.ids(i)) for i in na} == ref
 
 
 def test_q8_normal_abelian_is_five():
     pres = fixture_pres("o8.pc", 5)
     ct = CayleyTable.from_perm_group(pc_to_perm(pres))
-    assert len(normal_abelian(ct.lattice())) == 5
+    assert len(normal_abelian(ct)) == 5
 
 
 def test_klein_four_lattice():
@@ -394,7 +405,7 @@ def test_klein_four_lattice():
     lat = ct.lattice()
     assert len(lat.subgroups) == 5
     assert class_count(lat) == 5
-    assert all(s.normal and s.abelian for s in lat.subgroups)
+    assert normal_positions(ct) == set(lat.subgroups) and lat.abelian.all()
 
 
 def test_cyclic_four_classes():
@@ -411,9 +422,35 @@ def test_frattini_equals_maximal_intersection():
         ct = CayleyTable.from_pc(pres)
         lat = ct.lattice()
         inter = frozenset(range(ct.n))
-        for s in lat.maximal():
-            inter &= frozenset(s.ids)
+        for i in lat.maximal().tolist():
+            inter &= frozenset(lat.ids(i))
         assert inter == frozenset(ct.frattini_ids())
+
+
+def brute_maximal(lat):
+    """Positions of the proper subgroups inside no other proper subgroup,
+    read off the unpacked masks."""
+    masks = np.array([lat.mask(i) for i in lat.subgroups])
+    proper = [i for i in lat.subgroups if not masks[i].all()]
+    return [
+        i
+        for i in proper
+        if not any(j != i and not (masks[i] & ~masks[j]).any() for j in proper)
+    ]
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_maximal_positions_match_brute_force(l):
+    trivial = CayleyTable.from_perm_group(PermGroup([], degree=1)).lattice()
+    assert trivial.maximal().tolist() == brute_maximal(trivial) == []
+    cyclic = CayleyTable.from_perm_group(cyclic_group(l, 1)).lattice()
+    assert cyclic.maximal().tolist() == brute_maximal(cyclic) == [0]
+    ct = CayleyTable.from_perm_group(direct_product(cyclic_group(l, 1), cyclic_group(l, 1)))
+    lat = ct.lattice()
+    maxi = lat.maximal().tolist()
+    # C_l x C_l: the l + 1 lines, between the trivial group and the whole
+    assert maxi == brute_maximal(lat) == list(range(1, l + 2))
+    assert all(len(lat.ids(i)) == l for i in maxi)
 
 
 def test_lcs_orders_d4():
@@ -431,24 +468,26 @@ HEAVY = (
 )
 
 
-def assert_views_match_eager_oracle(ct):
-    """Every field of every TSub view against values computed eagerly from
-    the table: ids off the mask, abelian and normal by brute force on the
-    ids, classes and conjugators by the eager fusion walk."""
-    subs = ct.lattice().subgroups
-    ids = [tuple(np.flatnonzero(s.mask).tolist()) for s in subs]
+def assert_positions_match_eager_oracle(ct):
+    """Every per-position read of the lattice against values computed
+    eagerly from the table: ids off the mask, abelian and normal by brute
+    force on the ids, classes and conjugators by the eager fusion walk."""
+    lat = ct.lattice()
+    ids = [tuple(np.flatnonzero(lat.mask(i)).tolist()) for i in lat.subgroups]
     assert ids == sorted(ids, key=lambda x: (len(x), x))
     class_rep, conj_to_rep = eager_fusion(ct, ids)
     t, conj = ct.table, ct.conj()
-    for i, s in enumerate(subs):
+    normal = normal_positions(ct)
+    for i in lat.subgroups:
         h = np.asarray(ids[i])
         block = t[np.ix_(h, h)]
-        assert s.ids == ids[i]
-        assert s.order == len(h)
-        assert s.abelian == bool((block == block.T).all())
-        assert s.normal == bool(s.mask[conj[:, h]].all())
-        assert ct.prime ** len(s.gens) == s.order and set(s.gens) <= set(s.ids)
-        assert (s.class_rep, s.conj_to_rep) == (class_rep[i], conj_to_rep[i])
+        gens = lat.gens(i)
+        assert lat.ids(i) == ids[i]
+        assert lat.orders[i] == len(h)
+        assert lat.abelian[i] == bool((block == block.T).all())
+        assert (i in normal) == bool(lat.mask(i)[conj[:, h]].all())
+        assert ct.prime ** len(gens) == lat.orders[i] and set(gens) <= set(ids[i])
+        assert (lat.class_rep[i], lat.conj_to_rep(i)) == (class_rep[i], conj_to_rep[i])
 
 
 def assert_invariants_match_oracles(ct, g):
@@ -467,7 +506,7 @@ def test_views_and_invariants_match_oracles_on_every_fixture():
     assert len(fixtures) == 96
     for pres in fixtures:
         ct = CayleyTable.from_pc(pres)
-        assert_views_match_eager_oracle(ct)
+        assert_positions_match_eager_oracle(ct)
         assert_invariants_match_oracles(ct, pc_to_perm(pres))
 
 
@@ -475,7 +514,7 @@ def test_views_and_invariants_match_oracles_on_every_fixture():
 def test_heavy_group_views_and_invariants_match_oracles(text):
     g = eval_cert(parse_cert(text))
     ct = CayleyTable.from_perm_group(g)
-    assert_views_match_eager_oracle(ct)
+    assert_positions_match_eager_oracle(ct)
     assert_invariants_match_oracles(ct, g)
 
 
@@ -500,7 +539,7 @@ REORDERED = ("D(C(2,2),C(2,2))", "D(C(3,2),C(3,2))", "W(C(2,1),C(2,2))")
 @pytest.mark.parametrize("text", REORDERED)
 def test_climb_emits_layers_in_position_order(text):
     ct = CayleyTable.from_perm_group(eval_cert(parse_cert(text)))
-    assert_views_match_eager_oracle(ct)
+    assert_positions_match_eager_oracle(ct)
     assert_recorded_generators(ct)
 
 
@@ -510,17 +549,17 @@ def test_views_and_lattice_form_no_reference_cycle():
     try:
         lat = ct.lattice()
         subs = lat.subgroups
-        view = subs[len(subs) // 2]
-        assert view.ids and view.conj_to_rep >= 0
+        pos = len(subs) // 2
+        assert lat.ids(pos) and lat.conj_to_rep(pos) >= 0
         assert semiabelian_table(ct).flag
         ref = weakref.ref(lat)
-        rep = view.class_rep
-        # a view keeps its lattice alive, and nothing else does
-        del ct, lat, subs
+        # the table keeps its lattice alive, and nothing else does: not
+        # the positions, the search or the conjugators walked
+        del lat
         assert ref() is not None
-        assert view.class_rep == rep
-        del view
+        del ct
         assert ref() is None
+        assert subs[pos] == pos
     finally:
         gc.enable()
 
@@ -529,7 +568,7 @@ def assert_position_maps_match_oracle(ct, others):
     """The generators' position maps, carried up the climb, and the maps
     composed for the elements `others` against conjugating every mask."""
     lat = ct.lattice()
-    masks = np.array([s.mask for s in lat.subgroups])
+    masks = np.array([lat.mask(i) for i in lat.subgroups])
     elements = tuple(dict.fromkeys(ct.gen_ids + tuple(others)))
     for g, pm in conjugation_position_maps(ct, masks, elements).items():
         assert lat._position_map(g).tolist() == pm.tolist(), g
@@ -554,7 +593,7 @@ def test_lattice_holds_no_unpacked_matrix():
     lat = ct.lattice()
     subs = lat.subgroups
     assert semiabelian_table(ct).flag
-    assert all(s.mask.shape == (ct.n,) for s in subs)
+    assert all(lat.mask(i).shape == (ct.n,) for i in subs)
     assert lat.packed_masks.shape == (len(subs), ct.n // 8)
     for name, value in vars(lat).items():
         if isinstance(value, np.ndarray):
@@ -586,11 +625,12 @@ def test_elementary_abelian_lattice_has_gaussian_binomial_counts(l, d, total):
     g = cyclic_group(l, 1)
     for _ in range(d - 1):
         g = direct_product(g, cyclic_group(l, 1))
-    lat = CayleyTable.from_perm_group(g).lattice()
+    ct = CayleyTable.from_perm_group(g)
+    lat = ct.lattice()
     by_order = [int((lat.orders == l**k).sum()) for k in range(d + 1)]
     assert by_order == [gaussian_binomial(d, k, l) for k in range(d + 1)]
     assert len(lat.subgroups) == sum(by_order) == total
-    assert class_count(lat) == total and all(s.normal for s in lat.subgroups)
+    assert class_count(lat) == total and normal_positions(ct) == set(lat.subgroups)
     assert lat.builds == elementary_covering_pairs(l, d)
 
 
@@ -617,7 +657,7 @@ def test_extraspecial_125_lattice_matches_subset_closure(index, subgroups, pairs
     (pres,) = [p for p in parse_pc_text(EXTRASPECIAL_125) if p.group_id[1] == index]
     ct = CayleyTable.from_pc(pres)
     lat = ct.lattice()
-    assert {s.ids for s in lat.subgroups} == table_subgroups(ct)
+    assert {lat.ids(i) for i in lat.subgroups} == table_subgroups(ct)
     assert len(lat.subgroups) == subgroups
     assert lat.builds == covering_pairs(lat, 5) == pairs
     assert_recorded_generators(ct)

@@ -69,7 +69,10 @@ def fingerprint(ct: CayleyTable) -> tuple:
     fibers = sorted(Counter(Counter(powers.tolist()).values()).items())
     # subgroup counts by (order, normal, abelian) separate the two pairs
     # of order-32 groups that agree on all of the above
-    subgroups = Counter((s.order, s.normal, s.abelian) for s in ct.lattice().subgroups)
+    lat = ct.lattice()
+    normal = np.zeros(len(lat.subgroups), dtype=bool)
+    normal[lat.normalised_by(lat.subgroups, ct.gen_ids)] = True
+    subgroups = Counter(zip(lat.orders.tolist(), normal.tolist(), lat.abelian.tolist()))
     return (
         ct.n,
         tuple(sorted(Counter(orders.tolist()).items())),
