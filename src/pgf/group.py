@@ -1,9 +1,10 @@
 """Permutation l-groups backed by deterministic stabilizer chains.
 
-pgf works with groups of prime-power order only, and every chain is grown
-by one routine, ``StabilizerChain.adjoin`` (Sims, "Computing the order of a
-solvable permutation group", JSC 9, 1990; Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, ch. 4). Before an element r
+pgf works with groups of prime-power order only, and every chain that is
+not assembled from factors is grown by one routine,
+``StabilizerChain.adjoin`` (Sims, "Computing the order of a solvable
+permutation group", JSC 9, 1990; Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4). Before an element r
 joins, every conjugate of a strong generator by r and r**l are made
 members first, so r normalises the group H built so far, <H, r> has order
 l|H|, and one orbit grows by exactly a factor l. No Schreier generator is
@@ -11,24 +12,37 @@ ever sifted. ``PermGroup`` takes l from the order of its first
 non-identity generator; generators that do not generate an l-group raise
 PgfError naming the prime.
 
-The one chain not grown by ``adjoin`` is a direct product's: its factors'
-chains placed one after the other are a base and strong generating set
-(Holt, Eick and O'Brien, ch. 4), and ``PermGroup._direct_product``
-assembles exactly the chain that adjoining the product's generators would
-build, without sifting anything. Below ``PermGroup`` an element is a
-read-only 0-based int32 image array, composed with ``take``, and ``Perm``
-is only the API's element type: ``adjoin`` takes an image array, a chain
-stores its strong generators as one list of such arrays, in the order
-they joined, and a transversal entry is the inverse of its representative
-alone, which is all that sifting and enumeration read. A level keeps no
-generators of its own: level i's are the strong generators that fix the
-first i base points. Each group records its prime once, from its order.
+Two chains are assembled from their factors' chains instead, with
+nothing sifted (Holt, Eick and O'Brien, ch. 4). A direct product's
+factors' chains placed one after the other are a base and strong
+generating set, and ``PermGroup._direct_product`` assembles exactly the
+chain that adjoining the product's generators would build. A regular
+wreath product's chain, from ``PermGroup._wreath_regular``, starts with
+the inner factor's first orbit on every block, each point reached by an
+inner representative and a block permutation, and continues with the
+inner factor's chain on each block. Either way a factor's strong
+generators and transversal entries are carried as the rows of one matrix,
+not one array each. ``adjoin`` returns at once for a member, and
+``_adjoin_normalising`` adjoins an element known to normalise the chain's
+group through its powers alone, conjugating no strong generator.
+
+Below ``PermGroup`` an element is a read-only 0-based int32 image array,
+composed with ``take``, and ``Perm`` is only the API's element type:
+``adjoin`` takes an image array, a chain stores its strong generators as
+one list of such arrays, in the order they joined, and a transversal
+entry is the inverse of its representative alone, which is all that
+sifting and enumeration read. A level keeps no generators of its own:
+level i's are the strong generators that fix the first i base points.
+Each group records its prime once, from its order.
 
 The sorted rows of one int32 matrix are the elements, numbered by position;
-``PermGroup.columns`` finds products among them with searchsorted. The
-products of the inverse representatives, one per level and level 0 first,
-are the inverses of the elements, hence again all of them, so sorting
-them gives the same matrix.
+``PermGroup.columns`` finds products among them with searchsorted, and
+``_fill`` completes the generators' columns to the whole multiplication
+table: the table layer tabulates with it, and a wreath product reads its
+outer factor's regular action from it. The products of the inverse
+representatives, one per level and level 0 first, are the inverses of
+the elements, hence again all of them, so sorting them gives the same
+matrix.
 
 Generators and orbit points are processed in fixed orders, so identical
 generator lists always produce the identical chain: same base, same cached
@@ -38,6 +52,7 @@ and safe to share between threads.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,17 +87,51 @@ class _Level:
     def __init__(self, base: int):
         self.base = base  # 0-based point
         # orbit point (0-based) -> image array of the inverse of the rep u
-        # with u(base) = point
+        # with u(base) = point; the base point's entry, the identity, is
+        # the first
         self.transversal: dict[int, np.ndarray] = {}
 
 
-def _carry(img: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """The image array img of 0..d-1 carried into 0..n-1, read-only: it
-    moves x + offset to img[x] + offset and fixes every other point."""
-    out = np.arange(n, dtype=np.int32)
-    out[offset : offset + img.size] = img + offset
+def _carry(arrays: Sequence[np.ndarray], d: int, offsets, n: int) -> np.ndarray:
+    """The image arrays of 0..d-1 in `arrays` carried into 0..n-1 once per
+    offset, as one read-only int32 matrix of shape (len(offsets),
+    len(arrays), n): out[j, i] moves x + offsets[j] to arrays[i][x] +
+    offsets[j] and fixes every other point. One assignment per offset, not
+    one array per image."""
+    out = np.empty((len(offsets), len(arrays), n), dtype=np.int32)
+    out[...] = np.arange(n, dtype=np.int32)
+    if arrays:
+        rows = np.array(arrays)
+        for j, offset in enumerate(offsets):
+            out[j, :, offset : offset + d] = rows + offset
     out.setflags(write=False)
     return out
+
+
+def _fill(cols: np.ndarray) -> Optional[np.ndarray]:
+    """The table whose generator columns are cols[j, x] = id of x * g_j,
+    id 0 the identity, or None when the generators do not reach every id.
+
+    Dynamic programming over the right Cayley graph: id z, first reached as
+    cols[j][y], gets column(z) = cols[j][column(y)]. Id 0 comes first and
+    gives g_j the column cols[j], so every other id is table[y, g_j] of an
+    earlier y.
+    """
+    n = cols.shape[1]
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    steps = list(zip(cols.tolist(), cols))  # lists for lookups, arrays for gathers
+    done = [True] + [False] * (n - 1)
+    frontier = [0]
+    while frontier:
+        y = frontier.pop()
+        for ids, col in steps:
+            z = ids[y]
+            if not done[z]:
+                table[:, z] = col[table[:, y]]
+                done[z] = True
+                frontier.append(z)
+    return table if all(done) else None
 
 
 class StabilizerChain:
@@ -117,6 +166,26 @@ class StabilizerChain:
             new.transversal = dict(lvl.transversal)
             out.levels.append(new)
         return out
+
+    def _arrays(self) -> list:
+        """The strong generators, then each level's inverse representatives
+        other than its base point's identity, in chain order: the arrays
+        that _place reads back, once carried."""
+        out = list(self.gens)
+        for lvl in self.levels:
+            out += islice(lvl.transversal.values(), 1, None)
+        return out
+
+    def _place(self, levels: Sequence[_Level], rows, offset: int) -> None:
+        """Append copies of another chain's levels, their points shifted by
+        offset and their entries other than the base point's identity
+        taken in order from the iterator rows."""
+        for lvl in levels:
+            new = _Level(lvl.base + offset)
+            new.transversal[new.base] = self._identity
+            points = [x + offset for x in islice(lvl.transversal, 1, None)]
+            new.transversal.update(zip(points, rows))
+            self.levels.append(new)
 
     def _sift(self, img: np.ndarray) -> tuple[np.ndarray, int]:
         """Strip the image array img through the levels; returns (residue
@@ -165,21 +234,21 @@ class StabilizerChain:
         """
         if r.size != self.degree:
             raise ValueError("generator degree mismatch")
+        if self._sift(r)[0].tobytes() == self._identity_bytes:
+            return False
         max_depth = (self.degree - 1) // (l - 1)
-        pending: set = set()
-        stack: list = []  # [element, next generator or -1]
+        pending = {r.tobytes()}
+        stack: list = [[r, -1]]  # [element, next generator or -1]
 
-        def push(img: np.ndarray) -> bool:
+        def push(img: np.ndarray) -> None:
             if self._sift(img)[0].tobytes() == self._identity_bytes:
-                return False
+                return
             key = img.tobytes()
             if key in pending or len(stack) >= max_depth:
                 raise _cannot_adjoin(l, Perm._from0(img))
             pending.add(key)
             stack.append([img, -1])
-            return True
 
-        grew = push(r)
         while stack:
             frame = stack[-1]
             x, k = frame
@@ -197,7 +266,37 @@ class StabilizerChain:
             stack.pop()
             pending.discard(x.tobytes())
             self._extend(x, l)
-        return grew
+        return True
+
+    def _adjoin_normalising(self, r: np.ndarray, l: int) -> bool:
+        """Extend the chain of an l-group H by the read-only image array r,
+        which must normalise H; returns whether the chain grew.
+
+        The conjugates of the strong generators by r already lie in H, so
+        only r's powers are prerequisites. r commutes with its powers and
+        normalises H, so each power r**(l**i) normalises <H, r**(l**(i+1))>,
+        and the powers are extended from the first one in H back to r, each
+        growing an orbit by a factor l. The precondition holds, for
+        instance, for every element of T when bot <= H <= T with bot normal
+        in T and T/bot abelian: every group between them is normal in T.
+        More than (degree - 1) / (l - 1) powers outside H, the bound on
+        log_l of an l-group's order at this degree, raise PgfError naming
+        the prime.
+        """
+        max_depth = (self.degree - 1) // (l - 1)
+        powers = []
+        x = r
+        while self._sift(x)[0].tobytes() != self._identity_bytes:
+            if len(powers) >= max_depth:
+                raise _cannot_adjoin(l, Perm._from0(r))
+            powers.append(x)
+            power = x
+            for _ in range(l - 1):
+                power = power.take(x)
+            x = power
+        for x in reversed(powers):
+            self._extend(x, l)
+        return bool(powers)
 
     def _extend(self, r: np.ndarray, l: int) -> None:
         """Adjoin r, which normalises the group H and has r**l in H: sift
@@ -297,11 +396,13 @@ class PermGroup:
         sifted: adjoining a's generators rebuilds a's chain, and each of
         b's elements fixes a's bases and commutes with a, so it passes a's
         levels and rebuilds b's chain below them, shifted by a.degree.
-        Its strong generators are a's followed by b's, each carried by
-        _carry; each level's identity entry is the chain's shared identity,
-        and a factor generator that is a strong generator of its factor's
-        chain shares that carried array. Factors of two primes raise the
-        PgfError that adjoining b's first generator would.
+        Its strong generators are a's followed by b's. Each factor's
+        strong generators, transversal entries and generators are carried
+        as the rows of one matrix (_carry), a generator that is a strong
+        generator sharing its row, and each level's identity entry is the
+        chain's shared identity. The product records its factors,
+        from which ops.commutator_subgroup assembles its G'. Factors of two
+        primes raise the PgfError that adjoining b's first generator would.
         """
         if a.prime is not None and b.prime is not None and a.prime != b.prime:
             raise _cannot_adjoin(a.prime, b.generators[0])
@@ -309,22 +410,90 @@ class PermGroup:
         chain = StabilizerChain(n)
         gens: list = []
         for f, offset in ((a, 0), (b, a.degree)):
-            carried = {id(s): _carry(s, offset, n) for s in f._chain.gens}
-            chain.gens += carried.values()
-            for lvl in f._chain.levels:
-                new = _Level(lvl.base + offset)
-                new.transversal = {
-                    x + offset: _carry(u_inv, offset, n)
-                    for x, u_inv in lvl.transversal.items()
-                }
-                new.transversal[new.base] = chain._identity
-                chain.levels.append(new)
+            if f.order == 1:
+                continue  # no strong generators, levels or generators
+            arrays = f._chain._arrays()
+            # a generator that is a strong generator shares its carried row
+            row_of = {id(s): i for i, s in enumerate(f._chain.gens)}
             for p in f.generators:
-                img = carried.get(id(p.img0))
-                if img is None:
-                    img = _carry(p.img0, offset, n)
-                gens.append(Perm._from0(img))
-        return cls._from_chain(tuple(gens), chain)
+                if id(p.img0) not in row_of:
+                    row_of[id(p.img0)] = len(arrays)
+                    arrays.append(p.img0)
+            carried = list(_carry(arrays, f.degree, (offset,), n)[0])
+            rows = iter(carried)
+            chain.gens += (next(rows) for _ in f._chain.gens)
+            chain._place(f._chain.levels, rows, offset)
+            gens += (Perm._from0(carried[row_of[id(p.img0)]]) for p in f.generators)
+        g = cls._from_chain(tuple(gens), chain)
+        g._factors = (a, b)
+        return g
+
+    @classmethod
+    def _wreath_regular(cls, inner: "PermGroup", outer: "PermGroup") -> "PermGroup":
+        """inner wr outer on m = |outer| blocks of d = inner.degree points,
+        outer permuting the blocks by its right regular action: block b,
+        the b-th element e_b of outer, goes to the id of e_b * g.
+
+        The generators are inner's on block 0 and outer's generators'
+        block permutations. The chain is assembled from inner's chain with
+        nothing sifted (Holt, Eick and O'Brien, ch. 4). Level 0 has inner's
+        first base point b0 on block 0; its orbit is inner's level-0 orbit
+        on every block, and the point a of block j has the representative
+        u_a * pi_j: inner's representative for a, then the block
+        permutation of e_j, the one element sending block 0 to block j.
+        The stabiliser of b0 fixes block 0, so its top part is trivial: it
+        is inner's stabiliser of b0 on block 0 times inner on each other
+        block, whence the next levels are inner's lower levels on block 0
+        and then inner's whole chain on blocks 1..m-1. The strong
+        generators are inner's on every block and the block permutations.
+        A trivial inner group contributes the orbit {0} with the identity
+        representative; a level-0 orbit of one point is left out. Factors
+        of two primes raise the PgfError that adjoining the first block
+        permutation would.
+        """
+        d, m = inner.degree, outer.order
+        n = d * m
+        points = np.arange(d, dtype=np.int32)
+        cols = outer.columns(outer.generators)  # cols[k, b] = id of e_b * g_k
+        tops = [Perm._from0((col[:, None] * d + points).ravel()) for col in cols]
+        if None not in (inner.prime, outer.prime) and inner.prime != outer.prime:
+            raise _cannot_adjoin(inner.prime, tops[0])
+        levels = inner._chain.levels
+        # inner's strong generators and transversal entries on each block
+        carried = _carry(inner._chain._arrays(), d, range(0, n, d), n)
+        k = len(inner._chain.gens)
+        chain = StabilizerChain(n)
+        if levels:
+            b0 = levels[0].base
+            orbit = list(levels[0].transversal)  # b0 first
+            u_inv = np.concatenate(
+                (chain._identity[None, :], carried[0, k : k + len(orbit) - 1])
+            )
+        else:
+            b0, orbit, u_inv = 0, [0], chain._identity[None, :]
+        # the inverse of u_a * pi_j is pi_j^-1 * u_a^-1, pi_j^-1 sending
+        # block c to the block b with id of e_b * e_j = c
+        table = _fill(cols)  # table[b, j] = id of e_b * e_j
+        blocks_inv = np.empty((m, m), dtype=np.int32)
+        blocks_inv[np.arange(m)[:, None], table.T] = np.arange(m, dtype=np.int32)
+        pi_inv = (blocks_inv[:, :, None] * d + points).reshape(m, n)
+        invs = u_inv.ravel()[pi_inv[:, None, :] + (np.arange(len(orbit)) * n)[:, None]]
+        invs.setflags(write=False)
+        top = _Level(b0)
+        top.transversal = {
+            j * d + a: inv for j in range(m) for a, inv in zip(orbit, invs[j])
+        }
+        top.transversal[b0] = chain._identity
+        if len(top.transversal) > 1:
+            chain.levels.append(top)
+        chain._place(levels[1:], iter(carried[0, k + len(orbit) - 1 :]), 0)
+        for j in range(1, m):
+            chain._place(levels, iter(carried[j, k:]), j * d)
+        chain.gens = [s for j in range(m) for s in carried[j, :k]]
+        chain.gens += (p.img0 for p in tops)
+        on_block_0 = _carry([p.img0 for p in inner.generators], d, (0,), n)[0]
+        gens = tuple(Perm._from0(row) for row in on_block_0) + tuple(tops)
+        return cls._from_chain(gens, chain)
 
     def _wrap(self, generators: tuple, chain: StabilizerChain) -> None:
         self.generators = generators
@@ -337,6 +506,8 @@ class PermGroup:
         self._rank: Optional[int] = None  # set once by ops.rank
         # set once by ops.commutator_subgroup
         self._derived: Optional["PermGroup"] = None
+        # (a, b) for a direct product a x b, set by _direct_product
+        self._factors: Optional[tuple] = None
 
     @property
     def order(self) -> int:

@@ -6,16 +6,21 @@ table layer. Groups are immutable; each operation returns a fresh PermGroup,
 and the rank and G' are computed once per group and cached on it: `rank`,
 `frattini_subgroup`, `derived_series` and the [G, G] step of
 `lower_central_series` all read the one G' that `commutator_subgroup`
-builds. Rank, series-factor ranks and the Frattini subgroup all read
-Phi(T)N for N normal in T with T/N abelian: N's chain, copied and extended
-by the l-th powers of T's generators. Factor ranks take consecutive series
-terms and run no normal closure; `rank` and `frattini_subgroup` take T = G
-and N = G', as Phi(G) = G'G^l. Every group is an l-group and
-carries its prime l as `PermGroup.prime`. Every chain is grown by the
-l-group routine StabilizerChain.adjoin, except a direct product's, which
-inherits its factors' chains placed one after the other. A construction
-whose input mixes primes, such as a wreath product of a 2-group by a
-3-group, raises PgfError. A quotient by N names each coset by its
+builds. A direct product records its factors, and its G' is the product
+of theirs, (A x B)' = A' x B', so a product's derived series is assembled
+with no normal closure. Rank, series-factor ranks and the Frattini
+subgroup all read Phi(T)N for N normal in T with T/N abelian: N's chain,
+copied and extended by the l-th powers of T's generators. Every group
+between N and T is then normal in T, so each power is adjoined through its
+own powers alone, with no conjugate of a strong generator. Factor ranks
+take consecutive series terms and run no normal closure; `rank` and
+`frattini_subgroup` take T = G and N = G', as Phi(G) = G'G^l. Every group
+is an l-group and carries its prime l as `PermGroup.prime`. Every chain
+is grown by the l-group routine StabilizerChain.adjoin, except those of
+direct and regular wreath products, which are assembled from their
+factors' chains with nothing sifted. A construction whose input mixes
+primes, such as a wreath product of a 2-group by a 3-group, raises
+PgfError. A quotient by N names each coset by its
 canonical element on N's chain, one dict lookup per coset product.
 
 Conventions: products apply the left factor first, and the commutator is
@@ -26,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .arith import exact_log, is_prime
 from .errors import CapExceeded, NotNormal, PgfError
@@ -77,8 +80,10 @@ def wreath_regular(inner: PermGroup, outer: PermGroup) -> PermGroup:
     carries a copy of inner's point set. Generators are inner's
     generators acting on the block of the identity coset plus outer's
     generators permuting whole blocks, which together generate the full
-    product of order |inner| ** |outer| * |outer|. Both factors must be
-    l-groups for one prime.
+    product of order |inner| ** |outer| * |outer|. The chain is assembled
+    from inner's chain and the blocks' regular action, with nothing sifted
+    (`PermGroup._wreath_regular`). Both factors must be l-groups for one
+    prime.
     """
     d, m = inner.degree, outer.order
     degree = d * m
@@ -86,14 +91,7 @@ def wreath_regular(inner: PermGroup, outer: PermGroup) -> PermGroup:
         raise CapExceeded(
             f"wreath degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}"
         )
-    # inner's generators on the first block, fixing every other point
-    rest = np.arange(d, degree, dtype=np.int32)
-    gens = [Perm._from0(np.concatenate((p.img0, rest))) for p in inner.generators]
-    # outer's generators move block b to block col[b], point by point
-    points = np.arange(d, dtype=np.int32)
-    for col in outer.columns(outer.generators):
-        gens.append(Perm._from0((col[:, None] * d + points).ravel()))
-    return PermGroup(gens, degree=degree, order_hint=inner.order**m * m)
+    return PermGroup._wreath_regular(inner, outer)
 
 
 # ----- closures --------------------------------------------------------------
@@ -121,9 +119,18 @@ def normal_closure(g: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
 
 
 def commutator_subgroup(g: PermGroup) -> PermGroup:
-    """Derived subgroup [g, g]: normal closure of generator commutators,
-    built once per group and cached on it, as g is immutable."""
-    if g._derived is None:
+    """Derived subgroup [g, g], built once per group and cached on it, as g
+    is immutable: for a direct product A x B it is A' x B', assembled
+    from the factors' cached derived subgroups with nothing sifted, and
+    otherwise the normal closure of the generator commutators."""
+    if g._derived is not None:
+        return g._derived
+    if g._factors is not None:
+        a, b = g._factors
+        g._derived = PermGroup._direct_product(
+            commutator_subgroup(a), commutator_subgroup(b)
+        )
+    else:
         gens = g.generators
         seeds = [
             commutator(gens[i], gens[j])
@@ -148,12 +155,15 @@ def _frattini_preimage(top: PermGroup, bot: PermGroup) -> PermGroup:
     In an l-group Phi(top/bot) = Phi(top)bot/bot, and an abelian quotient's
     Frattini subgroup is generated by the l-th powers of its generators, so
     Phi(top)bot is bot extended by t**l for each generator t of top. Its
-    chain is a copy of bot's, grown by adjoin; no normal closure runs.
+    chain is a copy of bot's; every group between bot and top is normal in
+    top, as top/bot is abelian, so each t**l normalises the group built so
+    far and is adjoined by StabilizerChain._adjoin_normalising, through its
+    powers alone. No normal closure runs.
     """
     l = top.prime
     chain = bot._chain.copy()
     powers = [t**l for t in top.generators]
-    grown = tuple(p for p in powers if chain.adjoin(p.img0, l))
+    grown = tuple(p for p in powers if chain._adjoin_normalising(p.img0, l))
     return PermGroup._from_chain(bot.generators + grown, chain)
 
 

@@ -39,13 +39,12 @@ conjugators are read.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Optional
 
 import numpy as np
 
 from .arith import exact_log, prime_power_root
 from .errors import CapExceeded, PgfError
-from .group import PermGroup, _rows_as_void
+from .group import PermGroup, _fill, _rows_as_void
 from .pc import PcPresentation, _table_defect
 
 DEFAULT_TABLE_CAP = 1024
@@ -289,8 +288,10 @@ class Lattice:
 
 def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """out[r, x] = a[r, idx[r, x]] for a contiguous 2-D array a, as one flat
-    gather."""
-    return np.take(a.ravel(), idx + (np.arange(len(a)) * a.shape[1])[:, None])
+    gather. The flat index is formed in int32, as idx is: a holds at most
+    _BLOCK_CELLS cells, so it fits."""
+    starts = np.arange(0, a.size, a.shape[1], dtype=np.int32)
+    return np.take(a.ravel(), idx + starts[:, None])
 
 
 def _first_rows(rows: np.ndarray) -> tuple:
@@ -319,32 +320,6 @@ def _first_rows(rows: np.ndarray) -> tuple:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _fill(cols: np.ndarray) -> Optional[np.ndarray]:
-    """The table whose generator columns are cols[j, x] = id of x * g_j,
-    id 0 the identity, or None when the generators do not reach every id.
-
-    Dynamic programming over the right Cayley graph: id z, first reached as
-    cols[j][y], gets column(z) = cols[j][column(y)]. Id 0 comes first and
-    gives g_j the column cols[j], so every other id is table[y, g_j] of an
-    earlier y.
-    """
-    n = cols.shape[1]
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)
-    steps = list(zip(cols.tolist(), cols))  # lists for lookups, arrays for gathers
-    done = [True] + [False] * (n - 1)
-    frontier = [0]
-    while frontier:
-        y = frontier.pop()
-        for ids, col in steps:
-            z = ids[y]
-            if not done[z]:
-                table[:, z] = col[table[:, y]]
-                done[z] = True
-                frontier.append(z)
-    return table if all(done) else None
 
 
 class CayleyTable:

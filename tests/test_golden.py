@@ -7,7 +7,10 @@ verdict or a printed witness fails here. Census reports are compared with
 followed by its stdout, with the bundled data directory stripped from
 dataset targets. Witness chains are stored one line per bundled group as
 `file#index flag A/H A/H ...`, each A and H a comma-separated list of
-element ids in the `CayleyTable.from_pc` numbering.
+element ids in the `CayleyTable.from_pc` numbering. The corpus invariants
+are stored one line per `certificate_corpus()` certificate as `text order
+rank derived-orders lcs-orders lcs-factor-ranks frattini-order`, each
+series comma-separated.
 """
 
 import dataclasses
@@ -19,7 +22,14 @@ import pytest
 from pgf.census import emit_report, run_census
 from pgf.cli import dispatch
 from pgf.datasets import fixture_names, load_fixture
-from pgf.family import semiabelian_table
+from pgf.family import certificate_corpus, eval_cert, semiabelian_table, serialize_cert
+from pgf.ops import (
+    derived_series,
+    factor_ranks,
+    frattini_subgroup,
+    lower_central_series,
+    rank,
+)
 from pgf.table import CayleyTable
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -70,3 +80,25 @@ def test_witness_chains_match_golden():
             flag = "true" if v.flag else "false"
             lines.append(" ".join([f"{name}#{pres.group_id[1]}", flag] + steps) + "\n")
     assert "".join(lines) == read_golden("witness.txt")
+
+
+def test_corpus_invariants_match_golden():
+    def join(xs):
+        return ",".join(str(x) for x in xs)
+
+    lines = []
+    for c in certificate_corpus():
+        g = eval_cert(c)
+        lcs = lower_central_series(g)
+        fields = [
+            serialize_cert(c),
+            g.order,
+            rank(g),
+            join(derived_series(g).orders),
+            join(lcs.orders),
+            join(factor_ranks(lcs)),
+            frattini_subgroup(g).order,
+        ]
+        lines.append(" ".join(str(f) for f in fields) + "\n")
+    assert len(lines) == 587
+    assert "".join(lines) == read_golden("corpus_invariants.txt")

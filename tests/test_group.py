@@ -295,6 +295,24 @@ def test_chain_copy_extends_without_touching_the_original():
     assert len(chain.gens) == 2
 
 
+def test_adjoin_normalising_extends_by_powers_alone():
+    """An element normalising the chain's group is adjoined through its
+    powers, with the same group as adjoin builds; an element whose powers
+    never enter the group raises PgfError naming the prime."""
+    v = PermGroup([Perm.from_cycles(8, [(1, 2), (3, 4), (5, 6), (7, 8)])])
+    r = Perm.from_cycles(8, [(1, 3, 5, 7), (2, 4, 6, 8)])  # r**2 outside v
+    chain = v._chain.copy()
+    assert chain._adjoin_normalising(r.img0, 2)
+    ref = PermGroup(v.generators + (r,))
+    assert chain.order() == ref.order == 8
+    assert all(chain.contains(p) for p in ref.elements())
+    assert not chain._adjoin_normalising(r.img0, 2)
+    with pytest.raises(PgfError, match="l-group for l = 2"):
+        v._chain.copy()._adjoin_normalising(
+            Perm.from_cycles(8, [(1, 3, 5)]).img0, 2
+        )
+
+
 def test_chain_levels_hold_read_only_image_arrays():
     """On every corpus group, the chain's strong generators and each
     level's transversal entries are read-only int32 image arrays of the

@@ -26,6 +26,7 @@ from pgf.errors import CapExceeded, NotNormal, PgfError
 from pgf.family import (
     DirectProduct,
     FrattiniQuotient,
+    Wreath,
     certificate_corpus,
     declared_rank,
     eval_cert,
@@ -109,23 +110,123 @@ def chain_fingerprint(g):
     )
 
 
+def has_wreath(c):
+    """Whether the certificate c builds a wreath product anywhere."""
+    if isinstance(c, Wreath):
+        return True
+    return isinstance(c, DirectProduct) and (has_wreath(c.left) or has_wreath(c.right))
+
+
+def assert_valid_chain(g, label):
+    """g's chain is a base and strong generating set of the group its
+    generators generate: each stored inverse representative sends its orbit
+    point to the level's base; a naive orbit walk under the strong
+    generators fixing the earlier base points gives exactly the level's
+    points; the orbit sizes multiply to the order; and up to order 512 the
+    elements are those of the chain that sifting the generators builds."""
+    chain = g._chain
+    order = 1
+    for i, lvl in enumerate(chain.levels):
+        earlier = [m.base for m in chain.levels[:i]]
+        gens = [s for s in chain.gens if (s[earlier] == earlier).all()]
+        orbit, todo = {lvl.base}, [lvl.base]
+        while todo:
+            x = todo.pop()
+            for y in {int(s[x]) for s in gens} - orbit:
+                orbit.add(y)
+                todo.append(y)
+        assert orbit == set(lvl.transversal), label
+        for x, u_inv in lvl.transversal.items():
+            assert u_inv[x] == lvl.base, label
+        order *= len(orbit)
+    assert order == g.order, label
+    if g.order <= 512:
+        ref = PermGroup(g.generators, degree=g.degree)
+        assert g.elements() == ref.elements(), label
+
+
 def test_direct_product_chain_is_the_chain_its_generators_build():
-    """Every corpus direct product inherits exactly the chain that sifting
-    its generators builds, including products of one group with itself.
-    Elements are compared up to order 512, where listing them is cheap."""
+    """Every corpus direct product built from cyclic factors and direct
+    products alone inherits exactly the chain that sifting its generators
+    builds, including products of one group with itself. A wreath
+    product's chain is assembled, not sifted, so a product with a wreath
+    factor at any depth, and every product's G', which is assembled from
+    the factors' derived subgroups, have valid chains instead. Elements are
+    compared up to order 512, where listing them is cheap."""
     products = [c for c in certificate_corpus() if isinstance(c, DirectProduct)]
     assert len(products) == 477
     for text in ("D(C(2,1),C(2,1))", "D(C(3,1),W(C(3,1),C(3,1)))"):
         assert parse_cert(text) in products
+    plain = [c for c in products if not has_wreath(c)]
+    assert 0 < len(plain) < len(products)
     for c in products:
         g = eval_cert(c)
-        ref = PermGroup(g.generators)
         label = serialize_cert(c)
-        assert chain_fingerprint(g) == chain_fingerprint(ref), label
         factors = eval_cert(c.left).order * eval_cert(c.right).order
-        assert g.order == ref.order == factors, label
+        assert g.order == factors, label
+        assert_valid_chain(commutator_subgroup(g), label)
+        if c not in plain:
+            assert_valid_chain(g, label)
+            continue
+        ref = PermGroup(g.generators)
+        assert chain_fingerprint(g) == chain_fingerprint(ref), label
+        assert g.order == ref.order, label
         if g.order <= 512:
             assert g.elements() == ref.elements(), label
+
+
+def test_wreath_chains_are_valid():
+    """Every corpus wreath's assembled chain is a base and strong
+    generating set of its generators' group, of order |inner|**m * m."""
+    wreaths = [c for c in certificate_corpus() if isinstance(c, Wreath)]
+    assert len(wreaths) == 98
+    for c in wreaths:
+        g = eval_cert(c)
+        inner, outer = eval_cert(c.inner), eval_cert(c.outer)
+        assert g.order == inner.order**outer.order * outer.order
+        assert_valid_chain(g, serialize_cert(c))
+
+
+def test_wreath_with_trivial_factors():
+    """A trivial factor gives the same group, degree and prime as
+    adjoining the wreath's generators does."""
+    trivial, c2 = PermGroup([], degree=2), cyclic_group(2, 1)
+    for inner, outer, want in (
+        (trivial, c2, (2, 4, 2)),
+        (c2, trivial, (2, 2, 2)),
+        (trivial, trivial, (1, 2, None)),
+        (PermGroup([], degree=1), cyclic_group(3, 1), (3, 3, 3)),
+    ):
+        w = wreath_regular(inner, outer)
+        assert (w.order, w.degree, w.prime) == want
+        ref = PermGroup(w.generators, degree=w.degree)
+        assert w.base() == ref.base()
+        assert w.elements() == ref.elements()
+        assert_valid_chain(w, repr(w))
+
+
+def test_product_derived_subgroup_is_the_factors_derived_subgroups():
+    """A product's G' is assembled from its factors' G' and has the order
+    and members of the normal closure of its generator commutators; G'
+    of G' is assembled in turn, and the lower central series starts with
+    the same G'."""
+    for c in certificate_corpus(max_constructors=2):
+        if not isinstance(c, DirectProduct):
+            continue
+        g = eval_cert(c)
+        label = serialize_cert(c)
+        der = commutator_subgroup(g)
+        gens = g.generators
+        seeds = [commutator(x, y) for i, x in enumerate(gens) for y in gens[i + 1 :]]
+        oracle = normal_closure(g, seeds)
+        assert der.order == oracle.order, label
+        assert all(oracle.contains(p) for p in der.generators), label
+        assert all(der.contains(p) for p in oracle.generators), label
+        a, b = der._factors
+        assert a is commutator_subgroup(eval_cert(c.left)), label
+        assert b is commutator_subgroup(eval_cert(c.right)), label
+        assert commutator_subgroup(der)._factors is not None, label
+        assert lower_central_series(g).groups[1] is der, label
 
 
 def test_direct_product_with_a_trivial_factor():
