@@ -8,9 +8,14 @@ is classified, together with a SHA-256 of the group's presentation, so an
 interrupted long run resumes by skipping finished groups, and a record
 whose presentation or file name differs from the current one is
 recomputed rather than served.
-Groups classify independently, so a worker pool can spread the load;
-results are keyed and sorted by group id before reporting, which keeps
-the output independent of scheduling.
+The groups still to classify go in chunks, each bounded by a fixed
+number of table cells. A chunk tabulates each of its presentations,
+climbs the subgroup lattices of all its non-abelian tables in one climb
+(`table.lattices`), then finishes its groups one at a time
+(`classify_table`). Chunks classify independently, so a worker pool can
+spread the load, one chunk per task; results are keyed and sorted by
+group id before reporting, which keeps the output independent of
+scheduling.
 
 Per-group failures (typically cap violations, but any exception a group's
 classification raises, or a worker process that dies) never vanish: they
@@ -39,9 +44,11 @@ from .family import (
     validate_witness,
 )
 from .pc import PcPresentation, parse_pc_file, serialize_pc
-from .table import CayleyTable
+from .table import CayleyTable, lattices
 
 CACHE_ENV = "PGF_CACHE"
+# cells of the multiplication tables in one chunk: the climb stacks them
+_CHUNK_CELLS = 1 << 17
 # version of the cache line layout; lines of any other version are recomputed
 CACHE_SCHEMA = 1
 
@@ -147,11 +154,21 @@ class CensusSummary:
 
 
 def classify_presentation(pres: PcPresentation) -> CensusRecord:
-    """Classify one group from its multiplication table, which tabulation
-    proves to be a group, and independently validate any semiabelian
-    witness before trusting it."""
+    """Classify one group on its own: tabulate it and `classify_table`."""
     t0 = time.perf_counter()
     ct = CayleyTable.from_pc(pres)
+    return classify_table(pres, ct, time.perf_counter() - t0)
+
+
+def classify_table(
+    pres: PcPresentation, ct: CayleyTable, spent: float = 0.0
+) -> CensusRecord:
+    """Classify one group from its multiplication table, which tabulation
+    proves to be a group, and independently validate any semiabelian
+    witness before trusting it. `spent` is the time in seconds already
+    spent on the group (its tabulation, its share of a shared climb); the
+    record's elapsed_ms counts it too."""
+    t0 = time.perf_counter()
     rk = ct.rank()
     dl = ct.derived_length()
     verdict = semiabelian_table(ct)
@@ -161,7 +178,7 @@ def classify_presentation(pres: PcPresentation) -> CensusRecord:
             f"independent recheck"
         )
     screen = SCREEN_NOT_MEMBER if dl > rk else SCREEN_INCONCLUSIVE
-    elapsed = int((time.perf_counter() - t0) * 1000)
+    elapsed = int((spent + time.perf_counter() - t0) * 1000)
     return CensusRecord(
         group_id=pres.group_id,
         provenance=pres.provenance,
@@ -255,17 +272,68 @@ def _append_record(fh, rec: CensusRecord, digest: str) -> None:
     fh.flush()
 
 
-def _classify_task(pres: PcPresentation) -> tuple:
+def _attempt(gid: tuple, fn, *args) -> tuple:
+    """("ok", fn(*args)), or ("fail", gid, message) when it raises."""
     try:
-        return ("ok", classify_presentation(pres))
+        return ("ok", fn(*args))
     except PgfError as exc:
-        return ("fail", pres.group_id, str(exc))
+        return ("fail", gid, str(exc))
     except Exception as exc:
         # one group's fault must not abort the census; KeyboardInterrupt
         # is not an Exception and still stops the run
         at = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{at.name} at {os.path.basename(at.filename)}:{at.lineno}"
-        return ("fail", pres.group_id, f"{type(exc).__name__}: {exc} (in {where})")
+        return ("fail", gid, f"{type(exc).__name__}: {exc} (in {where})")
+
+
+def _classify_chunk(chunk: Sequence[PcPresentation]) -> Iterator[tuple]:
+    """The outcome of each group of a chunk of one order, as soon as it is
+    known.
+
+    A presentation that fails to tabulate fails at once, alone. The
+    non-abelian tables are climbed together, and each group's record
+    counts an equal share of that climb. If the shared climb raises, each
+    of its tables is climbed again on its own when its group is finished,
+    so the fault lands on the group that causes it.
+    """
+    tabled = []  # [presentation, table, seconds spent on the group]
+    for pres in chunk:
+        t0 = time.perf_counter()
+        outcome = _attempt(pres.group_id, CayleyTable.from_pc, pres)
+        if outcome[0] == "fail":
+            yield outcome
+            continue
+        tabled.append([pres, outcome[1], time.perf_counter() - t0])
+    climb = [e for e in tabled if not e[1].is_abelian_ids(range(e[1].n))]
+    if climb:
+        t0 = time.perf_counter()
+        try:
+            lattices([ct for _, ct, _ in climb])
+        except Exception:
+            pass
+        share = (time.perf_counter() - t0) / len(climb)
+        for entry in climb:
+            entry[2] += share
+    for pres, ct, spent in tabled:
+        yield _attempt(pres.group_id, classify_table, pres, ct, spent)
+
+
+def _chunk_task(chunk: Sequence[PcPresentation]) -> list:
+    """The outcomes of one chunk, for a worker process."""
+    return list(_classify_chunk(chunk))
+
+
+def _chunks(todo: Sequence[PcPresentation], jobs: int) -> list:
+    """Consecutive chunks of near-equal size: as few as keep each chunk's
+    tables within _CHUNK_CELLS cells (one table at least), and no fewer
+    than `jobs` where there are that many groups."""
+    if not todo:
+        return []
+    size = max(1, _CHUNK_CELLS // todo[0].order**2)
+    count = max(-(-len(todo) // size), min(jobs, len(todo)))
+    q, r = divmod(len(todo), count)
+    bounds = [i * q + min(i, r) for i in range(count + 1)]
+    return [todo[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _available_parallelism() -> int:
@@ -275,30 +343,42 @@ def _available_parallelism() -> int:
     return os.cpu_count() or 1
 
 
-def _map_tasks(todo: Sequence, jobs: int) -> Iterator[tuple]:
-    """Yield each outcome as soon as it is ready, so callers can cache it
-    before the next group finishes. A worker that dies breaks the pool;
-    every group it leaves unfinished becomes a failure."""
-    if jobs <= 1 or len(todo) <= 1:
-        yield from map(_classify_task, todo)
+def classify_outcomes(
+    presentations: Sequence[PcPresentation], jobs: int = 1
+) -> Iterator[tuple]:
+    """Classify presentations of one order, chunk by chunk, and yield each
+    outcome as soon as it is ready, so callers can cache it before the
+    next group finishes: ("ok", record), or ("fail", group_id, message).
+
+    With `jobs` above 1 the chunks run in that many worker processes, one
+    chunk per task. A worker that dies breaks the pool; every group it
+    leaves unfinished becomes a failure.
+    """
+    chunks = _chunks(presentations, jobs)
+    if jobs <= 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            yield from _classify_chunk(chunk)
         return
     # imported here: the pool pulls in multiprocessing, which serial runs
     # and every other command never need
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    # the pool may start every worker at once, so never more than the groups
-    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-        futures = {pool.submit(_classify_task, p): p.group_id for p in todo}
+    # the pool may start every worker at once, so never more than the chunks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        futures = {pool.submit(_chunk_task, chunk): chunk for chunk in chunks}
         try:
             for fut in as_completed(futures):
                 try:
-                    outcome = fut.result()
+                    outcomes = fut.result()
                 except BrokenProcessPool as exc:
-                    outcome = ("fail", futures[fut], f"BrokenProcessPool: {exc}")
-                yield outcome
+                    outcomes = [
+                        ("fail", pres.group_id, f"BrokenProcessPool: {exc}")
+                        for pres in futures[fut]
+                    ]
+                yield from outcomes
         finally:
-            # an interrupted run must not wait for the groups still queued
+            # an interrupted run must not wait for the chunks still queued
             pool.shutdown(cancel_futures=True)
 
 
@@ -361,9 +441,9 @@ def classify_bucket(
         jobs = _available_parallelism()
 
     fresh: dict = {}
-    failures: list = []
+    failed: dict = {}
     try:
-        for outcome in _map_tasks(todo, jobs):
+        for outcome in classify_outcomes(todo, jobs):
             if outcome[0] == "ok":
                 rec = outcome[1]
                 fresh[rec.group_id] = rec
@@ -376,12 +456,14 @@ def classify_bucket(
                         _append_record(cache, rec, keys[rec.group_id][0])
             else:
                 _, gid, msg = outcome
-                failures.append({"order": gid[0], "index": gid[1], "error": msg})
+                failed[gid] = {"order": gid[0], "index": gid[1], "error": msg}
     finally:
         if cache:
             cache.close()
 
     records = sorted((cached | fresh).values(), key=lambda r: r.group_id)
+    # in input order, however the chunks ran
+    failures = [failed[p.group_id] for p in todo if p.group_id in failed]
     summary = CensusSummary(
         order=order,
         total=len(records),

@@ -584,32 +584,46 @@ def semiabelian_table(ct: CayleyTable) -> SemiabelianVerdict:
 def validate_witness(ct: CayleyTable, chain) -> bool:
     """Re-check a witness chain from the raw table, independently of the
     search: each step needs A, H closed, A abelian and normal in the
-    current group, H proper, and the product set A*H covering it."""
+    current group, H proper, and the product set A*H covering it.
+
+    Sets are membership masks, and each condition is one whole-array test:
+    a nonempty subset closed under products is a subgroup, so A*A inside
+    A, and likewise H*H, proves closure."""
     if chain is None:
         return False
     t = ct.table
     inv = ct.inv()
-    current = frozenset(range(ct.n))
+    n = ct.n
+    current = np.ones(n, dtype=bool)
+    cur_arr = np.arange(n)
     for a_ids, h_ids in chain:
-        a = frozenset(int(x) for x in a_ids)
-        h = frozenset(int(x) for x in h_ids)
-        if not a or not h or not (a <= current and h <= current):
+        a_arr = np.asarray(a_ids, dtype=np.intp)
+        h_arr = np.asarray(h_ids, dtype=np.intp)
+        if not (a_arr.size and h_arr.size):
             return False
-        if len(h) >= len(current):
+        both = np.concatenate((a_arr, h_arr))
+        if both.min() < 0 or both.max() >= n or not current[both].all():
             return False
-        a_arr = np.asarray(sorted(a), dtype=np.int64)
-        h_arr = np.asarray(sorted(h), dtype=np.int64)
-        if set(t[np.ix_(a_arr, a_arr)].ravel().tolist()) != a:
+        a = np.zeros(n, dtype=bool)
+        a[a_arr] = True
+        h = np.zeros(n, dtype=bool)
+        h[h_arr] = True
+        a_arr, h_arr = np.flatnonzero(a), np.flatnonzero(h)
+        if len(h_arr) >= len(cur_arr):
             return False
-        if set(t[np.ix_(h_arr, h_arr)].ravel().tolist()) != h:
+        block = t[a_arr[:, None], a_arr]
+        if not a[block].all():
             return False
-        if not ct.is_abelian_ids(a_arr):
+        if not h[t[h_arr[:, None], h_arr]].all():
             return False
-        cur_arr = np.asarray(sorted(current), dtype=np.int64)
+        if not (block == block.T).all():
+            return False
         twisted = t[t[inv[cur_arr][:, None], a_arr], cur_arr[:, None]]
-        if not set(twisted.ravel().tolist()) <= a:
+        if not a[twisted].all():
             return False
-        if set(t[np.ix_(a_arr, h_arr)].ravel().tolist()) != current:
+        covered = np.zeros(n, dtype=bool)
+        covered[t[a_arr[:, None], h_arr]] = True
+        if not (covered == current).all():
             return False
-        current = h
-    return len(current) == 1
+        current, cur_arr = h, h_arr
+    return len(cur_arr) == 1

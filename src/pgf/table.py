@@ -15,13 +15,21 @@ pairs of elements.
 The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
 normal subgroup of index l, so climbing one index-l layer at a time from the
-trivial subgroup visits everything. Each layer is climbed as whole arrays in
-blocks of rows: the overgroups are named by right-coset labels min(Hx), and
-the cyclic-extension conditions are tested only at the ids that are the
-least of their overgroup outside the subgroup, so that every covering pair
-forms one packed row and the first occurrence of each row is kept. Within a
-layer, ascending ids are descending packed bytes, so the one sort that
-finds the duplicates, read backwards, puts the layer in position order.
+trivial subgroup visits everything. Tables of one order are climbed
+together (`lattices`): a layer holds the subgroups of all of them, each row
+tagged with its table, and each row reads its table's multiplication,
+conjugation and power maps at that table's offset in stacked copies. The
+numpy calls of a layer are then paid once for all the tables, not once per
+table, which is what a census of many small groups spends most on.
+`CayleyTable.lattice` is the same climb with one table. Each layer is
+climbed as whole arrays in blocks of rows: the overgroups are named by
+right-coset labels min(Hx), and the cyclic-extension conditions are tested
+only at the ids that are the least of their overgroup outside the
+subgroup, so that every covering pair forms one packed row, led by a key of
+its table, and the first occurrence of each row is kept. Within a table's
+layer, ascending ids are descending packed bytes, and the table keys
+descend as the tables ascend, so the one sort that finds the duplicates,
+read backwards, puts the layer in (table, position) order.
 The climb also carries the conjugation action up: K = H<k> gives
 K^g = H^g<k^g> (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, ch. 4), so each generator's position map on a new layer is
@@ -66,7 +74,7 @@ def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
     frontier = np.zeros(1, dtype=np.intp)
     while frontier.size and seed.size:
         fresh = np.zeros(n, dtype=bool)
-        fresh[table[np.ix_(frontier, seed)]] = True
+        fresh[table[frontier[:, None], seed]] = True
         fresh &= ~member
         member |= fresh
         frontier = np.flatnonzero(fresh)
@@ -87,7 +95,8 @@ class Lattice:
     normality a fixed point of the position maps (`normalised_by`).
     `mask`, `ids` and `gens` read one position's row on each call. The
     lattice refers to no table object, so reference counting frees it
-    once no table or other name refers to it.
+    once no table or other name refers to it; the lattices of one shared
+    climb hold slices of the same arrays.
 
     Conjugation by an element permutes positions (`_position_map`). The
     climb hands over each generator's map; another element's map is
@@ -102,45 +111,36 @@ class Lattice:
     def __init__(
         self,
         ct: CayleyTable,
-        masks: list,
-        gens: list,
-        abelian: list,
-        maps: list,
+        packed_masks: np.ndarray,
+        depth: np.ndarray,
+        orders: np.ndarray,
+        gens: np.ndarray,
+        abelian: np.ndarray,
+        maps: np.ndarray,
+        class_rep: np.ndarray,
         builds: int,
     ):
-        """Stack the climb's layers and label classes.
+        """Keep one table's part of a climb (`_climb`), by position.
 
-        Per layer k of the climb, each in position order: `masks[k]` holds
-        the packed rows, `gens[k]` the (rows, k) generator matrix,
-        `abelian[k]` the flags and `maps[k]` the (generators, rows)
-        position maps of the table's generators within the layer. Layer k
-        holds the subgroups of order l**k, so the layers stacked, each map
-        offset by the rows below its layer, are the lattice by position.
+        `depth` is the generator count of each position, `gens` the
+        generator matrix padded with zeros, `maps` the (generators,
+        positions) position maps of the table's generators and `class_rep`
+        the least position of each class.
         """
-        sizes = [len(layer) for layer in masks]
-        m = sum(sizes)
-        padded = np.zeros((m, len(masks) - 1), dtype=np.int32)
-        stacked = np.empty((len(ct.gen_ids), m), dtype=np.int32)
-        off = 0
-        for k, size in enumerate(sizes):
-            padded[off : off + size, :k] = gens[k]
-            stacked[:, off : off + size] = maps[k] + off
-            off += size
         self.n = ct.n
-        self.packed_masks = _frozen(np.concatenate(masks))
-        # generators per position
-        self._depth = np.repeat(np.arange(len(masks), dtype=np.uint8), sizes)
-        self.orders = _frozen((ct.prime or 1) ** self._depth.astype(np.int64))
-        self.abelian = _frozen(np.concatenate(abelian))
-        self._gens = padded
+        self.packed_masks = _frozen(packed_masks)
+        self._depth = depth
+        self.orders = _frozen(orders)
+        self.abelian = _frozen(abelian)
+        self._gens = gens
         self.builds = builds
         self._table = ct.table
         self._gen_ids = ct.gen_ids
-        self._maps = dict(zip(ct.gen_ids, _frozen(stacked)))
+        self._maps = dict(zip(ct.gen_ids, _frozen(maps)))
         self._tree = None  # breadth-first (parent, generator) per element
         self._walks = {}  # class_rep -> _orbit(class_rep)
-        self.subgroups = range(m)
-        self.class_rep = _frozen(self._least_in_orbits(ct.gen_ids))
+        self.subgroups = range(len(orders))
+        self.class_rep = _frozen(class_rep)
 
     def mask(self, pos: int) -> np.ndarray:
         """The read-only bool membership mask of the subgroup at `pos`,
@@ -199,27 +199,6 @@ class Lattice:
             g = parent[g]
         return word[::-1]
 
-    def _least_in_orbits(self, gens: Sequence[int]) -> np.ndarray:
-        """rep[i] = the least position in the orbit of position i under
-        conjugation by the group `gens` generate.
-
-        Min-label propagation over the generators' position maps, rep =
-        min(rep, rep[pm]), with pointer jumping, rep = rep[rep]: rep[i]
-        stays in i's orbit and only falls. At the fixed point rep[i] <=
-        rep[pm[i]] around each cycle of every pm, so rep is constant on
-        orbits, and it is the orbit's least position, which labels itself.
-        """
-        maps = [self._position_map(g) for g in gens]
-        rep = np.arange(len(self.orders))
-        while True:
-            new = rep
-            for pm in maps:
-                new = np.minimum(new, new[pm])
-            new = new[new]
-            if (new == rep).all():
-                return rep
-            rep = new
-
     def _orbit(self, pos: int) -> dict:
         """Orbit of the subgroup at `pos` under conjugation by the group.
 
@@ -274,7 +253,8 @@ class Lattice:
         `gens` generate, for `positions` a union of such orbits, ascending:
         the first position of each orbit met."""
         positions = np.asarray(positions, dtype=np.intp)
-        rep = self._least_in_orbits(gens)
+        maps = [self._position_map(g) for g in gens]
+        rep = _least_in_orbits(maps, len(self.orders))
         return positions[rep[positions] == positions]
 
     def maximal(self) -> np.ndarray:
@@ -284,6 +264,27 @@ class Lattice:
         if full == 1:
             return np.zeros(0, dtype=np.intp)
         return np.flatnonzero(self.orders * prime_power_root(full) == full)
+
+
+def _least_in_orbits(maps, m: int) -> np.ndarray:
+    """rep[i] = the least position in the orbit of position i under the
+    group of position maps `maps`, each a permutation of range(m).
+
+    Min-label propagation, rep = min(rep, rep[pm]), with pointer jumping,
+    rep = rep[rep]: rep[i] stays in i's orbit and only falls. At the fixed
+    point rep[i] <= rep[pm[i]] around each cycle of every pm, so rep is
+    constant on orbits, and it is the orbit's least position, which labels
+    itself.
+    """
+    rep = np.arange(m)
+    while True:
+        new = rep
+        for pm in maps:
+            new = np.minimum(new, new[pm])
+        new = new[new]
+        if (new == rep).all():
+            return rep
+        rep = new
 
 
 def _take_per_row(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -450,7 +451,7 @@ class CayleyTable:
 
     def is_abelian_ids(self, ids: Sequence[int]) -> bool:
         idx = np.asarray(ids, dtype=np.int64)
-        block = self.table[np.ix_(idx, idx)]
+        block = self.table[idx[:, None], idx]
         return bool((block == block.T).all())
 
     def center_ids(self) -> tuple:
@@ -463,8 +464,8 @@ class CayleyTable:
         t = self.table
         a_ids = np.asarray(a_ids, dtype=np.intp)
         b_ids = np.asarray(b_ids, dtype=np.intp)
-        ab = t[np.ix_(a_ids, b_ids)]
-        ba = t[np.ix_(b_ids, a_ids)].T
+        ab = t[a_ids[:, None], b_ids]
+        ba = t[b_ids[:, None], a_ids].T
         return t[self.inv()[ba], ab].ravel()
 
     def _normal_closure(self, seeds: Sequence[int]) -> tuple:
@@ -586,123 +587,221 @@ class CayleyTable:
     # ----- subgroup lattice ----------------------------------------------------
 
     def lattice(self) -> Lattice:
-        """All subgroups, by cyclic extension one index-l layer at a time.
+        """All subgroups, by cyclic extension one index-l layer at a time:
+        the climb of `lattices` with this table alone. Memoised."""
+        return lattices([self])[0]
 
-        A layer is climbed as whole arrays, in blocks of at most
-        _BLOCK_CELLS cells. A candidate g outside H with g**l in H that
-        normalises H (maps H's generators into H) spans an overgroup H<g>
-        of index l, and every such overgroup arises so. Right-coset labels
-        lab_H[x] = min(Hx) name it: key(g) = min over e = 1..l-1 of
-        lab_H[g**e] is min(H<g> minus H), so the distinct keys of H's
-        candidates are its covering pairs. The conditions are tested only
-        at the ids that key themselves, which is exact: k = min(K minus H)
-        for an overgroup K is a candidate with H<k> = K, so key(k) = k;
-        and an id x != 0 with key(x) = x lies outside H, as the ids of H
-        key to 0. So H's covering pairs are the ids k != 0 with key(k) = k
-        that pass the tests, at most n/|H| per row. The ids keyed k are K
-        minus H: such a y has y**e in Hk for an e prime to l, and y, an
-        l-element, is a power of y**e, so y lies in K and not in H. One
-        packed row per covering pair is formed (`Lattice.builds`), and the
-        first occurrence of each row in (H, key) order, H by position, is
-        kept: K is reached from the first subgroup it covers, recording
-        that subgroup's generators plus the key. Its labels are lab_K[x] =
-        min over e < l of lab_H[key**e * x]. The kept rows come in
-        descending byte order, which is the new layer's position order.
 
-        The pairs, coded H * n + key, ascend, and each names the kept row
-        equal to its own. Conjugation by a generator g sends K = H<k> to
-        the overgroup of H^g keyed min over e of lab_{H^g}[(k^g)**e], so
-        g's map on the new layer is one lookup of that code per K, with
-        H^g read off g's map on the layer below; a code that is no pair
-        raises PgfError.
-        """
-        if self._lattice is not None:
-            return self._lattice
-        l = self._require_prime()
-        n = self.n
-        t = self.table
-        conj = self.conj()
-        conj_g = conj[list(self.gen_ids)]  # conj_g[j, x] = x^(g_j)
-        powl = self.pow_map(l)
-        pows = [self.pow_map(e) for e in range(1, l)]  # x -> x**e, e = 1..l-1
-        ids = np.arange(n, dtype=np.int16)
-        rows = max(1, _BLOCK_CELLS // n)
-        # the layer's masks, packed; its generators, abelian flags, labels,
-        # and the generators' position maps within it
-        layer = np.packbits(np.arange(n) == 0)[None, :]
-        gens = np.zeros((1, 0), dtype=np.intp)
-        abelian = np.ones(1, dtype=bool)
-        lab = ids[None, :]
-        pm = np.zeros((len(conj_g), 1), dtype=np.int32)
-        masks, gen_layers, abelian_layers, maps = [], [], [], []
-        builds = 0
-        while True:
-            codes, packed = [], []
-            for lo in range(0, len(layer), rows):
-                block = np.unpackbits(layer[lo : lo + rows], axis=1, count=n)
-                flat = block.view(bool).ravel()
-                lb = lab[lo : lo + rows]
-                # key(x) = min over e of lab_H[x**e]; x**1 = x, so for l = 2
-                # the key is the label row itself
-                key = lb
-                for p in pows[1:]:
-                    key = np.minimum(key, lb[:, p])
-                # H's keys: the ids x != 0 with key(x) == x, x**l in H, and
-                # H's recorded generators conjugated by x in H, ascending
-                # per row
-                own = key == ids
-                own[:, 0] = False
-                h, k = np.divmod(np.flatnonzero(own), n)
-                ok = flat.take(h * n + powl.take(k))
-                for j in range(gens.shape[1]):
-                    h, k = h[ok], k[ok]
-                    ok = flat.take(h * n + conj.take(k * n + gens[lo + h, j]))
+def lattices(tables: Sequence[CayleyTable]) -> list:
+    """The lattice of each table, for tables of one order, in the given
+    order. The tables whose lattice is not memoised yet are climbed
+    together, in one climb (`_climb`), and each keeps its lattice as
+    `CayleyTable.lattice` does."""
+    todo = list({id(ct): ct for ct in tables if ct._lattice is None}.values())
+    if todo:
+        for ct, lat in zip(todo, _climb(todo)):
+            ct._lattice = lat
+    return [ct._lattice for ct in tables]
+
+
+def _climb(tables: Sequence[CayleyTable]) -> list:
+    """The lattices of tables of one order, by one climb of cyclic
+    extensions through all of them, one index-l layer at a time.
+
+    A layer holds the subgroups of every table, each row tagged with its
+    table, and is climbed as whole arrays, in blocks of at most
+    _BLOCK_CELLS cells. The tables, their conjugation maps and their power
+    maps are stacked, table i's ids offset by i * n, and a row reads them
+    at its table's offset. A candidate g outside H with g**l in H that
+    normalises H (maps H's generators into H) spans an overgroup H<g> of
+    index l, and every such overgroup arises so. Right-coset labels
+    lab_H[x] = min(Hx) name it: key(g) = min over e = 1..l-1 of
+    lab_H[g**e] is min(H<g> minus H), so the distinct keys of H's
+    candidates are its covering pairs. The conditions are tested only at
+    the ids that key themselves, which is exact: k = min(K minus H) for an
+    overgroup K is a candidate with H<k> = K, so key(k) = k; and an id
+    x != 0 with key(x) = x lies outside H, as the ids of H key to 0. So
+    H's covering pairs are the ids k != 0 with key(k) = k that pass the
+    tests, at most n/|H| per row. The ids keyed k are K minus H: such a y
+    has y**e in Hk for an e prime to l, and y, an l-element, is a power of
+    y**e, so y lies in K and not in H. One packed row per covering pair is
+    formed (`Lattice.builds`), led by a key of its table, so that rows of
+    two tables never merge, and the first occurrence of each row in (H,
+    key) order, H by row, is kept: K is reached from the first subgroup it
+    covers, recording that subgroup's generators plus the key. Its labels
+    are lab_K[x] = min over e < l of lab_H[key**e * x]. The kept rows come
+    in descending byte order, which is the new layer's order: by table,
+    and within a table by position.
+
+    The pairs, coded H * n + key, ascend, and each names the kept row
+    equal to its own. Conjugation by a generator g sends K = H<k> to the
+    overgroup of H^g keyed min over e of lab_{H^g}[(k^g)**e], so g's map
+    on the new layer is one lookup of that code per K, with H^g read off
+    g's map on the layer below; a code that is no pair raises PgfError. A
+    table with fewer generators than another is padded with the identity,
+    whose map fixes every row. Classes are labelled once, on all tables'
+    positions, and each table keeps its slice of every array.
+    """
+    n = tables[0].n
+    if any(ct.n != n for ct in tables):
+        raise PgfError("tables climbed together must share one order")
+    l = tables[0]._require_prime()
+    T = len(tables)
+    G = max(len(ct.gen_ids) for ct in tables)
+    off = np.arange(T) * n  # the offset of each table's ids
+    t = np.concatenate([ct.table for ct in tables])  # t[i*n + a, b]
+    conj = np.concatenate([ct.conj() for ct in tables])
+    gen_ids = np.zeros((T, G), dtype=np.intp)
+    for i, ct in enumerate(tables):
+        gen_ids[i, : len(ct.gen_ids)] = ct.gen_ids
+    # conj_g[j, i*n + x] = x^g, g table i's generator j
+    conj_g = conj[gen_ids + off[:, None]].transpose(1, 0, 2).reshape(G, T * n)
+    # pows[e-1][i*n + x] = x**e in table i, e = 1..l-1, and powl x**l
+    ar = np.tile(np.arange(n, dtype=np.int32), T)
+    row_off = np.repeat(off, n)
+    pows = [ar]
+    for _ in range(1, l - 1):
+        pows.append(t[row_off + pows[-1], ar])
+    powl = t[row_off + pows[-1], ar]
+    pow_rows = [p.reshape(T, n) for p in pows[1:]]  # [table, x] = x**e, e >= 2
+    ids = np.arange(n, dtype=np.int16)
+    rows = max(1, _BLOCK_CELLS // n)
+    # each packed row leads with T - 1 - table, big-endian, in as many
+    # bytes as that takes, so that descending bytes are ascending tables
+    lead = ((T - 1).bit_length() + 7) // 8
+    tab = np.arange(T)  # the table of each row of the layer
+    # the layer's masks, packed; its generators, abelian flags, labels,
+    # and the generators' position maps within it
+    layer = np.empty((T, lead + (n + 7) // 8), dtype=np.uint8)
+    layer[:, :lead] = (T - 1 - tab)[:, None] >> 8 * np.arange(lead - 1, -1, -1) & 0xFF
+    layer[:, lead:] = np.packbits(np.arange(n) == 0)
+    gens = np.zeros((T, 0), dtype=np.intp)
+    abelian = np.ones(T, dtype=bool)
+    lab = np.tile(ids, (T, 1))
+    pm = np.tile(np.arange(T, dtype=np.int32), (G, 1))
+    masks, tabs, gen_layers, abelian_layers, maps = [], [], [], [], []
+    builds = np.zeros(T, dtype=np.int64)
+    while True:
+        row_base = tab * n  # the offset of each row's table
+        codes, packed = [], []
+        for lo in range(0, len(layer), rows):
+            block = np.unpackbits(layer[lo : lo + rows, lead:], axis=1, count=n)
+            flat = block.view(bool).ravel()
+            lb = lab[lo : lo + rows]
+            rb = row_base[lo : lo + rows]
+            # key(x) = min over e of lab_H[x**e]; x**1 = x, so for l = 2
+            # the key is the label row itself. A block of one table's rows
+            # reads each power map as one column gather
+            tb = tab[lo : lo + rows]
+            key = lb
+            for p in pow_rows:
+                if tb[0] == tb[-1]:
+                    key = np.minimum(key, lb[:, p[tb[0]]])
+                else:
+                    key = np.minimum(key, _take_per_row(lb, p[tb]))
+            # H's keys: the ids x != 0 with key(x) == x, x**l in H, and
+            # H's recorded generators conjugated by x in H, ascending
+            # per row; k is offset by its table while tested
+            own = key == ids
+            own[:, 0] = False
+            h, k = np.divmod(np.flatnonzero(own), n)
+            k += rb.take(h)
+            ok = flat.take(h * n + powl.take(k))
+            for j in range(gens.shape[1]):
                 h, k = h[ok], k[ok]
-                # the overgroup of each pair: H and the ids with its key,
-                # disjoint from H, so OR-ed in packed form
-                for a in range(0, len(h), rows):
-                    hs, ks = h[a : a + rows], k[a : a + rows]
-                    over = np.packbits(key[hs] == ks[:, None].astype(np.int16), axis=1)
-                    packed.append(over | layer[lo + hs])
-                codes.append(((h + lo) * n + k).astype(np.int32))
-            masks.append(layer)
-            gen_layers.append(gens)
-            abelian_layers.append(abelian)
-            maps.append(pm)
-            if not packed:
-                break
-            packed = np.concatenate(packed)
-            builds += len(packed)
-            kept, over_of = _first_rows(packed)
-            layer = packed[kept]
-            del packed
-            codes = np.concatenate(codes)
-            h, k = np.divmod(codes.take(kept), n)
-            # conjugates K^g = H^g<k^g>, one row per generator g, coded
-            # H^g * n + key
-            base = pm.take(h, axis=1) * n
-            kg = conj_g.take(k, axis=1)
-            want = lab.take(base + pows[0].take(kg))  # take reads lab flat
-            for p in pows[1:]:
-                np.minimum(want, lab.take(base + p.take(kg)), out=want)
-            want = base + want
-            at = np.searchsorted(codes, want)
-            # a code past the last pair is clipped onto it, which differs
-            if not (codes.take(at, mode="clip") == want).all():
-                raise PgfError("a conjugate subgroup is missing from the lattice")
-            pm = over_of.take(at)
-            hg = gens[h]
-            # K = H<k> is abelian when H is and k commutes with H's generators
-            abelian = abelian[h] & (t[k[:, None], hg] == t[hg, k[:, None]]).all(axis=1)
-            gens = np.concatenate((hg, k[:, None]), axis=1)
-            child = np.empty((len(h), n), dtype=np.int16)  # labels of the new layer
-            for lo in range(0, len(h), rows):
-                hs, ks = h[lo : lo + rows], k[lo : lo + rows]
-                lh = lab[hs]
-                out = child[lo : lo + rows]
-                out[...] = lh
-                for p in pows:
-                    np.minimum(out, _take_per_row(lh, t[p[ks]]), out=out)
-            lab = child
-        self._lattice = Lattice(self, masks, gen_layers, abelian_layers, maps, builds)
-        return self._lattice
+                ok = flat.take(h * n + conj.take(k * n + gens[lo + h, j]))
+            h, k = h[ok], k[ok]
+            k -= rb.take(h)
+            # the overgroup of each pair: H and the ids with its key,
+            # disjoint from H, so OR-ed in packed form
+            for a in range(0, len(h), rows):
+                hs, ks = h[a : a + rows], k[a : a + rows]
+                over = layer[lo + hs]
+                fresh = key[hs] == ks[:, None].astype(np.int16)
+                over[:, lead:] |= np.packbits(fresh, axis=1)
+                packed.append(over)
+            codes.append(((h + lo) * n + k).astype(np.int32))
+        masks.append(layer)
+        tabs.append(tab)
+        gen_layers.append(gens)
+        abelian_layers.append(abelian)
+        maps.append(pm)
+        if not packed:
+            break
+        packed = np.concatenate(packed)
+        codes = np.concatenate(codes)
+        builds += np.bincount(tab.take(codes // n), minlength=T)
+        kept, over_of = _first_rows(packed)
+        layer = packed[kept]
+        del packed
+        h, k = np.divmod(codes.take(kept), n)
+        hb = row_base.take(h)
+        # conjugates K^g = H^g<k^g>, one row per generator g, coded
+        # H^g * n + key
+        base = pm.take(h, axis=1) * n
+        kg = conj_g.take(hb + k, axis=1)
+        want = lab.take(base + kg)  # take reads lab flat
+        for p in pows[1:]:
+            np.minimum(want, lab.take(base + p.take(hb + kg)), out=want)
+        want = base + want
+        at = np.searchsorted(codes, want)
+        # a code past the last pair is clipped onto it, which differs
+        if not (codes.take(at, mode="clip") == want).all():
+            raise PgfError("a conjugate subgroup is missing from the lattice")
+        pm = over_of.take(at)
+        hg = gens[h]
+        # K = H<k> is abelian when H is and k commutes with H's generators
+        hk = (hb + k)[:, None]
+        abelian = abelian[h] & (t[hk, hg] == t[hb[:, None] + hg, k[:, None]]).all(axis=1)
+        gens = np.concatenate((hg, k[:, None]), axis=1)
+        child = np.empty((len(h), n), dtype=np.int16)  # labels of the new layer
+        for lo in range(0, len(h), rows):
+            hs, ks, bs = h[lo : lo + rows], k[lo : lo + rows], hb[lo : lo + rows]
+            lh = lab[hs]
+            out = child[lo : lo + rows]
+            out[...] = lh
+            for p in pows:
+                np.minimum(out, _take_per_row(lh, t[bs + p.take(bs + ks)]), out=out)
+        lab = child
+        tab = tab.take(h)
+
+    # stack the layers, then order the rows by table: each table's rows
+    # are then one slice, its layers in order, each in position order
+    sizes = [len(layer) for layer in masks]
+    m = sum(sizes)
+    padded = np.zeros((m, len(masks) - 1), dtype=np.int32)
+    stacked = np.empty((G, m), dtype=np.int32)
+    at = 0
+    for j, size in enumerate(sizes):
+        padded[at : at + size, :j] = gen_layers[j]
+        stacked[:, at : at + size] = maps[j] + at
+        at += size
+    tab = np.concatenate(tabs)
+    order = np.argsort(tab, kind="stable")
+    where = np.empty(m, dtype=np.int32)
+    where[order] = np.arange(m, dtype=np.int32)
+    stacked = where[stacked[:, order]]
+    class_rep = _least_in_orbits(stacked, m)
+    depth = np.repeat(np.arange(len(masks), dtype=np.uint8), sizes)[order]
+    orders = (l or 1) ** depth.astype(np.int64)
+    packed_masks = np.ascontiguousarray(np.concatenate(masks)[order, lead:])
+    padded = padded[order]
+    abelian = np.concatenate(abelian_layers)[order]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(tab, minlength=T))))
+    out = []
+    for i, ct in enumerate(tables):
+        s, e = starts[i], starts[i + 1]
+        out.append(
+            Lattice(
+                ct,
+                packed_masks[s:e],
+                depth[s:e],
+                orders[s:e],
+                padded[s:e],
+                abelian[s:e],
+                stacked[: len(ct.gen_ids), s:e] - s,
+                class_rep[s:e] - s,
+                int(builds[i]),
+            )
+        )
+    return out

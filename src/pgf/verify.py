@@ -152,7 +152,7 @@ def _claim_note_counts(ctx) -> tuple:
 
 
 def _claim_small_orders(ctx) -> tuple:
-    from .census import classify_presentation
+    from .census import classify_outcomes
     from .datasets import default_data_dir, load_all_fixtures, scan_data_dir
 
     def in_scope(prime, order):
@@ -167,7 +167,16 @@ def _claim_small_orders(ctx) -> tuple:
     ).items():
         if in_scope(prime, order):
             presentations += [p for p in bucket if p.group_id not in seen]
-    records = [classify_presentation(p) for p in presentations]
+    buckets: dict = {}
+    for p in presentations:
+        buckets.setdefault((p.prime, p.order), []).append(p)
+    records = []
+    for bucket in buckets.values():
+        for outcome in classify_outcomes(bucket):
+            if outcome[0] == "fail":
+                _, (order, index), msg = outcome
+                return "FAIL", f"group ({order},{index}): {msg}"
+            records.append(outcome[1])
     ctx.records.extend(records)
     bad = [r.group_id for r in records if not r.semiabelian]
     if bad:
@@ -224,7 +233,7 @@ _SYLOW_GENERATORS = (
 def _claim_oracle_agreement(ctx) -> tuple:
     from .datasets import load_all_fixtures
     from .pc import pc_to_perm
-    from .table import CayleyTable
+    from .table import CayleyTable, lattices
 
     rng = random.Random(11)
     closures = 0
@@ -245,24 +254,26 @@ def _claim_oracle_agreement(ctx) -> tuple:
         closures += 1
 
     fixtures = load_all_fixtures()
-    frattini_checked = 0
+    checked = []  # (group id, table) for the Frattini check
     for pres in fixtures:
         perm = pc_to_perm(pres)
         if pres.prime**pres.ngens != perm.order:
             return "FAIL", f"presentation/chain order mismatch on {pres.group_id}"
-        if pres.order > 64:
-            continue
-        ct = CayleyTable.from_perm_group(perm)
+        if pres.order <= 64:
+            checked.append((pres.group_id, CayleyTable.from_perm_group(perm)))
+    # one climb per order
+    for order in {ct.n for _, ct in checked}:
+        lattices([ct for _, ct in checked if ct.n == order])
+    for gid, ct in checked:
         powers_comms = set(ct.frattini_ids())
         lat = ct.lattice()
         mask = np.logical_and.reduce([lat.mask(m) for m in lat.maximal()])
         intersection = set(np.flatnonzero(mask).tolist())
         if powers_comms != intersection:
-            return "FAIL", f"Frattini routes disagree on {pres.group_id}"
-        frattini_checked += 1
+            return "FAIL", f"Frattini routes disagree on {gid}"
 
     return "PASS", (
-        f"{closures} random closures, {frattini_checked} Frattini "
+        f"{closures} random closures, {len(checked)} Frattini "
         f"intersections, {len(fixtures)} presentation orders all agree"
     )
 

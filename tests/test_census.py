@@ -29,7 +29,8 @@ from pgf.census import (
 from pgf.datasets import load_fixture
 from pgf.cli import dispatch
 from pgf.errors import PcFileError, PgfError
-from pgf.pc import pc_to_perm, serialize_pc
+from pgf.pc import parse_pc_file, pc_to_perm, serialize_pc
+from pgf import table
 
 from oracles import brute_derived_length, brute_rank
 from test_pc import INCONSISTENT_TEXT
@@ -138,6 +139,98 @@ def test_run_census_parallel_matches_serial():
     _, serial = run_census(fixture_path("o8.pc"), jobs=1)
     _, parallel = run_census(fixture_path("o8.pc"), jobs=2)
     assert zeroed(serial) == zeroed(parallel)
+
+
+# ----- chunks: one shared climb, groups finished one at a time -----------------
+
+
+def one_by_one(path):
+    return sorted(
+        (classify_presentation(p) for p in parse_pc_file(path)), key=lambda r: r.group_id
+    )
+
+
+@pytest.mark.parametrize("name", ["o32.pc", "o81.pc"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chunk_records_equal_one_group_records(name, jobs):
+    _, records = run_census(fixture_path(name), jobs=jobs)
+    assert zeroed(records) == zeroed(one_by_one(fixture_path(name)))
+
+
+@pytest.fixture
+def climbs(monkeypatch):
+    """The number of tables of each shared climb the census asks for."""
+    sizes = []
+    real = census.lattices
+
+    def recorded(tables):
+        sizes.append(len(tables))
+        return real(tables)
+
+    monkeypatch.setattr(census, "lattices", recorded)
+    return sizes
+
+
+def test_a_chunk_climbs_its_non_abelian_tables_once(climbs):
+    # 44 of the 51 groups of order 32 are not abelian, 10 of the 15 of
+    # order 81; each catalogue fits in one chunk
+    run_census(fixture_path("o32.pc"), jobs=1)
+    run_census(fixture_path("o81.pc"), jobs=1)
+    assert climbs == [44, 10]
+
+
+def test_chunks_keep_within_their_cell_budget(climbs, monkeypatch):
+    monkeypatch.setattr(census, "_CHUNK_CELLS", 4 * 81 * 81)
+    _, records = run_census(fixture_path("o81.pc"), jobs=1)
+    assert len(climbs) == 4 and sum(climbs) == 10
+    assert zeroed(records) == zeroed(one_by_one(fixture_path("o81.pc")))
+
+
+@pytest.mark.parametrize("jobs, sizes", [(1, [5]), (2, [3, 2]), (4, [2, 1, 1, 1]), (9, [1] * 5)])
+def test_chunks_are_at_least_the_jobs(jobs, sizes):
+    todo = load_fixture("o8.pc")
+    chunks = census._chunks(todo, jobs)
+    assert [len(c) for c in chunks] == sizes
+    assert [p for c in chunks for p in c] == todo
+
+
+def test_a_presentation_that_fails_to_tabulate_fails_alone(tmp_path, climbs):
+    path = tmp_path / "o8.pc"
+    with open(fixture_path("o8.pc"), encoding="utf-8") as fh:
+        path.write_text(fh.read() + INCONSISTENT_TEXT)
+    summary, records = run_census(str(path), jobs=1)
+    assert [(f["order"], f["index"]) for f in summary.failures] == [(8, 9)]
+    assert "inconsistent presentation" in summary.failures[0]["error"]
+    # the other groups were climbed and classified as on their own
+    assert climbs == [2]
+    assert zeroed(records) == zeroed(one_by_one(fixture_path("o8.pc")))
+
+
+def test_a_failed_shared_climb_lands_on_the_group_that_causes_it(tmp_path, monkeypatch):
+    (dihedral,) = [p for p in load_fixture("o8.pc") if p.group_id == (8, 4)]
+    bad = table.CayleyTable.from_pc(dihedral).table
+    fresh = [r for r in one_by_one(fixture_path("o8.pc")) if r.group_id != (8, 4)]
+    real = table._climb
+    climbed = []
+
+    def climb_faulting_on_the_dihedral_table(tables):
+        climbed.append(len(tables))
+        if any((ct.table == bad).all() for ct in tables):
+            raise ValueError("no climb")
+        return real(tables)
+
+    monkeypatch.setattr(table, "_climb", climb_faulting_on_the_dihedral_table)
+    cache = str(tmp_path / "cache")
+    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    # the shared climb of both non-abelian tables, then each on its own
+    assert climbed == [2, 1, 1]
+    [entry] = summary.failures
+    assert (entry["order"], entry["index"]) == (8, 4)
+    assert entry["error"].startswith("ValueError: no climb (in climb_faulting_on_the_dihedral_table at ")
+    assert [r.group_id[1] for r in records] == [1, 2, 3, 5]
+    assert zeroed(records) == zeroed(fresh)
+    with open(cache_file_path(cache, 2, 8)) as fh:
+        assert [json.loads(line)["index"] for line in fh] == [1, 2, 3, 5]
 
 
 @pytest.fixture
@@ -282,16 +375,16 @@ def test_interrupted_run_resumes_to_identical_report(tmp_path):
 
 def test_interrupt_keeps_every_finished_record(tmp_path, monkeypatch):
     k = 4
-    real = census.classify_presentation
+    real = census.classify_table
     calls = []
 
-    def interrupted_at_k(pres):
+    def interrupted_at_k(pres, ct, spent):
         calls.append(pres.group_id)
         if len(calls) == k:
             raise KeyboardInterrupt
-        return real(pres)
+        return real(pres, ct, spent)
 
-    monkeypatch.setattr(census, "classify_presentation", interrupted_at_k)
+    monkeypatch.setattr(census, "classify_table", interrupted_at_k)
     cache = str(tmp_path / "cache")
     with pytest.raises(KeyboardInterrupt):
         run_census(fixture_path("o16.pc"), cache_dir=cache, jobs=1)
@@ -497,16 +590,16 @@ def test_changed_dataset_is_never_served_stale_records(tmp_path):
 
 
 def test_unexpected_exception_is_a_recorded_failure(tmp_path, monkeypatch, capsys):
-    real = census.classify_presentation
+    real = census.classify_table
     calls = []
 
-    def broken_at_group_3(pres):
+    def broken_at_group_3(pres, ct, spent):
         calls.append(pres.group_id)
         if pres.group_id == (8, 3):
             raise ValueError("boom")
-        return real(pres)
+        return real(pres, ct, spent)
 
-    monkeypatch.setattr(census, "classify_presentation", broken_at_group_3)
+    monkeypatch.setattr(census, "classify_table", broken_at_group_3)
     cache = str(tmp_path / "cache")
     summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
     assert len(calls) == 5  # the groups after the fault still ran
@@ -532,14 +625,14 @@ def test_unexpected_exception_is_a_recorded_failure(tmp_path, monkeypatch, capsy
     reason="the patched classifier reaches the workers only when they fork",
 )
 def test_broken_worker_pool_is_a_recorded_failure(tmp_path, monkeypatch, capsys):
-    real = census.classify_presentation
+    real = census.classify_table
 
-    def worker_dies_at_group_3(pres):
+    def worker_dies_at_group_3(pres, ct, spent):
         if pres.group_id == (8, 3):
             os._exit(1)
-        return real(pres)
+        return real(pres, ct, spent)
 
-    monkeypatch.setattr(census, "classify_presentation", worker_dies_at_group_3)
+    monkeypatch.setattr(census, "classify_table", worker_dies_at_group_3)
     cache = str(tmp_path / "cache")
     summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=2)
     done = [r.group_id for r in records]
@@ -547,8 +640,15 @@ def test_broken_worker_pool_is_a_recorded_failure(tmp_path, monkeypatch, capsys)
     assert (8, 3) in failed
     assert sorted(done + failed) == [(8, i) for i in range(1, 6)]
     assert all(f["error"].startswith("BrokenProcessPool: ") for f in summary.failures)
-    with open(cache_file_path(cache, 2, 8)) as fh:
-        assert sorted((8, json.loads(line)["index"]) for line in fh) == sorted(done)
+    # exactly the finished records are cached; a worker dies with its
+    # whole chunk, and the pool may break before any chunk returns, which
+    # leaves no record and so no cache file
+    path = cache_file_path(cache, 2, 8)
+    cached = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            cached = [(8, json.loads(line)["index"]) for line in fh]
+    assert sorted(cached) == sorted(done)
     # the command-line driver reports the broken pool and exits 1
     args = ["census", fixture_path("o8.pc"), "--cache", str(tmp_path / "cli")]
     assert dispatch(args + ["--jobs", "2"]) == 1
@@ -557,11 +657,11 @@ def test_broken_worker_pool_is_a_recorded_failure(tmp_path, monkeypatch, capsys)
     # a resume retries exactly the groups the broken pool left unfinished
     calls = []
 
-    def counted(pres):
+    def counted(pres, ct, spent):
         calls.append(pres.group_id)
-        return real(pres)
+        return real(pres, ct, spent)
 
-    monkeypatch.setattr(census, "classify_presentation", counted)
+    monkeypatch.setattr(census, "classify_table", counted)
     summary, resumed = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
     assert sorted(calls) == sorted(failed)
     assert summary.failures == ()

@@ -399,6 +399,52 @@ def test_validate_witness_rejects_tampering():
     assert not validate_witness(ct, bad)
 
 
+def d4_steps():
+    """The table of D4 and witness steps built from its rotations R = <r>,
+    r of order 4, its centre <r**2>, a reflection s and the whole group:
+    name -> chain, one valid chain and one chain per condition whose first
+    step fails it (a non-closed A fails normality and covering too)."""
+    ct = CayleyTable.from_perm_group(wreath_regular(cyclic_group(2, 1), cyclic_group(2, 1)))
+    t = ct.table
+    orders = ct.element_orders()
+    r = int(np.flatnonzero(orders == 4)[0])
+    z = int(t[r, r])
+    rot = tuple(sorted({0, r, z, int(t[z, r])}))
+    s = int(next(x for x in range(ct.n) if orders[x] == 2 and x not in rot))
+    whole = tuple(range(ct.n))
+    tail = (((0, s), (0,)),)
+    return ct, {
+        "valid": ((rot, (0, s)),) + tail,
+        "A not closed": (((0, r), (0, s)),) + tail,
+        "A not abelian": ((whole, (0, s)),) + tail,
+        "A not normal": (((0, s), rot), (rot, (0,))),
+        "H not closed": ((rot, (0, s, int(t[s, r]))),) + tail,
+        "H not proper": ((rot, whole),),
+        "A*H short of the group": ((rot, (0, z)), ((0, z), (0,))),
+    }
+
+
+def test_validate_witness_accepts_the_valid_d4_chain():
+    ct, chains = d4_steps()
+    assert validate_witness(ct, chains["valid"])
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "A not closed",
+        "A not abelian",
+        "A not normal",
+        "H not closed",
+        "H not proper",
+        "A*H short of the group",
+    ],
+)
+def test_validate_witness_rejects_each_failed_condition(fault):
+    ct, chains = d4_steps()
+    assert not validate_witness(ct, chains[fault])
+
+
 def test_dl3_group_is_not_semiabelian():
     g = dl3_group()
     assert g.order == 128

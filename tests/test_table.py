@@ -34,13 +34,13 @@ from oracles import (
     table_subgroups,
 )
 from pgf.datasets import load_all_fixtures, load_fixture
-from pgf.errors import CapExceeded
+from pgf.errors import CapExceeded, PgfError
 from pgf.family import eval_cert, parse_cert, semiabelian_table, validate_witness
 from pgf.group import PermGroup
 from pgf.ops import cyclic_group, derived_length, direct_product, rank
 from pgf.pc import parse_pc_text, pc_to_perm
 from pgf.perm import Perm
-from pgf.table import CayleyTable, _closure, _first_rows
+from pgf.table import CayleyTable, _closure, _first_rows, lattices
 
 D4 = None  # filled by fixture below
 
@@ -661,3 +661,94 @@ def test_extraspecial_125_lattice_matches_subset_closure(index, subgroups, pairs
     assert len(lat.subgroups) == subgroups
     assert lat.builds == covering_pairs(lat, 5) == pairs
     assert_recorded_generators(ct)
+
+
+def assert_shared_climb_matches_own_climbs(make_tables):
+    """One climb through fresh tables `make_tables()` gives each the
+    lattice its own climb gives another fresh copy, field for field."""
+    shared, own = make_tables(), make_tables()
+    lats = lattices(shared)
+    assert len(lats) == len(shared)
+    for ct, lat, single in zip(shared, lats, own):
+        assert ct.lattice() is lat
+        ref = single.lattice()
+        assert lat.packed_masks.tobytes() == ref.packed_masks.tobytes()
+        assert lat.packed_masks.shape == ref.packed_masks.shape
+        for name in ("orders", "abelian", "class_rep"):
+            mine, theirs = getattr(lat, name), getattr(ref, name)
+            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist(), name
+        assert [lat.gens(i) for i in lat.subgroups] == [ref.gens(i) for i in ref.subgroups]
+        for g in ct.gen_ids:
+            assert lat._position_map(g).tolist() == ref._position_map(g).tolist(), g
+        assert lat.builds == ref.builds
+
+
+def test_shared_climb_matches_own_climbs_on_the_fixtures_by_order():
+    by_order = {}
+    for pres in load_all_fixtures():
+        by_order.setdefault(pres.order, []).append(pres)
+    # every o32 and o81 table among them, each order in one climb
+    assert len(by_order[32]) == 51 and len(by_order[81]) == 15
+    for presentations in by_order.values():
+        assert_shared_climb_matches_own_climbs(
+            lambda: [CayleyTable.from_pc(p) for p in presentations]
+        )
+
+
+def test_shared_climb_matches_own_climbs_on_generator_counts_that_differ():
+    # order 16: the dihedral group on 2, 3 and 4 generators, D4 x C2 on 3,
+    # and the cyclic group on 1
+    r = Perm.from_cycles(8, [(1, 2, 3, 4, 5, 6, 7, 8)])
+    s = Perm.from_cycles(8, [(2, 8), (3, 7), (4, 6)])
+    groups = [
+        PermGroup([r, s]),
+        PermGroup([r, s, r * s]),
+        PermGroup([s, r * s, r * r, r]),
+        eval_cert(parse_cert("D(C(2,1),W(C(2,1),C(2,1)))")),
+        eval_cert(parse_cert("C(2,4)")),
+    ]
+
+    def make_tables():
+        return [CayleyTable.from_perm_group(g) for g in groups]
+
+    assert [len(ct.gen_ids) for ct in make_tables()] == [2, 3, 4, 3, 1]
+    assert_shared_climb_matches_own_climbs(make_tables)
+
+
+def test_shared_climb_matches_own_climbs_on_order_81_permutation_groups():
+    # keys there are minima over two powers, read per table
+    texts = (
+        "W(C(3,1),C(3,1))",
+        "D(C(3,2),C(3,2))",
+        "D(C(3,1),C(3,3))",
+        "D(C(3,1),D(C(3,1),D(C(3,1),C(3,1))))",
+    )
+    groups = [eval_cert(parse_cert(text)) for text in texts]
+    assert {g.order for g in groups} == {81}
+    assert_shared_climb_matches_own_climbs(
+        lambda: [CayleyTable.from_perm_group(g) for g in groups]
+    )
+
+
+def test_shared_climb_keeps_equal_tables_apart():
+    # 300 tables need a two-byte table key; equal masks of two tables
+    # never merge
+    dihedral, quaternion = (fixture_pres("o8.pc", i) for i in (4, 5))
+    assert_shared_climb_matches_own_climbs(
+        lambda: [CayleyTable.from_pc(p) for p in (dihedral, quaternion) * 150]
+    )
+
+
+def test_shared_climb_serves_memoised_lattices_and_climbs_each_table_once():
+    pres = load_fixture("o16.pc")
+    cts = [CayleyTable.from_pc(p) for p in pres[:3]]
+    first = cts[0].lattice()
+    lats = lattices([cts[0], cts[1], cts[1], cts[2]])
+    assert lats[0] is first and lats[1] is lats[2] is cts[1].lattice()
+    assert lattices([]) == []
+
+
+def test_shared_climb_refuses_tables_of_two_orders():
+    cts = [CayleyTable.from_pc(load_fixture(name)[0]) for name in ("o8.pc", "o16.pc")]
+    with pytest.raises(PgfError, match="one order"):
+        lattices(cts)

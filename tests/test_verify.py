@@ -1,4 +1,5 @@
-"""The dataset count claims (criteria 3 and 8) on a temporary data directory.
+"""The dataset count claims (criteria 3 and 8) on a temporary data
+directory, and the census chunks and shared climbs of criteria 4 and 7.
 
 The bundled order-16 catalogue stands in for a dataset: 14 groups, none
 of them non-semiabelian. Every bucket runs through the resumable census,
@@ -12,7 +13,7 @@ import shutil
 import pytest
 from importlib import resources
 
-from pgf import census, verify
+from pgf import census, table, verify
 from pgf.errors import PgfError
 from pgf.census import cache_file_path
 
@@ -79,7 +80,7 @@ def test_count_claim_joins_a_bucket_split_over_two_files(tmp_path, monkeypatch):
     assert (status, detail) == ("PASS", "order 16: 0 of 14 non-semiabelian")
     assert {r.provenance for r in records} == {"a.pc", "b.pc"}
     assert len(cache_lines(cache, 2, 16)) == 14
-    monkeypatch.setattr(census, "classify_presentation", None)  # served only
+    monkeypatch.setattr(census, "classify_table", None)  # served only
     assert count(data, [O16], cache)[2] == records
 
 
@@ -98,7 +99,7 @@ def test_count_claim_classifies_a_file_of_two_orders_through_the_cache(
     assert status == "PASS", detail
     assert len(cache_lines(cache, 2, 16)) == 14
     assert len(cache_lines(cache, 2, 8)) == 5
-    monkeypatch.setattr(census, "classify_presentation", None)  # served only
+    monkeypatch.setattr(census, "classify_table", None)  # served only
     assert count(data, [O16, (2, 8, 5, 0)], cache)[2] == records
 
 
@@ -119,13 +120,13 @@ def test_count_claim_caches_and_serves_on_rerun(tmp_path, monkeypatch):
         assert len(fh.read().splitlines()) == 14
 
     calls = []
-    real = census.classify_presentation
+    real = census.classify_table
 
-    def counted(pres):
+    def counted(pres, ct, spent):
         calls.append(pres.group_id)
-        return real(pres)
+        return real(pres, ct, spent)
 
-    monkeypatch.setattr(census, "classify_presentation", counted)
+    monkeypatch.setattr(census, "classify_table", counted)
     status, _, again = count(data, [O16], cache)
     assert status == "PASS"
     assert calls == []
@@ -144,3 +145,43 @@ def test_count_claim_ignores_a_same_named_file_in_the_working_directory(
     status, detail, _ = count(data, [O16], cache)
     assert (status, detail) == ("PASS", "order 16: 0 of 14 non-semiabelian")
     assert os.listdir(cache) == ["census-p2-o16.jsonl"]
+
+
+def test_small_orders_claim_classifies_by_buckets_and_fails_on_a_failure(
+    tmp_path, monkeypatch
+):
+    from test_pc import INCONSISTENT_TEXT
+
+    ctx = verify._ClaimContext(str(tmp_path), None, False)
+    buckets = []
+    real = census.classify_outcomes
+
+    def recorded(presentations, jobs=1):
+        buckets.append({(p.prime, p.order) for p in presentations})
+        return real(presentations, jobs)
+
+    monkeypatch.setattr(census, "classify_outcomes", recorded)
+    status, detail = verify._claim_small_orders(ctx)
+    assert (status, detail.split(" (")[0]) == ("PASS", "all 96 groups semiabelian")
+    # one bucket per order and prime
+    assert all(len(b) == 1 for b in buckets) and len(buckets) == 9
+
+    (tmp_path / "bad.pc").write_text(INCONSISTENT_TEXT)
+    status, detail = verify._claim_small_orders(ctx)
+    assert status == "FAIL"
+    assert detail.startswith("group (8,9): group (8, 9): inconsistent presentation")
+
+
+def test_oracle_claim_climbs_each_order_once(monkeypatch):
+    sizes = []
+    real = table._climb
+
+    def recorded(tables):
+        sizes.append((tables[0].n, len(tables)))
+        return real(tables)
+
+    monkeypatch.setattr(table, "_climb", recorded)
+    status, detail = verify._claim_oracle_agreement(verify._ClaimContext(None, None, False))
+    assert status == "PASS", detail
+    # the fixtures of order at most 64, one climb per order
+    assert sorted(sizes) == [(2, 1), (3, 1), (4, 2), (8, 5), (9, 2), (16, 14), (27, 5), (32, 51)]
