@@ -9,18 +9,19 @@ interrupted long run resumes by skipping finished groups, and a record
 whose presentation or file name differs from the current one is
 recomputed rather than served.
 The groups still to classify go in chunks, each bounded by a fixed
-number of table cells. A chunk tabulates each of its presentations,
-climbs the subgroup lattices of all its non-abelian tables in one climb
-(`table.lattices`), then finishes its groups one at a time
-(`classify_table`). Chunks classify independently, so a worker pool can
-spread the load, one chunk per task; results are keyed and sorted by
-group id before reporting, which keeps the output independent of
-scheduling.
+number of table cells. A chunk tabulates all its presentations at once
+(`table.tabulate`), climbs the subgroup lattices of all its non-abelian
+tables in one climb (`table.lattices`), then finishes its groups one at
+a time (`classify_table`). Chunks classify independently, so a worker
+pool can spread the load, one chunk per task; results are keyed and
+sorted by group id before reporting, which keeps the output independent
+of scheduling.
 
 Per-group failures (typically cap violations, but any exception a group's
 classification raises, or a worker process that dies) never vanish: they
 are collected in the summary, excluded from the cache so a later run
 retries them, and the `pgf census` command turns them into a nonzero exit.
+Each failure carries its group id beside a message that does not repeat it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .family import (
     validate_witness,
 )
 from .pc import PcPresentation, parse_pc_file, serialize_pc
-from .table import CayleyTable, lattices
+from .table import CayleyTable, lattices, tabulate
 
 CACHE_ENV = "PGF_CACHE"
 # cells of the multiplication tables in one chunk: the climb stacks them
@@ -272,12 +273,19 @@ def _append_record(fh, rec: CensusRecord, digest: str) -> None:
     fh.flush()
 
 
+def _failure(gid: tuple, exc: Exception) -> tuple:
+    """("fail", gid, message) for a PgfError. The census names the group
+    beside the message, so a message that opens by naming it keeps only
+    the rest."""
+    return ("fail", gid, str(exc).removeprefix(f"group {gid}: "))
+
+
 def _attempt(gid: tuple, fn, *args) -> tuple:
     """("ok", fn(*args)), or ("fail", gid, message) when it raises."""
     try:
         return ("ok", fn(*args))
     except PgfError as exc:
-        return ("fail", gid, str(exc))
+        return _failure(gid, exc)
     except Exception as exc:
         # one group's fault must not abort the census; KeyboardInterrupt
         # is not an Exception and still stops the run
@@ -286,24 +294,42 @@ def _attempt(gid: tuple, fn, *args) -> tuple:
         return ("fail", gid, f"{type(exc).__name__}: {exc} (in {where})")
 
 
+def _tabulate_chunk(chunk: Sequence[PcPresentation]) -> list:
+    """("ok", table) or a failure for each presentation of a chunk, from
+    one tabulation of the whole chunk (`tabulate`). If that raises, each
+    presentation is tabulated on its own, so the fault lands on the group
+    that causes it."""
+    try:
+        made = tabulate(chunk)
+    except Exception:
+        return [_attempt(pres.group_id, CayleyTable.from_pc, pres) for pres in chunk]
+    return [
+        _failure(pres.group_id, ct) if isinstance(ct, PgfError) else ("ok", ct)
+        for pres, ct in zip(chunk, made)
+    ]
+
+
 def _classify_chunk(chunk: Sequence[PcPresentation]) -> Iterator[tuple]:
     """The outcome of each group of a chunk of one order, as soon as it is
     known.
 
-    A presentation that fails to tabulate fails at once, alone. The
-    non-abelian tables are climbed together, and each group's record
-    counts an equal share of that climb. If the shared climb raises, each
-    of its tables is climbed again on its own when its group is finished,
-    so the fault lands on the group that causes it.
+    The chunk is tabulated together (`_tabulate_chunk`), and a
+    presentation that fails to tabulate fails at once, alone. The
+    non-abelian tables are climbed together. Each group's record counts an
+    equal share of the chunk's tabulation and, if it was climbed, of the
+    climb. If the shared climb raises, each of its tables is climbed again
+    on its own when its group is finished, so the fault lands on the group
+    that causes it.
     """
+    t0 = time.perf_counter()
+    outcomes = _tabulate_chunk(chunk)
+    share = (time.perf_counter() - t0) / len(chunk)
     tabled = []  # [presentation, table, seconds spent on the group]
-    for pres in chunk:
-        t0 = time.perf_counter()
-        outcome = _attempt(pres.group_id, CayleyTable.from_pc, pres)
+    for pres, outcome in zip(chunk, outcomes):
         if outcome[0] == "fail":
             yield outcome
             continue
-        tabled.append([pres, outcome[1], time.perf_counter() - t0])
+        tabled.append([pres, outcome[1], share])
     climb = [e for e in tabled if not e[1].is_abelian_ids(range(e[1].n))]
     if climb:
         t0 = time.perf_counter()

@@ -9,7 +9,10 @@ A presentation on generators g1..gn over the prime p consists of
 with omitted relations meaning trivial right-hand sides. Elements are
 exponent vectors (e1..en), 0 <= ei < p, standing for g1^e1 ... gn^en,
 numbered in lex order. The generators' right-multiplication columns are
-filled by recursion on these normal forms, using only the relations.
+filled by recursion on these normal forms, using only the relations, for
+many presentations of one prime and generator count at once
+(`stacked_columns`): they share every step, and only their relation words
+differ. `PcPresentation.gen_columns` is the one-presentation case.
 
 File format, '#' starts a comment:
 
@@ -32,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import exact_log, is_prime as _is_prime
-from .errors import PcFileError
+from .errors import PcFileError, PgfError
 from .group import PermGroup
 from .ops import DEFAULT_DEGREE_CAP
 from .perm import Perm
@@ -128,80 +131,87 @@ class PcPresentation:
     def gen_columns(self) -> np.ndarray:
         """Right-multiplication maps: cols[j][x] = id of element(x) * g_j,
         where the id of an exponent vector is its number in lex order, the
-        vector read as digits base p.
-
-        Filled by recursion on normal forms from the relations alone, last
-        generator first. With w_j the id of g_j, the ids of column j are taken
-        in ascending order of the generator t their normal form ends in and
-        its exponent e, one gather per (t, e):
-
-        * t < j, or t == j and e < p - 1: x * g_j is the normal form x + w_j;
-        * t == j and e == p - 1: x * g_j = prefix * g_j^p, the power word's
-          columns applied to the prefix x - (p - 1) * w_j;
-        * t > j: x = y * g_t, so x * g_j = (y * g_j) * g_t * [g_t, g_j], with
-          y * g_j an earlier entry of column j.
-
-        Every step reads only finished columns of later generators and
-        earlier entries of its own, so the recursion ends. When the
-        presentation is consistent these are the true multiplication maps;
-        in any case the relations hold among the columns, so a table filled
-        from them that is a group proves the presentation consistent.
-        """
-        p, n = self.prime, self.ngens
-        cols = np.empty((n, self.order), dtype=np.int32)
-
-        def apply(z, letters):
-            for k in letters:
-                z = cols[k][z]
-            return z
-
-        for j in range(n - 1, -1, -1):
-            col, wj = cols[j], p ** (n - 1 - j)
-            col[0] = wj
-            for t in range(n):
-                wt = p ** (n - 1 - t)
-                for e in range(1, p):
-                    x = (np.arange(p**t) * p + e) * wt  # ids ending in g_t^e
-                    if t < j or (t == j and e < p - 1):
-                        col[x] = x + wj
-                    elif t == j:
-                        col[x] = apply(x - (p - 1) * wj, self._pow_letters[j])
-                    else:
-                        col[x] = apply(cols[t][col[x - wt]], self._comm_letters.get((t, j), ()))
-        return cols
+        vector read as digits base p. The one-presentation case of
+        `stacked_columns`."""
+        return stacked_columns([self])[0]
 
     def __repr__(self) -> str:
         gid = f", id={self.group_id}" if self.group_id else ""
         return f"PcPresentation(prime={self.prime}, ngens={self.ngens}{gid})"
 
 
-def _table_defect(table: np.ndarray, gen_ids: Sequence[int]) -> Optional[str]:
-    """Why a table filled from generator columns is not a group, or None
-    when it is one.
+def shape_of(presentations: Sequence[PcPresentation]) -> tuple:
+    """(prime, ngens) shared by all of `presentations`, which must be at
+    least one; raises PgfError when they differ."""
+    shapes = {(q.prime, q.ngens) for q in presentations}
+    if len(shapes) != 1:
+        raise PgfError(
+            "presentations tabulated together must share one prime and generator count"
+        )
+    return shapes.pop()
 
-    Checks the identity row and column, that every row and every column is
-    a permutation, and Light's associativity test over the generators:
-    (x*g)*y == x*(g*y) for every generator g and all x, y (Clifford and
-    Preston, The Algebraic Theory of Semigroups I, 1961). The elements
-    satisfying that identity are closed under products, and the table
-    filler reaches every id z other than 0 as table[y, g] of an earlier y
-    and a generator g, so every element is a product of generators and
-    passing for the generators proves full associativity.
+
+def stacked_columns(presentations: Sequence[PcPresentation]) -> np.ndarray:
+    """cols[i, j, x] = id of element(x) * g_j in presentations[i], for
+    presentations of one prime and generator count: each one's
+    `PcPresentation.gen_columns`, filled together.
+
+    Filled by recursion on normal forms from the relations alone, last
+    generator first. With w_j the id of g_j, the ids of column j are taken
+    in ascending order of the generator t their normal form ends in and
+    its exponent e, one step per (t, e):
+
+    * t < j, or t == j and e < p - 1: x * g_j is the normal form x + w_j;
+    * t == j and e == p - 1: x * g_j = prefix * g_j^p, the power word's
+      columns applied to the prefix x - (p - 1) * w_j;
+    * t > j: x = y * g_t, so x * g_j = (y * g_j) * g_t * [g_t, g_j], with
+      y * g_j an earlier entry of column j.
+
+    Every step reads only finished columns of later generators and
+    earlier entries of its own, so the recursion ends. When a presentation
+    is consistent these are the true multiplication maps; in any case the
+    relations hold among the columns, so a table filled from them that is
+    a group proves the presentation consistent.
+
+    The ids of each step are one strided slice, the same for every
+    presentation, and only the relation words differ. A word is read as a
+    row of letters per presentation, padded to the longest with an
+    identity column (index ngens), so each letter of a step is one flat
+    gather for all the presentations.
     """
-    n = table.shape[0]
-    ar = np.arange(n, dtype=table.dtype)
-    if not (table[0] == ar).all() or not (table[:, 0] == ar).all():
-        return "identity misbehaves"
-    if not (np.sort(table, axis=1) == ar).all():
-        return "some row is not a permutation"
-    if not (np.sort(table, axis=0) == ar[:, None]).all():
-        return "some column is not a permutation"
-    for g in gen_ids:
-        bad = table[table[:, g], :] != table[:, table[g, :]]
-        if bad.any():
-            a, c = np.argwhere(bad)[0]
-            return f"associativity fails at ({int(a)}, {g}, {int(c)})"
-    return None
+    p, n = shape_of(presentations)
+    T, N = len(presentations), p**n
+    cols = np.empty((T, n + 1, N), dtype=np.int32)
+    cols[:, n] = np.arange(N, dtype=np.int32)
+    flat = cols.reshape(-1)
+    first = np.arange(T, dtype=np.int32)[:, None] * (n + 1)
+
+    def offsets(words) -> np.ndarray:
+        """(T, L) flat offsets of the columns each word's letters name."""
+        letters = np.full((T, max(map(len, words))), n, dtype=np.int32)
+        for i, w in enumerate(words):
+            letters[i, : len(w)] = w
+        return (first + letters) * N
+
+    def apply(z, at):
+        for s in range(at.shape[1]):
+            z = flat.take(at[:, s : s + 1] + z)
+        return z
+
+    for j in range(n - 1, -1, -1):
+        col, wj = cols[:, j], p ** (n - 1 - j)
+        x = np.arange(0, N, wj, dtype=np.int32)
+        x = x[x // wj % p < p - 1]
+        col[:, x] = x + wj
+        prefix = np.arange(0, N, p * wj, dtype=np.int32)
+        power = offsets([q._pow_letters[j] for q in presentations])
+        col[:, (p - 1) * wj :: p * wj] = apply(prefix, power)
+        for t in range(j + 1, n):
+            wt = p ** (n - 1 - t)
+            comm = offsets([(t,) + q._comm_letters.get((t, j), ()) for q in presentations])
+            for e in range(1, p):
+                col[:, e * wt :: p * wt] = apply(col[:, (e - 1) * wt :: p * wt], comm)
+    return cols[:, :n]
 
 
 def pc_to_perm(pres: PcPresentation) -> PermGroup:

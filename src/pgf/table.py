@@ -2,15 +2,19 @@
 
 A CayleyTable reindexes a group of order n as ids 0..n-1 with the identity
 at id 0 and table[a, b] = id of element(a) * element(b). Both constructors
-hand the right-multiplication columns of the generators to one filler: a
-permutation group's columns are read off its sorted element matrix, a
-presentation's are filled by recursion on its normal forms. All
-invariants here are computed directly from the table, which makes them an
-independent route from the permutation-level algorithms built on
-stabilizer chains. The whole-group invariants (Frattini subgroup, rank,
-derived length, the lower central and lower exponent-l central series) are
-normal closures of seeds formed from generators only, never from all
-pairs of elements.
+start from the right-multiplication columns of the generators. A
+permutation group's are read off its sorted element matrix, and its table
+is filled over the right Cayley graph (`group._fill`). Presentations of
+one prime and generator count are tabulated together (`tabulate`): their
+columns are filled by recursion on normal forms, each table along the
+normal forms of its ids, and the group check runs on the whole stack, so
+a census chunk pays each numpy call once; `CayleyTable.from_pc` is the
+one-presentation case. All invariants here are computed directly from
+the table, which makes them an independent route from the
+permutation-level algorithms built on stabilizer chains. The
+whole-group invariants (Frattini subgroup, rank, derived length, the
+lower central and lower exponent-l central series) are normal closures
+of seeds formed from generators only, never from all pairs of elements.
 
 The subgroup lattice is computed by cyclic extension, which is complete for
 groups of prime-power order: every subgroup of order l**(k+1) contains a
@@ -53,11 +57,14 @@ import numpy as np
 from .arith import exact_log, prime_power_root
 from .errors import CapExceeded, PgfError
 from .group import PermGroup, _fill, _rows_as_void
-from .pc import PcPresentation, _table_defect
+from .pc import PcPresentation, shape_of, stacked_columns
 
 DEFAULT_TABLE_CAP = 1024
 # cells per block of rows in the lattice climb's temporaries
 _BLOCK_CELLS = 1 << 17
+# cells per block of tables that `tabulate` fills and checks as one stack;
+# the check's temporaries are a few such stacks, kept below the climb's
+_TABULATE_CELLS = 1 << 15
 
 
 def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -361,7 +368,7 @@ class CayleyTable:
         id 0), and the generators' columns are read off the element matrix.
         """
         if g.order > DEFAULT_TABLE_CAP:
-            raise CapExceeded(f"order {g.order} exceeds table cap {DEFAULT_TABLE_CAP}")
+            raise _over_cap(g.order)
         cols = g.columns(g.generators)
         table = _fill(cols)
         if table is None:
@@ -371,25 +378,18 @@ class CayleyTable:
     @classmethod
     def from_pc(cls, pres: PcPresentation):
         """Tabulate a pc presentation of order at most DEFAULT_TABLE_CAP
-        from its generators' columns (PcPresentation.gen_columns).
+        from its generators' columns (PcPresentation.gen_columns): the
+        one-presentation case of `tabulate`.
 
         Raises PgfError, naming the group and the defect, when the table
         filled from them is not a group (an inconsistent presentation).
         """
         if pres.order > DEFAULT_TABLE_CAP:
-            raise CapExceeded(f"order {pres.order} exceeds table cap {DEFAULT_TABLE_CAP}")
-        cols = pres.gen_columns()
-        table = _fill(cols)
-        gen_ids = tuple(cols[:, 0].tolist())
-        if table is None:
-            defect = "the generators do not reach every element"
-        else:
-            defect = _table_defect(table, gen_ids)
-        if defect is not None:
-            raise PgfError(
-                f"group {pres.group_id}: inconsistent presentation: {defect}"
-            )
-        return cls(table, gen_ids)
+            raise _over_cap(pres.order)
+        [out] = _pc_tables([pres], pres.gen_columns()[None])
+        if isinstance(out, PgfError):
+            raise out
+        return out
 
     # ----- elementary maps --------------------------------------------------
 
@@ -590,6 +590,132 @@ class CayleyTable:
         """All subgroups, by cyclic extension one index-l layer at a time:
         the climb of `lattices` with this table alone. Memoised."""
         return lattices([self])[0]
+
+
+def _over_cap(order: int) -> CapExceeded:
+    return CapExceeded(f"order {order} exceeds table cap {DEFAULT_TABLE_CAP}")
+
+
+def tabulate(presentations: Sequence[PcPresentation]) -> list:
+    """The table of each presentation, or the PgfError that
+    `CayleyTable.from_pc` raises for it, in the given order, for
+    presentations of one prime and generator count.
+
+    The presentations go in blocks of at most _TABULATE_CELLS table cells
+    (one table at least), and each block is tabulated as one stack: its
+    columns (`stacked_columns`), its fill and its group check are paid
+    once per block, not once per presentation.
+    """
+    if not presentations:
+        return []
+    shape_of(presentations)
+    order = presentations[0].order
+    if order > DEFAULT_TABLE_CAP:
+        return [_over_cap(order) for _ in presentations]
+    step = max(1, _TABULATE_CELLS // order**2)
+    out = []
+    for lo in range(0, len(presentations), step):
+        block = presentations[lo : lo + step]
+        out += _pc_tables(block, stacked_columns(block))
+    return out
+
+
+def _pc_tables(presentations: Sequence[PcPresentation], cols: np.ndarray) -> list:
+    """The table of each presentation from its generator columns
+    cols[i, j, x], or a PgfError naming its group and the defect when the
+    table filled from them is not a group."""
+    by_col = _fill_normal_forms(cols, presentations[0].prime)
+    tables = np.ascontiguousarray(by_col.transpose(0, 2, 1))
+    gen_ids = cols[:, :, 0]
+    defects = _defects(tables, by_col, gen_ids)
+    out = []
+    for pres, table, ids, defect in zip(presentations, tables, gen_ids.tolist(), defects):
+        if defect is None:
+            out.append(CayleyTable(table, tuple(ids)))
+        else:
+            out.append(PgfError(f"group {pres.group_id}: inconsistent presentation: {defect}"))
+    return out
+
+
+def _fill_normal_forms(cols: np.ndarray, p: int) -> np.ndarray:
+    """by_col[i, z, x] = table[x, z] of presentation i, filled from its
+    generator columns cols[i, j, x] along the normal forms: each table's
+    columns as the rows of one stack.
+
+    An id z != 0 is y * g_t, for t the last non-zero digit of z and y = z
+    - w_t, w_t the id of g_t, so its column is g_t's column after y's:
+    table[:, z] = cols[t][table[:, y]]. The ids whose normal form ends in
+    g_t^e are one strided slice, and y lies in the slice of (t, e - 1), or
+    of an earlier t when e = 1, so the fill is one gather per (t, e) for
+    the whole stack, ascending. When cols[t][y] = z for each such step, as
+    the columns of `stacked_columns` satisfy by construction, row 0 of the
+    table is the identity and every z is table[y, w_t] of an earlier y and
+    a generator.
+    """
+    T, n, N = cols.shape
+    by_col = np.empty((T, N, N), dtype=np.int32)
+    by_col[:, 0] = np.arange(N, dtype=np.int32)
+    flat = np.ascontiguousarray(cols).reshape(-1)
+    base = np.arange(T, dtype=np.int32)[:, None, None] * (n * N)
+    for t in range(n):
+        wt = p ** (n - 1 - t)
+        at = base + t * N
+        for e in range(1, p):
+            by_col[:, e * wt :: p * wt] = flat.take(by_col[:, (e - 1) * wt :: p * wt] + at)
+    return by_col
+
+
+def _defects(tables: np.ndarray, by_col: np.ndarray, gen_ids: np.ndarray) -> list:
+    """Why each table of a stack filled by `_fill_normal_forms` is not a
+    group, or None when it is one; by_col holds each table's columns as
+    rows, and gen_ids[i] table i's generators.
+
+    Checks that row 0 is the identity (column 0 is by construction), that
+    every row and every column is a permutation, and Light's associativity
+    test over the generators: (x*g)*y == x*(g*y) for every generator g and
+    all x, y (Clifford and Preston, The Algebraic Theory of Semigroups I,
+    1961). The elements satisfying that identity are closed under
+    products, and the filler reaches every id z other than 0 as table[y,
+    g] of an earlier y and a generator g, so every element is a product of
+    generators and passing for the generators proves full associativity.
+    Each table gets the first check it fails, the checks taken in that
+    order and the generators in theirs. Every check runs on the whole
+    stack: both sides of Light's test are whole rows gathered by int32
+    row numbers, of the tables and of their columns.
+    """
+    T, N, _ = tables.shape
+    ar = np.arange(N, dtype=np.int32)
+    first_row = np.arange(T, dtype=np.int32)[:, None] * N
+    defect = [None] * T
+
+    def fail(bad, why):
+        for i in np.flatnonzero(bad).tolist():
+            if defect[i] is None:
+                defect[i] = why(i)
+
+    fail(
+        ~(tables[:, 0] == ar).all(axis=1),
+        lambda i: "the generators do not reach every element",
+    )
+    for stack, what in ((tables, "row"), (by_col, "column")):
+        fail(
+            ~(np.sort(stack, axis=2) == ar).all(axis=(1, 2)),
+            lambda i: f"some {what} is not a permutation",
+        )
+    rows, cols = tables.reshape(T * N, N), by_col.reshape(T * N, N)
+    tix = np.arange(T)
+    for g in gen_ids.T:
+        # (x*g)*y: row x*g of the table; x*(g*y): column g*y, as a row
+        left = rows.take((by_col[tix, g] + first_row).ravel(), axis=0).reshape(T, N, N)
+        right = cols.take((tables[tix, g] + first_row).ravel(), axis=0).reshape(T, N, N)
+        bad = left != right.transpose(0, 2, 1)
+
+        def where(i):
+            a, c = np.argwhere(bad[i])[0].tolist()
+            return f"associativity fails at ({a}, {int(g[i])}, {c})"
+
+        fail(bad.any(axis=(1, 2)), where)
+    return defect
 
 
 def lattices(tables: Sequence[CayleyTable]) -> list:

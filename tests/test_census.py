@@ -195,15 +195,64 @@ def test_chunks_are_at_least_the_jobs(jobs, sizes):
 
 
 def test_a_presentation_that_fails_to_tabulate_fails_alone(tmp_path, climbs):
-    path = tmp_path / "o8.pc"
-    with open(fixture_path("o8.pc"), encoding="utf-8") as fh:
-        path.write_text(fh.read() + INCONSISTENT_TEXT)
+    fresh = zeroed(one_by_one(fixture_path("o8.pc")))
+    # the inconsistent presentation first, between consistent ones, or last
+    for at in (0, 2, 5):
+        blocks = [serialize_pc(p) for p in load_fixture("o8.pc")]
+        blocks.insert(at, INCONSISTENT_TEXT)
+        path = tmp_path / "o8.pc"
+        path.write_text("".join(blocks))
+        climbs.clear()
+        summary, records = run_census(str(path), jobs=1)
+        assert [(f["order"], f["index"]) for f in summary.failures] == [(8, 9)]
+        assert summary.failures[0]["error"] == (
+            "inconsistent presentation: associativity fails at (4, 4, 4)"
+        )
+        # the other groups were tabulated and climbed in the same chunk,
+        # and classified as on their own
+        assert climbs == [2]
+        assert zeroed(records) == fresh
+
+
+def test_a_fault_in_the_shared_tabulation_lands_on_the_group_that_causes_it(
+    tmp_path, monkeypatch
+):
+    fresh = [r for r in one_by_one(fixture_path("o8.pc")) if r.group_id != (8, 3)]
+    real = table._pc_tables
+    tabulated = []
+
+    def tabulation_faulting_on_group_3(presentations, cols):
+        tabulated.append(len(presentations))
+        if any(p.group_id == (8, 3) for p in presentations):
+            raise ValueError("no table")
+        return real(presentations, cols)
+
+    monkeypatch.setattr(table, "_pc_tables", tabulation_faulting_on_group_3)
+    cache = str(tmp_path / "cache")
+    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
+    # the shared tabulation of the chunk, then each presentation on its own
+    assert tabulated == [5, 1, 1, 1, 1, 1]
+    [entry] = summary.failures
+    assert (entry["order"], entry["index"]) == (8, 3)
+    assert entry["error"].startswith("ValueError: no table (in tabulation_faulting_on_group_3 at ")
+    assert zeroed(records) == zeroed(fresh)
+    with open(cache_file_path(cache, 2, 8)) as fh:
+        assert [json.loads(line)["index"] for line in fh] == [1, 2, 4, 5]
+
+
+@pytest.mark.parametrize("prime, ngens", [(2, 0), (7, 1)])
+def test_a_chunk_of_trivial_or_prime_order_groups(tmp_path, prime, ngens):
+    order = prime**ngens
+    path = tmp_path / f"o{order}.pc"
+    path.write_text(
+        "".join(f"GROUP {order} {i}\nPRIME {prime}\nNGENS {ngens}\nEND\n" for i in (1, 2, 3))
+    )
     summary, records = run_census(str(path), jobs=1)
-    assert [(f["order"], f["index"]) for f in summary.failures] == [(8, 9)]
-    assert "inconsistent presentation" in summary.failures[0]["error"]
-    # the other groups were climbed and classified as on their own
-    assert climbs == [2]
-    assert zeroed(records) == zeroed(one_by_one(fixture_path("o8.pc")))
+    assert summary.failures == ()
+    assert [(r.group_id, r.rank, r.derived_length, r.semiabelian) for r in records] == [
+        ((order, i), ngens, ngens, True) for i in (1, 2, 3)
+    ]
+    assert zeroed(records) == zeroed(one_by_one(str(path)))
 
 
 def test_a_failed_shared_climb_lands_on_the_group_that_causes_it(tmp_path, monkeypatch):
@@ -485,7 +534,8 @@ def test_inconsistent_presentation_is_a_recorded_failure(tmp_path):
     assert len(summary.failures) == 1
     entry = summary.failures[0]
     assert (entry["order"], entry["index"]) == (8, 9)
-    assert "(8, 9)" in entry["error"]
+    # the entry names the group; its message does not name it again
+    assert entry["error"] == "inconsistent presentation: associativity fails at (4, 4, 4)"
     assert not os.path.exists(cache_file_path(cache, 2, 8))
 
 

@@ -234,7 +234,9 @@ def test_semiabelian_inconsistent_presentation_exits_1(tmp_path, capsys):
     assert dispatch(["semiabelian", f"{path}#9"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "group (8, 9): inconsistent presentation" in captured.err
+    assert captured.err == (
+        "error: group (8, 9): inconsistent presentation: associativity fails at (4, 4, 4)\n"
+    )
 
 
 def test_semiabelian_presentation_over_table_cap_exits_1(tmp_path, capsys):

@@ -19,7 +19,7 @@ from pgf.pc import (
     pc_to_perm,
     serialize_pc,
 )
-from pgf.table import CayleyTable
+from pgf.table import CayleyTable, tabulate
 from pgf.verify import naive_closure
 
 from oracles import (
@@ -191,6 +191,9 @@ def test_consistency_accepts_real_groups():
 def test_consistency_rejects_collapsing_presentation():
     with pytest.raises(PgfError, match=r"group \(8, 9\): inconsistent presentation: "):
         CayleyTable.from_pc(parse_one(INCONSISTENT_TEXT))
+    [err] = tabulate([parse_one(INCONSISTENT_TEXT)])
+    assert type(err) is PgfError
+    assert str(err) == "group (8, 9): inconsistent presentation: associativity fails at (4, 4, 4)"
 
 
 def random_presentation(rng):
@@ -218,6 +221,7 @@ def random_presentation(rng):
 def test_consistency_agrees_with_brute_force_oracle():
     rng = np.random.default_rng(2024)
     verdicts = []
+    shapes = {}
     for _ in range(200):
         pres = random_presentation(rng)
         ok = tabulates(pres)
@@ -225,8 +229,18 @@ def test_consistency_agrees_with_brute_force_oracle():
         if ok:
             assert pres.gen_columns().tobytes() == collected_columns(pres).tobytes(), pres
         verdicts.append(ok)
+        shapes.setdefault((pres.prime, pres.ngens), []).append(pres)
     # the sample exercises both outcomes
     assert 0 < sum(verdicts) < len(verdicts)
+    # tabulated together, one batch per shape, each presentation gets the
+    # verdict and the message it gets on its own
+    for batch in shapes.values():
+        for pres, made in zip(batch, tabulate(batch), strict=True):
+            try:
+                alone = CayleyTable.from_pc(pres).table.tobytes()
+            except PgfError as exc:
+                alone = str(exc)
+            assert alone == (str(made) if isinstance(made, PgfError) else made.table.tobytes())
 
 
 def test_pc_to_perm_d4():

@@ -11,13 +11,15 @@ program over normal forms.
 import numpy as np
 import pytest
 
+from pgf import table
 from pgf.datasets import load_all_fixtures, load_fixture
-from pgf.errors import PgfError
+from pgf.errors import CapExceeded, PgfError
 from pgf.family import Wreath, certificate_corpus, eval_cert
 from pgf.group import PermGroup
 from pgf.ops import cyclic_group, wreath_regular
+from pgf.pc import PcPresentation
 from pgf.perm import Perm
-from pgf.table import CayleyTable
+from pgf.table import CayleyTable, tabulate
 
 
 def corpus_groups(max_order):
@@ -148,3 +150,59 @@ def test_pc_tables_match_the_normal_form_dynamic_program():
         ct = CayleyTable.from_pc(pres)
         assert ct.table.tobytes() == normal_form_table(pres).tobytes()
         assert ct.gen_ids == tuple(pres.prime**k for k in reversed(range(pres.ngens)))
+
+
+def test_batch_tables_equal_one_presentation_tables():
+    """tabulate, one batch per shape, gives each fixture (the two
+    catalogues among them) the table and generators from_pc gives it."""
+    shapes = {}
+    for pres in load_all_fixtures():
+        shapes.setdefault((pres.prime, pres.ngens), []).append(pres)
+    assert sum(map(len, shapes.values())) == 96 and len(shapes[(2, 5)]) == 51
+    for batch in shapes.values():
+        made = tabulate(batch)
+        assert len(made) == len(batch)
+        for pres, ct in zip(batch, made):
+            one = CayleyTable.from_pc(pres)
+            assert ct.table.dtype == np.int32 and ct.table.flags.c_contiguous
+            assert ct.table.tobytes() == one.table.tobytes()
+            assert ct.gen_ids == one.gen_ids
+
+
+@pytest.mark.parametrize("prime, ngens", [(2, 0), (5, 0), (2, 1), (7, 1)])
+def test_batch_of_trivial_or_prime_order_presentations(prime, ngens):
+    order = prime**ngens
+    batch = [PcPresentation(prime, ngens, group_id=(order, i)) for i in (1, 2, 3)]
+    for ct in tabulate(batch) + [CayleyTable.from_pc(batch[0])]:
+        # the id of g^e is e, so the table adds exponents mod the order
+        assert ct.table.tolist() == [[(a + b) % order for b in range(order)] for a in range(order)]
+        assert ct.gen_ids == ((1,) if ngens else ())
+
+
+def test_batch_refuses_mixed_shapes_and_fails_each_presentation_over_the_cap():
+    assert tabulate([]) == []
+    with pytest.raises(PgfError, match="share one prime and generator count"):
+        tabulate([PcPresentation(2, 2), PcPresentation(2, 3)])
+    big = [PcPresentation(2, 11, group_id=(2048, i)) for i in (1, 2)]
+    made = tabulate(big)
+    assert [type(e) for e in made] == [CapExceeded, CapExceeded]
+    assert made[0] is not made[1]
+    assert all(str(e) == "order 2048 exceeds table cap 1024" for e in made)
+
+
+def test_batch_blocks_keep_within_the_cell_budget(monkeypatch):
+    """A batch larger than a block is tabulated a block at a time, with
+    the same tables."""
+    batch = load_fixture("o32.pc")
+    want = [ct.table.tobytes() for ct in tabulate(batch)]
+    monkeypatch.setattr(table, "_TABULATE_CELLS", 4 * 32 * 32)
+    blocks = []
+    real = table._pc_tables
+
+    def recorded(presentations, cols):
+        blocks.append(len(presentations))
+        return real(presentations, cols)
+
+    monkeypatch.setattr(table, "_pc_tables", recorded)
+    assert [ct.table.tobytes() for ct in tabulate(batch)] == want
+    assert blocks == [4] * 12 + [3]

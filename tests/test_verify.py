@@ -169,7 +169,7 @@ def test_small_orders_claim_classifies_by_buckets_and_fails_on_a_failure(
     (tmp_path / "bad.pc").write_text(INCONSISTENT_TEXT)
     status, detail = verify._claim_small_orders(ctx)
     assert status == "FAIL"
-    assert detail.startswith("group (8,9): group (8, 9): inconsistent presentation")
+    assert detail == "group (8,9): inconsistent presentation: associativity fails at (4, 4, 4)"
 
 
 def test_oracle_claim_climbs_each_order_once(monkeypatch):

@@ -41,10 +41,11 @@ from collections import Counter
 import numpy as np
 
 from pgf.arith import exact_log
+from pgf.census import _CHUNK_CELLS
 from pgf.datasets import load_fixture
 from pgf.errors import PgfError
 from pgf.pc import PcPresentation, parse_pc_text, serialize_pc
-from pgf.table import CayleyTable
+from pgf.table import CayleyTable, tabulate
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pgf", "data")
 
@@ -137,14 +138,17 @@ def classify(source: str, p: int, expected: int) -> list:
     classes: dict = {}
     tried = consistent = 0
     for base in load_fixture(source):
-        for pres in central_extensions(base):
-            tried += 1
-            try:
-                ct = CayleyTable.from_pc(pres)
-            except PgfError:  # inconsistent tails
-                continue
-            consistent += 1
-            classes.setdefault(fingerprint(ct), pres)
+        # the tails of a base share its prime and generator count, so they
+        # are tabulated together, a census chunk's worth of cells at a time
+        tails = central_extensions(base)
+        size = max(1, _CHUNK_CELLS // (base.order * base.prime) ** 2)
+        while chunk := list(itertools.islice(tails, size)):
+            tried += len(chunk)
+            for pres, ct in zip(chunk, tabulate(chunk)):
+                if isinstance(ct, PgfError):  # inconsistent tails
+                    continue
+                consistent += 1
+                classes.setdefault(fingerprint(ct), pres)
     dt = time.perf_counter() - t0
     print(
         f"[{source}] {tried} tail vectors, {consistent} consistent -> "
