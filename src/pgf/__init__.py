@@ -60,7 +60,6 @@ _EXPORTS = {
     # census pipeline
     "CensusRecord": ".census",
     "CensusSummary": ".census",
-    "classify_presentation": ".census",
     "run_census": ".census",
     "emit_report": ".census",
     # claims gate

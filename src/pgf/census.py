@@ -9,13 +9,16 @@ interrupted long run resumes by skipping finished groups, and a record
 whose presentation or file name differs from the current one is
 recomputed rather than served.
 The groups still to classify go in chunks, each bounded by a fixed
-number of table cells. A chunk tabulates all its presentations at once
-(`table.tabulate`), climbs the subgroup lattices of all its non-abelian
-tables in one climb (`table.lattices`), then finishes its groups one at
-a time (`classify_table`). Chunks classify independently, so a worker
-pool can spread the load, one chunk per task; results are keyed and
-sorted by group id before reporting, which keeps the output independent
-of scheduling.
+number of table cells (`_chunk_size`). A chunk's shared work (`_prepare`)
+tabulates all its presentations at once (`table.tabulate`) and climbs the
+subgroup lattices of all its non-abelian tables in one climb
+(`table.lattices`); then its groups are finished one at a time
+(`classify_table`). If the shared work raises, each group of the chunk is
+classified again as a chunk of one, so the fault lands on the group that
+causes it; in a chunk of one it is that group's failure. Chunks classify
+independently, so a worker pool can spread the load, one chunk per task;
+results are keyed and sorted by group id before reporting, which keeps
+the output independent of scheduling.
 
 Per-group failures (typically cap violations, but any exception a group's
 classification raises, or a worker process that dies) never vanish: they
@@ -154,13 +157,6 @@ class CensusSummary:
     failures: tuple
 
 
-def classify_presentation(pres: PcPresentation) -> CensusRecord:
-    """Classify one group on its own: tabulate it and `classify_table`."""
-    t0 = time.perf_counter()
-    ct = CayleyTable.from_pc(pres)
-    return classify_table(pres, ct, time.perf_counter() - t0)
-
-
 def classify_table(
     pres: PcPresentation, ct: CayleyTable, spent: float = 0.0
 ) -> CensusRecord:
@@ -274,74 +270,71 @@ def _append_record(fh, rec: CensusRecord, digest: str) -> None:
 
 
 def _failure(gid: tuple, exc: Exception) -> tuple:
-    """("fail", gid, message) for a PgfError. The census names the group
-    beside the message, so a message that opens by naming it keeps only
-    the rest."""
-    return ("fail", gid, str(exc).removeprefix(f"group {gid}: "))
+    """("fail", gid, message) for an exception met while classifying group
+    `gid`. The census names the group beside the message, so a PgfError's
+    message that opens by naming it keeps only the rest; any other
+    exception is named by its type, its message and the frame that raised
+    it."""
+    if isinstance(exc, PgfError):
+        return ("fail", gid, str(exc).removeprefix(f"group {gid}: "))
+    at = traceback.extract_tb(exc.__traceback__)[-1]
+    where = f"{at.name} at {os.path.basename(at.filename)}:{at.lineno}"
+    return ("fail", gid, f"{type(exc).__name__}: {exc} (in {where})")
 
 
-def _attempt(gid: tuple, fn, *args) -> tuple:
-    """("ok", fn(*args)), or ("fail", gid, message) when it raises."""
-    try:
-        return ("ok", fn(*args))
-    except PgfError as exc:
-        return _failure(gid, exc)
-    except Exception as exc:
-        # one group's fault must not abort the census; KeyboardInterrupt
-        # is not an Exception and still stops the run
-        at = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{at.name} at {os.path.basename(at.filename)}:{at.lineno}"
-        return ("fail", gid, f"{type(exc).__name__}: {exc} (in {where})")
-
-
-def _tabulate_chunk(chunk: Sequence[PcPresentation]) -> list:
-    """("ok", table) or a failure for each presentation of a chunk, from
-    one tabulation of the whole chunk (`tabulate`). If that raises, each
-    presentation is tabulated on its own, so the fault lands on the group
-    that causes it."""
-    try:
-        made = tabulate(chunk)
-    except Exception:
-        return [_attempt(pres.group_id, CayleyTable.from_pc, pres) for pres in chunk]
-    return [
-        _failure(pres.group_id, ct) if isinstance(ct, PgfError) else ("ok", ct)
-        for pres, ct in zip(chunk, made)
+def _prepare(chunk: Sequence[PcPresentation]) -> list:
+    """[presentation, table or PgfError, seconds spent on the group] for
+    each presentation of a chunk of one order, in order: the chunk is
+    tabulated together (`tabulate`), and its non-abelian tables are climbed
+    together (`lattices`). Each group is charged an equal share of the
+    tabulation and, if it was climbed, of the climb."""
+    t0 = time.perf_counter()
+    tables = tabulate(chunk)
+    share = (time.perf_counter() - t0) / len(chunk)
+    prepared = [[pres, ct, share] for pres, ct in zip(chunk, tables)]
+    climb = [
+        e
+        for e in prepared
+        if not isinstance(e[1], PgfError) and not e[1].is_abelian_ids(range(e[1].n))
     ]
+    if climb:
+        t0 = time.perf_counter()
+        lattices([ct for _, ct, _ in climb])
+        share = (time.perf_counter() - t0) / len(climb)
+        for entry in climb:
+            entry[2] += share
+    return prepared
 
 
 def _classify_chunk(chunk: Sequence[PcPresentation]) -> Iterator[tuple]:
     """The outcome of each group of a chunk of one order, as soon as it is
-    known.
+    known: its shared work (`_prepare`), then each group finished on its
+    own (`classify_table`).
 
-    The chunk is tabulated together (`_tabulate_chunk`), and a
-    presentation that fails to tabulate fails at once, alone. The
-    non-abelian tables are climbed together. Each group's record counts an
-    equal share of the chunk's tabulation and, if it was climbed, of the
-    climb. If the shared climb raises, each of its tables is climbed again
-    on its own when its group is finished, so the fault lands on the group
-    that causes it.
+    If the shared work raises, a chunk of several groups classifies each
+    again as a chunk of one, so the fault lands on the group that causes
+    it; in a chunk of one, the exception is the group's failure. One
+    group's fault never aborts the census; KeyboardInterrupt is not an
+    Exception and still stops the run.
     """
-    t0 = time.perf_counter()
-    outcomes = _tabulate_chunk(chunk)
-    share = (time.perf_counter() - t0) / len(chunk)
-    tabled = []  # [presentation, table, seconds spent on the group]
-    for pres, outcome in zip(chunk, outcomes):
-        if outcome[0] == "fail":
-            yield outcome
+    try:
+        prepared = _prepare(chunk)
+    except Exception as exc:
+        if len(chunk) == 1:
+            yield _failure(chunk[0].group_id, exc)
+        else:
+            for pres in chunk:
+                yield from _classify_chunk([pres])
+        return
+    for pres, ct, spent in prepared:
+        if isinstance(ct, PgfError):
+            yield _failure(pres.group_id, ct)
             continue
-        tabled.append([pres, outcome[1], share])
-    climb = [e for e in tabled if not e[1].is_abelian_ids(range(e[1].n))]
-    if climb:
-        t0 = time.perf_counter()
         try:
-            lattices([ct for _, ct, _ in climb])
-        except Exception:
-            pass
-        share = (time.perf_counter() - t0) / len(climb)
-        for entry in climb:
-            entry[2] += share
-    for pres, ct, spent in tabled:
-        yield _attempt(pres.group_id, classify_table, pres, ct, spent)
+            outcome = ("ok", classify_table(pres, ct, spent))
+        except Exception as exc:
+            outcome = _failure(pres.group_id, exc)
+        yield outcome
 
 
 def _chunk_task(chunk: Sequence[PcPresentation]) -> list:
@@ -349,14 +342,19 @@ def _chunk_task(chunk: Sequence[PcPresentation]) -> list:
     return list(_classify_chunk(chunk))
 
 
+def _chunk_size(order: int) -> int:
+    """The most tables of `order` that fit in _CHUNK_CELLS cells, one at
+    least."""
+    return max(1, _CHUNK_CELLS // order**2)
+
+
 def _chunks(todo: Sequence[PcPresentation], jobs: int) -> list:
-    """Consecutive chunks of near-equal size: as few as keep each chunk's
-    tables within _CHUNK_CELLS cells (one table at least), and no fewer
-    than `jobs` where there are that many groups."""
+    """Consecutive chunks of near-equal size: as few as keep each chunk
+    within `_chunk_size` tables, and no fewer than `jobs` where there are
+    that many groups."""
     if not todo:
         return []
-    size = max(1, _CHUNK_CELLS // todo[0].order**2)
-    count = max(-(-len(todo) // size), min(jobs, len(todo)))
+    count = max(-(-len(todo) // _chunk_size(todo[0].order)), min(jobs, len(todo)))
     q, r = divmod(len(todo), count)
     bounds = [i * q + min(i, r) for i in range(count + 1)]
     return [todo[a:b] for a, b in zip(bounds, bounds[1:])]

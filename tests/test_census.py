@@ -22,7 +22,7 @@ from pgf.census import (
     CensusRecord,
     CensusSummary,
     cache_file_path,
-    classify_presentation,
+    classify_table,
     emit_report,
     run_census,
 )
@@ -76,7 +76,7 @@ def record_dicts(lines):
 
 def test_classify_record_fields():
     pres = [p for p in load_fixture("o8.pc") if p.group_id[1] == 4][0]
-    rec = classify_presentation(pres)
+    rec = classify_table(pres, table.CayleyTable.from_pc(pres))
     assert rec.group_id == (8, 4)
     assert "o8.pc" in rec.provenance
     assert rec.screen in ("definitely_not_member", "inconclusive")
@@ -86,7 +86,7 @@ def test_classify_record_fields():
 
 def test_classification_agrees_with_brute_force_on_order8():
     for pres in load_fixture("o8.pc"):
-        rec = classify_presentation(pres)
+        rec = classify_table(pres, table.CayleyTable.from_pc(pres))
         elems = set(pc_to_perm(pres).elements())
         degree = next(iter(elems)).degree
         assert rec.rank == brute_rank(elems, 2, degree)
@@ -145,8 +145,10 @@ def test_run_census_parallel_matches_serial():
 
 
 def one_by_one(path):
+    """Each group's record from its own table, outside any chunk."""
     return sorted(
-        (classify_presentation(p) for p in parse_pc_file(path)), key=lambda r: r.group_id
+        (classify_table(p, table.CayleyTable.from_pc(p)) for p in parse_pc_file(path)),
+        key=lambda r: r.group_id,
     )
 
 
@@ -214,8 +216,13 @@ def test_a_presentation_that_fails_to_tabulate_fails_alone(tmp_path, climbs):
         assert zeroed(records) == fresh
 
 
+# o8.pc goes in one chunk of five under --jobs 1, in chunks (1, 2, 3) and
+# (4, 5) under --jobs 2, run here by the in-process pool
+@pytest.mark.parametrize(
+    "jobs, want", [(1, [5, 1, 1, 1, 1, 1]), (2, [3, 1, 1, 1, 2])], ids=["1", "2"]
+)
 def test_a_fault_in_the_shared_tabulation_lands_on_the_group_that_causes_it(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, pool_sizes, jobs, want
 ):
     fresh = [r for r in one_by_one(fixture_path("o8.pc")) if r.group_id != (8, 3)]
     real = table._pc_tables
@@ -229,15 +236,37 @@ def test_a_fault_in_the_shared_tabulation_lands_on_the_group_that_causes_it(
 
     monkeypatch.setattr(table, "_pc_tables", tabulation_faulting_on_group_3)
     cache = str(tmp_path / "cache")
-    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
-    # the shared tabulation of the chunk, then each presentation on its own
-    assert tabulated == [5, 1, 1, 1, 1, 1]
+    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=jobs)
+    # the shared tabulation of each chunk; the chunk that faults, then
+    # each of its groups as a chunk of one
+    assert tabulated == want
     [entry] = summary.failures
     assert (entry["order"], entry["index"]) == (8, 3)
     assert entry["error"].startswith("ValueError: no table (in tabulation_faulting_on_group_3 at ")
     assert zeroed(records) == zeroed(fresh)
     with open(cache_file_path(cache, 2, 8)) as fh:
-        assert [json.loads(line)["index"] for line in fh] == [1, 2, 4, 5]
+        cached = [json.loads(line)["index"] for line in fh]
+    # the pool reports its chunks in the order they finish
+    assert (cached if jobs == 1 else sorted(cached)) == [1, 2, 4, 5]
+
+
+def test_a_chunk_of_one_whose_shared_work_raises_fails_once(tmp_path, monkeypatch):
+    path = tmp_path / "o8.pc"
+    path.write_text(serialize_pc(o8_pres(3)))
+    tabulated = []
+
+    def tabulation_that_raises(presentations, cols):
+        tabulated.append(len(presentations))
+        raise ValueError("no table")
+
+    monkeypatch.setattr(table, "_pc_tables", tabulation_that_raises)
+    summary, records = run_census(str(path), jobs=1)
+    # the exception is the group's failure, with no retry after it
+    assert tabulated == [1]
+    assert records == []
+    [entry] = summary.failures
+    assert (entry["order"], entry["index"]) == (8, 3)
+    assert entry["error"].startswith("ValueError: no table (in tabulation_that_raises at ")
 
 
 @pytest.mark.parametrize("prime, ngens", [(2, 0), (7, 1)])
@@ -255,7 +284,10 @@ def test_a_chunk_of_trivial_or_prime_order_groups(tmp_path, prime, ngens):
     assert zeroed(records) == zeroed(one_by_one(str(path)))
 
 
-def test_a_failed_shared_climb_lands_on_the_group_that_causes_it(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs, want", [(1, [2, 1, 1]), (2, [2, 1, 1])], ids=["1", "2"])
+def test_a_failed_shared_climb_lands_on_the_group_that_causes_it(
+    tmp_path, monkeypatch, pool_sizes, jobs, want
+):
     (dihedral,) = [p for p in load_fixture("o8.pc") if p.group_id == (8, 4)]
     bad = table.CayleyTable.from_pc(dihedral).table
     fresh = [r for r in one_by_one(fixture_path("o8.pc")) if r.group_id != (8, 4)]
@@ -270,16 +302,20 @@ def test_a_failed_shared_climb_lands_on_the_group_that_causes_it(tmp_path, monke
 
     monkeypatch.setattr(table, "_climb", climb_faulting_on_the_dihedral_table)
     cache = str(tmp_path / "cache")
-    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=1)
-    # the shared climb of both non-abelian tables, then each on its own
-    assert climbed == [2, 1, 1]
+    summary, records = run_census(fixture_path("o8.pc"), cache_dir=cache, jobs=jobs)
+    # the shared climb of both non-abelian tables, (8, 4) and (8, 5), which
+    # share a chunk under either jobs; then each group of that chunk as a
+    # chunk of one, where the abelian ones need no climb
+    assert climbed == want
     [entry] = summary.failures
     assert (entry["order"], entry["index"]) == (8, 4)
     assert entry["error"].startswith("ValueError: no climb (in climb_faulting_on_the_dihedral_table at ")
     assert [r.group_id[1] for r in records] == [1, 2, 3, 5]
     assert zeroed(records) == zeroed(fresh)
     with open(cache_file_path(cache, 2, 8)) as fh:
-        assert [json.loads(line)["index"] for line in fh] == [1, 2, 3, 5]
+        cached = [json.loads(line)["index"] for line in fh]
+    # the pool reports its chunks in the order they finish
+    assert (cached if jobs == 1 else sorted(cached)) == [1, 2, 3, 5]
 
 
 @pytest.fixture

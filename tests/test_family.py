@@ -14,7 +14,7 @@ import pytest
 
 from oracles import brute_derived_length, brute_rank, table_subgroups
 from pgf import family
-from pgf.census import SCREEN_INCONCLUSIVE, classify_presentation
+from pgf.census import SCREEN_INCONCLUSIVE, classify_table
 from pgf.errors import CapExceeded, InvalidCertificate
 from pgf.family import (
     Cyclic,
@@ -490,10 +490,10 @@ END
 @pytest.mark.parametrize("index, subgroups", [(1, 105), (2, 57)])
 def test_search_refutes_groups_the_screen_leaves_open(index, subgroups):
     pres = parse_pc_text(SCREEN_OPEN_64)[index - 1]
-    rec = classify_presentation(pres)
+    ct = CayleyTable.from_pc(pres)
+    rec = classify_table(pres, ct)
     assert (rec.rank, rec.derived_length, rec.screen) == (2, 2, SCREEN_INCONCLUSIVE)
     assert not rec.semiabelian
-    ct = CayleyTable.from_pc(pres)
     search = {"subgroups": subgroups, "classes_examined": 1, "pairs_tested": 0}
     assert semiabelian_table(ct).search == search
     # by brute force: no normal abelian A, 1 < |A| < |G|, and proper H

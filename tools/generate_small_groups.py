@@ -11,7 +11,11 @@ presentation of the form P's relations plus a tail z^a on every power
 relation and z^b on every commutator relation, with z central of order p.
 Trying every tail vector on every presentation of the smaller catalogue
 (`central_extensions`) and keeping the consistent ones therefore reaches
-every isomorphism type of order p**(n+1), with repetition.
+every isomorphism type of order p**(n+1), with repetition. The tails go
+through the census chunk route: chunks sized as the census sizes them
+(`census._chunk_size`), each tabulated in one batch and its non-abelian
+tables climbed in one shared lattice climb (`census._prepare`), so the
+fingerprints read lattices that are already built.
 
 Deduplication: candidates are bucketed by `fingerprint`, a tuple of
 isomorphism invariants, and the first candidate per key is kept. Equal
@@ -41,11 +45,11 @@ from collections import Counter
 import numpy as np
 
 from pgf.arith import exact_log
-from pgf.census import _CHUNK_CELLS
+from pgf.census import _chunk_size, _prepare
 from pgf.datasets import load_fixture
 from pgf.errors import PgfError
 from pgf.pc import PcPresentation, parse_pc_text, serialize_pc
-from pgf.table import CayleyTable, tabulate
+from pgf.table import CayleyTable
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pgf", "data")
 
@@ -139,12 +143,12 @@ def classify(source: str, p: int, expected: int) -> list:
     tried = consistent = 0
     for base in load_fixture(source):
         # the tails of a base share its prime and generator count, so they
-        # are tabulated together, a census chunk's worth of cells at a time
+        # form census chunks
         tails = central_extensions(base)
-        size = max(1, _CHUNK_CELLS // (base.order * base.prime) ** 2)
+        size = _chunk_size(base.order * base.prime)
         while chunk := list(itertools.islice(tails, size)):
             tried += len(chunk)
-            for pres, ct in zip(chunk, tabulate(chunk)):
+            for pres, ct, _ in _prepare(chunk):
                 if isinstance(ct, PgfError):  # inconsistent tails
                     continue
                 consistent += 1
